@@ -42,6 +42,21 @@ def _check_labels(labels: Sequence[str] | None, n: int, axis: str) -> tuple[str,
     return labels
 
 
+def _read_label_header(line: str, lineno: int, labels: dict[str, tuple[str, ...]]) -> None:
+    """Record a '#rows a,b,...' or '#cols ...' comment line in `labels` under
+    'rows' or 'cols', refusing a second one; other comments are ignored.
+
+    Names are split on commas as written, so an empty name is kept and
+    refused by the label checks rather than dropped.
+    """
+    for tag in ("rows", "cols"):
+        if line == "#" + tag or line.startswith(f"#{tag} "):
+            if tag in labels:
+                raise InputError(f"line {lineno}: duplicate #{tag} header")
+            names = line[len(tag) + 1:]
+            labels[tag] = tuple(p.strip() for p in names.split(",")) if names.strip() else ()
+
+
 @dataclass(frozen=True, eq=False)
 class BoolMatrix:
     """k x l bit matrix with optional row/column labels."""
@@ -120,7 +135,7 @@ class BoolMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BoolMatrix":
-        row_labels = col_labels = None
+        labels: dict[str, tuple[str, ...]] = {}
         dims = None
         data: list[np.ndarray] = []
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -128,15 +143,7 @@ class BoolMatrix:
             if not line:
                 continue
             if line.startswith("#"):
-                for tag, have in (("#rows", row_labels), ("#cols", col_labels)):
-                    if line.startswith(tag + " ") or line == tag:
-                        if have is not None:
-                            raise InputError(f"line {lineno}: duplicate {tag} header")
-                        labels = tuple(p.strip() for p in line[len(tag):].split(",") if p.strip())
-                        if tag == "#rows":
-                            row_labels = labels
-                        else:
-                            col_labels = labels
+                _read_label_header(line, lineno, labels)
                 continue
             if dims is None:
                 parts = line.split()
@@ -163,7 +170,7 @@ class BoolMatrix:
         if len(data) != dims[0]:
             raise InputError(f"expected {dims[0]} data rows, got {len(data)}")
         bits = np.array(data, dtype=np.uint8).reshape(dims)
-        return cls(bits, row_labels, col_labels)
+        return cls(bits, labels.get("rows"), labels.get("cols"))
 
 
 class FlipCounts(NamedTuple):

@@ -1,7 +1,7 @@
 """Command-line surface: rank, factorize, reduce, infer, gen, experiment.
 
-Exit codes: 0 success, 1 input error, 2 capability refusal (size or search
-caps), 3 inconsistency (zero partition mass).  Flags beat LIFTBMF_*
+Exit codes: 0 success, 1 input error, 2 capability refusal (size, search or
+flip caps), 3 proven inconsistency (zero partition mass).  Flags beat LIFTBMF_*
 environment variables, which beat built-in defaults.
 """
 from __future__ import annotations
@@ -149,38 +149,23 @@ def _invocation(argv) -> str:
 def _cmd_experiment_error_curve(args) -> int:
     if bool(args.matrix) == bool(args.planted):
         raise InputError("give either --matrix files or a --planted recipe")
-    seeds = args.seeds if args.seeds else (0,)
-    spec = experiments.ExperimentSpec(
-        kind="error_curve",
-        inputs=tuple(args.matrix or ()),
-        ranks=args.ranks,
-        seeds=seeds,
-        output=args.output,
-    )
     if args.matrix:
         matrices = [read_matrix(p) for p in args.matrix]
     else:
         m, rank, noise = args.planted
         matrices = [
             experiments.planted_block_matrix(m, rank, noise, seed)[0]
-            for seed in spec.seeds
+            for seed in args.seeds or (0,)
         ]
     params = factorize.AssoParams(tau=args.tau, w_plus=args.w_plus, w_minus=args.w_minus)
-    rows = experiments.error_curve(matrices, spec.ranks, params)
+    rows = experiments.error_curve(matrices, args.ranks, params)
     experiments.write_csv(
-        spec.output, ("rank", "error"), rows, invocation=_invocation(args.argv)
+        args.output, ("rank", "error"), rows, invocation=_invocation(args.argv)
     )
     return 0
 
 
 def _cmd_experiment_kld_curve(args) -> int:
-    spec = experiments.ExperimentSpec(
-        kind="kld_curve",
-        inputs=(args.model, args.matrix),
-        ranks=args.ranks,
-        seeds=args.seeds,
-        output=args.output,
-    )
     model = mln.parse_model(_read_text(args.model))
     matrix = read_matrix(args.matrix)
     arity = model.predicates.get(args.query_pred)
@@ -195,8 +180,8 @@ def _cmd_experiment_kld_curve(args) -> int:
         matrix,
         args.predicate,
         queries,
-        spec.ranks,
-        spec.seeds,
+        args.ranks,
+        args.seeds,
         iterations=args.iters,
         snapshot_every=args.snapshot_every,
         reference=args.reference,
@@ -204,7 +189,7 @@ def _cmd_experiment_kld_curve(args) -> int:
         estimator=args.estimator,
     )
     experiments.write_csv(
-        spec.output,
+        args.output,
         ("iteration", "method", "rank", "kld"),
         rows,
         invocation=_invocation(args.argv),
@@ -213,16 +198,9 @@ def _cmd_experiment_kld_curve(args) -> int:
 
 
 def _cmd_experiment_equivalence(args) -> int:
-    spec = experiments.ExperimentSpec(
-        kind="equivalence_check",
-        inputs=(),
-        ranks=(),
-        seeds=(args.seed,),
-        output=args.output,
-    )
     rows = experiments.equivalence_check(args.instances, args.seed)
     experiments.write_csv(
-        spec.output,
+        args.output,
         ("instance", "max_abs_diff", "pass"),
         rows,
         invocation=_invocation(args.argv),

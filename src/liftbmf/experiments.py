@@ -6,7 +6,6 @@ fixed order so output rows never depend on scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from .reduction import encode_evidence, extend_model, matrix_to_evidence
 from .sampler import ChainConfig, estimate_marginals, kld
 
 __all__ = [
-    "ExperimentSpec",
     "gen_synthetic",
     "error_curve",
     "equivalence_check",
@@ -34,26 +32,10 @@ __all__ = [
 
 EQUIVALENCE_TOLERANCE = 1e-9
 
-_KINDS = ("error_curve", "kld_curve", "equivalence_check")
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Validated description of one experiment run."""
-
-    kind: str
-    inputs: tuple[str, ...]
-    ranks: tuple[int, ...]
-    seeds: tuple[int, ...]
-    output: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown experiment kind {self.kind!r}")
-        if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
-            raise InputError(f"ranks must be strictly increasing, got {self.ranks}")
-        if not self.seeds:
-            raise InputError("at least one seed is required")
+def _check_ranks(ranks: Sequence[int]) -> None:
+    if any(b <= a for a, b in zip(ranks, ranks[1:])):
+        raise InputError(f"ranks must be strictly increasing, got {tuple(ranks)}")
 
 
 # --- synthetic evidence -----------------------------------------------------
@@ -165,6 +147,7 @@ def error_curve(
         raise InputError("no matrices given")
     if not ranks:
         raise InputError("no ranks given")
+    _check_ranks(ranks)
     base = params or AssoParams()
     run_params = AssoParams(base.tau, base.w_plus, base.w_minus, max(ranks))
     facts = [asso_factorize(m, run_params) for m in matrices]
@@ -287,6 +270,9 @@ def kld_curve(
     the approximations themselves; reference='self' measures each chain
     against the marginals of its own approximation.
     """
+    _check_ranks(ranks)
+    if not seeds:
+        raise InputError("at least one seed is required")
     if reference not in ("exact", "self"):
         raise InputError(f"reference must be 'exact' or 'self', got {reference!r}")
     for method in methods:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolmat import BoolMatrix, _check_labels, boolean_product, hamming_error
+from .boolmat import BoolMatrix, _check_labels, _read_label_header, boolean_product, hamming_error
 from .errors import CapacityError, InputError, SearchBudgetError
 
 __all__ = [
@@ -101,6 +101,8 @@ class Factorization:
             )
         object.__setattr__(self, "row_labels", _check_labels(self.row_labels, k, "row"))
         object.__setattr__(self, "col_labels", _check_labels(self.col_labels, l, "col"))
+        if self.error is not None and not 0 <= self.error <= k * l:
+            raise InputError(f"error {self.error} outside [0, {k * l}] for shape {self.shape}")
         if self.target is not None and self.target.shape != self.shape:
             raise InputError(
                 f"target shape {self.target.shape} does not match {self.shape}"
@@ -185,7 +187,7 @@ class Factorization:
 
     @classmethod
     def from_text(cls, text: str) -> "Factorization":
-        row_labels = col_labels = None
+        labels: dict[str, tuple[str, ...]] = {}
         header = None
         body: list[str] = []
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -193,10 +195,7 @@ class Factorization:
             if not line:
                 continue
             if line.startswith("#"):
-                if line.startswith("#rows "):
-                    row_labels = tuple(p.strip() for p in line[6:].split(","))
-                elif line.startswith("#cols "):
-                    col_labels = tuple(p.strip() for p in line[6:].split(","))
+                _read_label_header(line, lineno, labels)
                 continue
             if header is None:
                 parts = line.split()
@@ -224,12 +223,12 @@ class Factorization:
                 (np.array([int(c) for c in qline], dtype=np.uint8),
                  np.array([int(c) for c in rline], dtype=np.uint8))
             )
-        return cls(tuple(pairs), (k, l), row_labels, col_labels, error)
+        return cls(tuple(pairs), (k, l), labels.get("rows"), labels.get("cols"), error)
 
 
 def truncate(f: Factorization, n: int) -> Factorization:
     """Keep the first n pairs; the error is recomputed against the target."""
-    if n > f.rank():
+    if not 0 <= n <= f.rank():
         raise InputError(f"cannot truncate rank-{f.rank()} factorization to {n}")
     if n == f.rank():
         return f
@@ -391,11 +390,13 @@ def exact_boolean_rank(
         budget[0] -= 1
         if budget[0] < 0:
             lb = math.ceil(ones_mask.bit_count() / max_cover)
+            # min(k, l) rectangles always suffice: one per row or per column
+            ub = min(best_len, k, l)
             raise SearchBudgetError(
                 f"exact rank search exceeded {max_search} nodes; "
-                f"best bounds so far: {lb} <= rank <= {best_len}",
+                f"best bounds so far: {lb} <= rank <= {ub}",
                 lower_bound=lb,
-                upper_bound=best_len,
+                upper_bound=ub,
             )
         if not uncovered:
             if depth < best_len:

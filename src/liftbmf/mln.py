@@ -9,6 +9,7 @@ oracle for everything built on top.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -628,37 +629,46 @@ def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
 
 @dataclass(frozen=True)
 class _CompiledFormula:
-    weight: float | None  # None marks a hard formula
-    formula: Formula
     atom_ids: tuple[int, ...]
-    table: np.ndarray  # satisfaction over 2^len(atom_ids) assignments
+    # log factor over the 2^len(atom_ids) assignments: the weight where a
+    # weighted grounding holds, else 0; 0 where a hard one holds, else -inf
+    log_table: np.ndarray
 
-    def packed_index(self, values: np.ndarray) -> int:
-        idx = 0
-        for pos, atom_id in enumerate(self.atom_ids):
-            idx |= int(values[atom_id]) << pos
-        return idx
+    def log_factor(self, column):
+        """Log factor in one world or a batch: `column[i]` holds atom i's
+        value(s) as Python ints or int64, since narrower types overflow the
+        packed table index past 8 atoms."""
+        packed = column[self.atom_ids[0]]
+        for pos, atom_id in enumerate(self.atom_ids[1:], 1):
+            packed = packed | column[atom_id] << pos
+        return self.log_table[packed]
 
 
 def _compile_formula(f: Formula, weight, index: Mapping[Atom, int]) -> _CompiledFormula:
+    """`weight` None compiles a hard formula."""
     atoms = sorted(set(atoms_of(f)), key=lambda a: index[a])
     ids = tuple(index[a] for a in atoms)
     if len(ids) > 20:
         raise CapacityError(f"ground formula touches {len(ids)} atoms; table too large")
-    table = np.zeros(1 << len(ids), dtype=bool)
+    holds, fails = (0.0, -np.inf) if weight is None else (weight, 0.0)
+    log_table = np.empty(1 << len(ids))
     for packed in range(1 << len(ids)):
         lookup = {a: bool(packed >> pos & 1) for pos, a in enumerate(atoms)}
-        table[packed] = evaluate(f, lookup)
-    table.setflags(write=False)
-    return _CompiledFormula(weight, f, ids, table)
+        log_table[packed] = holds if evaluate(f, lookup) else fails
+    log_table.setflags(write=False)
+    return _CompiledFormula(ids, log_table)
 
 
 @dataclass(frozen=True)
 class Conditioned:
-    """A grounding with evidence substituted out.
+    """A grounding with evidence substituted out, compiled once.
 
     `atoms` is every non-evidence ground atom of the signature, in a fixed
-    order; compiled formulas index into it.
+    order; compiled formulas index into it.  `formulas` is `hard` then
+    `weighted`, and `blanket[i]` lists the positions in `formulas` of those
+    touching atom i, ascending, so hard ones come first.  `relabeling`
+    holds one array per predicate of nonzero arity that maps the domain
+    positions of an atom's constants to its atom id (-1 for evidence).
     """
 
     model: Model
@@ -668,17 +678,71 @@ class Conditioned:
     weighted: tuple[_CompiledFormula, ...]
     hard: tuple[_CompiledFormula, ...]
     const_log_weight: float
+    formulas: tuple[_CompiledFormula, ...]
+    blanket: tuple[tuple[int, ...], ...]
+    relabeling: tuple[np.ndarray, ...]
+
+    def log_weights(self, column, shape) -> np.ndarray:
+        """Log weights of the worlds `column` describes (see
+        `_CompiledFormula.log_factor`), -inf where a hard grounding fails.
+
+        Factors are added one formula at a time in compiled order, so a
+        world gets the same float whether evaluated alone or in a batch.
+        """
+        logw = np.full(shape, self.const_log_weight)
+        for comp in self.formulas:
+            logw += comp.log_factor(column)
+        return logw
 
     def log_weight(self, values: np.ndarray) -> float:
         """Log weight of a world; -inf when a hard grounding is violated."""
-        for comp in self.hard:
-            if not comp.table[comp.packed_index(values)]:
-                return float("-inf")
-        total = self.const_log_weight
-        for comp in self.weighted:
-            if comp.table[comp.packed_index(values)]:
-                total += comp.weight
-        return total
+        return float(self.log_weights(np.asarray(values, dtype=np.int64).tolist(), ()))
+
+    def conditional(self, values: np.ndarray, i: int) -> float:
+        """P(atom i = true | the other atoms as in `values`), read off atom
+        i's Markov blanket; raises if neither setting satisfies the hard
+        formulas there."""
+        column = np.asarray(values, dtype=np.int64).tolist()
+        logs = [0.0, 0.0]
+        for setting in (0, 1):
+            column[i] = setting
+            for k in self.blanket[i]:
+                logs[setting] += self.formulas[k].log_factor(column)
+        log0, log1 = logs
+        if log0 == log1 == -math.inf:
+            raise InconsistencyError(
+                "both settings of an atom violate hard formulas; the model is inconsistent"
+            )
+        if log1 == -math.inf:
+            return 0.0
+        if log0 == -math.inf:
+            return 1.0
+        # clamp the log-odds gap so extreme weights cannot overflow exp()
+        gap = min(max(log0 - log1, -700.0), 700.0)
+        return 1.0 / (1.0 + math.exp(gap))
+
+    def relabeled(self, values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """`values` with constants renamed by `perm`, a permutation of domain
+        positions: the value of atom p(c1, ..., ck) moves to
+        p(perm[c1], ..., perm[ck]).  Evidence atoms must map to evidence."""
+        out = values.copy()
+        for lookup in self.relabeling:
+            moved = lookup[np.ix_(*[perm] * lookup.ndim)]
+            out[moved[lookup >= 0]] = values[lookup[lookup >= 0]]
+        return out
+
+    def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:
+        """Check query atoms; split off those the evidence fixes, with
+        their probability, from the open ones."""
+        fixed: dict[Atom, float] = {}
+        open_queries: list[Atom] = []
+        for atom in queries:
+            self.model.check_formula(atom, "query")
+            if atom in self.evidence:
+                fixed[atom] = 1.0 if self.evidence[atom] else 0.0
+            else:
+                open_queries.append(atom)
+        return fixed, open_queries
 
     def world(self, values) -> World:
         values = np.asarray(values, dtype=np.uint8)
@@ -716,8 +780,21 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
             )
         if simp is not True:
             hard.append(_compile_formula(simp, None, index))
+    formulas = tuple(hard + weighted)
+    relabeling = tuple(
+        np.array([
+            index.get(Atom(name, args), -1)
+            for args in itertools.product(model.domain, repeat=arity)
+        ]).reshape((len(model.domain),) * arity)
+        for name, arity in model.predicates.items() if arity
+    )
+    blanket: list[list[int]] = [[] for _ in atoms]
+    for k, comp in enumerate(formulas):
+        for atom_id in comp.atom_ids:
+            blanket[atom_id].append(k)
     return Conditioned(
-        model, evidence, atoms, index, tuple(weighted), tuple(hard), const_log_weight
+        model, evidence, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
+        formulas, tuple(map(tuple, blanket)), relabeling,
     )
 
 
@@ -726,47 +803,35 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
 _CHUNK_BITS = 18
 
 
-def _vector_packed(comp: _CompiledFormula, columns: dict[int, np.ndarray]) -> np.ndarray:
-    packed = np.zeros_like(columns[comp.atom_ids[0]], dtype=np.int64)
-    for pos, atom_id in enumerate(comp.atom_ids):
-        packed |= columns[atom_id].astype(np.int64) << pos
-    return packed
+def _world_chunks(cond: Conditioned, atom_ids: Sequence[int]):
+    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time: yields
+    (columns, log weights), world w setting atom_ids[b] to bit b of w."""
+    total = 1 << len(atom_ids)
+    for start in range(0, total, 1 << _CHUNK_BITS):
+        idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
+        columns = {atom_id: (idx >> pos) & 1 for pos, atom_id in enumerate(atom_ids)}
+        yield columns, cond.log_weights(columns, idx.shape)
 
 
 def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
-    """Streaming world sum; returns (logZ, per-query log numerators)."""
-    active = sorted(
-        {i for comp in cond.weighted for i in comp.atom_ids}
-        | {i for comp in cond.hard for i in comp.atom_ids}
-        | set(query_ids)
-    )
+    """Streaming world sum; returns (logZ, per-query marginals)."""
+    active = sorted({i for i, near in enumerate(cond.blanket) if near} | set(query_ids))
     if len(active) > atom_cap:
         raise CapacityError(
             f"{len(active)} enumerated atoms exceed the cap of {atom_cap}"
         )
-    pos_of = {atom_id: pos for pos, atom_id in enumerate(active)}
-    n = len(active)
-    total = 1 << n
     pieces: list[tuple[float, float, np.ndarray]] = []  # (shift, sum, query sums)
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        columns = {atom_id: (idx >> pos) & 1 for atom_id, pos in pos_of.items()}
-        mask = np.ones(idx.shape, dtype=bool)
-        for comp in cond.hard:
-            mask &= comp.table[_vector_packed(comp, columns)]
-        logw = np.full(idx.shape, cond.const_log_weight)
-        for comp in cond.weighted:
-            logw += np.where(comp.table[_vector_packed(comp, columns)], comp.weight, 0.0)
-        if not mask.any():
-            continue
-        logw = logw[mask]
-        shift = float(logw.max())
-        weights = np.exp(logw - shift)
-        qsums = np.array(
-            [weights[(columns[q][mask]).astype(bool)].sum() for q in query_ids]
-        )
-        pieces.append((shift, float(weights.sum()), qsums))
+    for columns, logw in _world_chunks(cond, active):
+        mask = logw > -np.inf
+        if mask.any():
+            logw = logw[mask]
+            shift = float(logw.max())
+            weights = np.exp(logw - shift)
+            qsums = np.array(
+                [weights[(columns[q][mask]).astype(bool)].sum() for q in query_ids]
+            )
+            pieces.append((shift, float(weights.sum()), qsums))
+        del columns  # free this chunk's columns before the next chunk builds its own
     if not pieces:
         raise InconsistencyError("evidence and hard formulas admit no world")
     top = max(shift for shift, _, _ in pieces)
@@ -789,15 +854,7 @@ def exact_marginals(
 ) -> dict[Atom, float]:
     """P(atom = true | evidence) for each query atom, by enumeration."""
     cond = ground(model, ground_cap).condition(evidence)
-    fixed: dict[Atom, float] = {}
-    open_queries: list[Atom] = []
-    for atom in queries:
-        model.check_formula(atom, "query")
-        if atom in evidence:
-            fixed[atom] = 1.0 if evidence[atom] else 0.0
-        else:
-            open_queries.append(atom)
-    result = dict(fixed)
+    result, open_queries = cond.split_queries(queries)
     if open_queries or cond.hard:
         ids = [cond.index[a] for a in open_queries]
         _, probs = _enumerate(cond, ids, atom_cap)
@@ -833,18 +890,10 @@ def enumerate_world_distribution(
     n = len(cond.atoms)
     if n > atom_cap:
         raise CapacityError(f"{n} atoms exceed the world-distribution cap of {atom_cap}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    columns = {i: (idx >> i) & 1 for i in range(n)}
-    mask = np.ones(idx.shape, dtype=bool)
-    for comp in cond.hard:
-        mask &= comp.table[_vector_packed(comp, columns)]
-    logw = np.full(idx.shape, cond.const_log_weight)
-    for comp in cond.weighted:
-        logw += np.where(comp.table[_vector_packed(comp, columns)], comp.weight, 0.0)
-    if not mask.any():
+    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n))])
+    shift = logw.max()
+    if shift == -np.inf:
         raise InconsistencyError("evidence and hard formulas admit no world")
-    logw[~mask] = -np.inf
-    shift = logw[mask].max()
     probs = np.exp(logw - shift)
     probs /= probs.sum()
     return cond.atoms, probs

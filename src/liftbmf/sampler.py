@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, InputError
+from .errors import CapacityError, InputError
 from .mln import (
     Atom,
     Conditioned,
@@ -89,73 +89,28 @@ class MarginalEstimate:
 # --- elementary chain moves ------------------------------------------------
 
 
-def _conditional_true_probability(cond: Conditioned, values: np.ndarray, i: int) -> float:
-    """P(atom i = true | rest), honoring hard formulas; raises if neither
-    setting satisfies them."""
-    log1 = 0.0
-    log0 = 0.0
-    ok1 = ok0 = True
-    old = values[i]
-    for comp in cond.hard:
-        if i in comp.atom_ids:
-            values[i] = 1
-            sat1 = comp.table[comp.packed_index(values)]
-            values[i] = 0
-            sat0 = comp.table[comp.packed_index(values)]
-            ok1 &= bool(sat1)
-            ok0 &= bool(sat0)
-    for comp in cond.weighted:
-        if i in comp.atom_ids:
-            values[i] = 1
-            if comp.table[comp.packed_index(values)]:
-                log1 += comp.weight
-            values[i] = 0
-            if comp.table[comp.packed_index(values)]:
-                log0 += comp.weight
-    values[i] = old
-    if not ok1 and not ok0:
-        raise InconsistencyError(
-            "both settings of an atom violate hard formulas; the model is inconsistent"
-        )
-    if not ok1:
-        return 0.0
-    if not ok0:
-        return 1.0
-    # clamp the log-odds gap so extreme weights cannot overflow exp()
-    gap = min(max(log0 - log1, -700.0), 700.0)
-    return 1.0 / (1.0 + math.exp(gap))
-
-
 def gibbs_step(cond: Conditioned, state: World, rng: np.random.Generator) -> World:
     """Resample one uniformly chosen non-evidence atom from its conditional."""
     values = np.array(state.values, dtype=np.uint8)
     i = int(rng.integers(len(values)))
-    p = _conditional_true_probability(cond, values, i)
+    p = cond.conditional(values, i)
     values[i] = 1 if rng.random() < p else 0
     return cond.world(values)
 
 
 def _class_permutation(
-    classes: Sequence[Sequence[str]], rng: np.random.Generator
-) -> dict[str, str]:
-    sigma: dict[str, str] = {}
+    domain: Sequence[str], classes: Sequence[Sequence[str]], rng: np.random.Generator
+) -> np.ndarray | None:
+    """A uniform random permutation within each class, as an array over
+    domain positions; None when every class draws the identity."""
+    position = {c: k for k, c in enumerate(domain)}
+    perm = np.arange(len(domain))
     for cls in classes:
         if len(cls) < 2:
             continue
-        perm = rng.permutation(len(cls))
-        for src, dst in enumerate(perm):
-            if src != dst:
-                sigma[cls[src]] = cls[dst]
-    return sigma
-
-
-def _apply_renaming(cond: Conditioned, values: np.ndarray, sigma: Mapping[str, str]) -> np.ndarray:
-    out = values.copy()
-    for i, atom in enumerate(cond.atoms):
-        if any(a in sigma for a in atom.args):
-            target = Atom(atom.pred, tuple(sigma.get(a, a) for a in atom.args))
-            out[cond.index[target]] = values[i]
-    return out
+        at = np.array([position[c] for c in cls])
+        perm[at] = at[rng.permutation(len(cls))]
+    return None if np.array_equal(perm, np.arange(len(domain))) else perm
 
 
 def orbital_step(
@@ -170,10 +125,10 @@ def orbital_step(
     log weight, because exchangeable constants agree on all evidence and
     do not occur in formulas.
     """
-    sigma = _class_permutation(classes, rng)
-    if not sigma:
+    perm = _class_permutation(cond.model.domain, classes, rng)
+    if perm is None:
         return state
-    return cond.world(_apply_renaming(cond, state.values, sigma))
+    return cond.world(cond.relabeled(state.values, perm))
 
 
 def find_consistent_world(
@@ -182,22 +137,33 @@ def find_consistent_world(
     max_restarts: int = 60,
     max_flips: int = 4000,
 ) -> np.ndarray:
-    """Random restarts plus WalkSAT-style repair over the hard formulas."""
+    """Random restarts plus WalkSAT-style repair over the hard formulas.
+
+    Gives up with CapacityError: running out of flips proves nothing.
+    """
     n = len(cond.atoms)
+    flips = 0
     for _ in range(max_restarts):
-        values = rng.integers(0, 2, size=n).astype(np.uint8)
+        values = rng.integers(0, 2, size=n)
         if not cond.hard:
             return values
+        ok = np.array([comp.log_factor(values) > -math.inf for comp in cond.hard])
         for _ in range(max_flips):
-            violated = [
-                comp for comp in cond.hard if not comp.table[comp.packed_index(values)]
-            ]
-            if not violated:
+            violated = np.flatnonzero(~ok)
+            if not violated.size:
                 return values
-            comp = violated[int(rng.integers(len(violated)))]
-            flip = comp.atom_ids[int(rng.integers(len(comp.atom_ids)))]
+            atom_ids = cond.hard[violated[int(rng.integers(len(violated)))]].atom_ids
+            flip = atom_ids[int(rng.integers(len(atom_ids)))]
             values[flip] ^= 1
-    raise InconsistencyError("could not find a world satisfying the hard formulas")
+            flips += 1
+            # only the hard formulas in the flipped atom's blanket can change
+            for k in cond.blanket[flip]:
+                if k >= len(cond.hard):
+                    break
+                ok[k] = cond.hard[k].log_factor(values) > -math.inf
+    raise CapacityError(
+        f"no world satisfying the hard formulas found in {flips} flips over {max_restarts} restarts"
+    )
 
 
 # --- chain runner -----------------------------------------------------------
@@ -218,8 +184,7 @@ def estimate_marginals(
     estimate every `snapshot_every` iterations once past burn-in.
     """
     cond = ground(model).condition(evidence)
-    for atom in queries:
-        model.check_formula(atom, "query")
+    fixed, open_queries = cond.split_queries(queries)
     burn_in = config.resolved_burn_in()
     use_orbital = config.orbital_move_probability > 0.0
     classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
@@ -235,16 +200,8 @@ def estimate_marginals(
     if n == 0:
         raise InputError("model has no non-evidence atoms to sample")
 
-    fixed: dict[Atom, float] = {}
-    open_queries: list[Atom] = []
-    for atom in queries:
-        if atom in evidence:
-            fixed[atom] = 1.0 if evidence[atom] else 0.0
-        else:
-            open_queries.append(atom)
     qpos = {cond.index[a]: k for k, a in enumerate(open_queries)}
-    nq = len(open_queries)
-    sums = np.zeros(nq)
+    sums = np.zeros(len(open_queries))
     samples = 0
 
     counts = None
@@ -258,13 +215,9 @@ def estimate_marginals(
     snapshots: list[tuple[int, dict[Atom, float]]] = []
 
     def current_estimates() -> dict[Atom, float]:
+        # ChainConfig keeps burn_in below iterations, so samples > 0 here
         est = dict(fixed)
-        if samples:
-            est.update(
-                {a: float(sums[k] / samples) for k, a in enumerate(open_queries)}
-            )
-        else:
-            est.update({a: float(values[cond.index[a]]) for a in open_queries})
+        est.update({a: float(sums[k] / samples) for k, a in enumerate(open_queries)})
         return est
 
     rao_blackwell = config.estimator == "rao_blackwell"
@@ -278,26 +231,21 @@ def estimate_marginals(
         for b in range(block):
             t += 1
             if use_orbital and jumps[b]:
-                sigma = _class_permutation(classes, orbit_perm_rng)
-                if sigma:
-                    values = _apply_renaming(cond, values, sigma)
+                perm = _class_permutation(model.domain, classes, orbit_perm_rng)
+                if perm is not None:
+                    values = cond.relabeled(values, perm)
                     if counts is not None:
                         world_int = int(sum(int(v) << i for i, v in enumerate(values)))
             i = int(picks[b])
-            p = _conditional_true_probability(cond, values, i)
+            p = cond.conditional(values, i)
             new = 1 if unifs[b] < p else 0
             if new != values[i]:
                 values[i] = new
                 world_int ^= 1 << i
             if t > burn_in:
                 samples += 1
-                if nq:
-                    if rao_blackwell:
-                        for qi, k in qpos.items():
-                            sums[k] += p if qi == i else values[qi]
-                    else:
-                        for qi, k in qpos.items():
-                            sums[k] += values[qi]
+                for qi, k in qpos.items():
+                    sums[k] += p if rao_blackwell and qi == i else values[qi]
                 if counts is not None:
                     counts[world_int] += 1
                 if snapshot_every and t % snapshot_every == 0:

@@ -191,3 +191,12 @@ class TestTextFormat:
     def test_strict_errors(self, text, message):
         with pytest.raises(InputError, match=message):
             BoolMatrix.from_text(text)
+
+    def test_empty_label_refused(self):
+        # names are split as written: a stray comma is an error, not dropped
+        with pytest.raises(InputError, match="label"):
+            BoolMatrix.from_text("#rows a,,b\n2 2\n10\n01\n")
+
+    def test_empty_labels_round_trip(self):
+        m = BoolMatrix(np.zeros((0, 0), dtype=np.uint8), (), ())
+        assert BoolMatrix.from_text(m.to_text()) == m

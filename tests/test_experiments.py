@@ -5,7 +5,6 @@ from liftbmf.boolmat import hamming_error
 from liftbmf.errors import InputError
 from liftbmf.experiments import (
     EQUIVALENCE_TOLERANCE,
-    ExperimentSpec,
     block_matrix,
     equivalence_check,
     error_curve,
@@ -121,22 +120,29 @@ class TestEquivalenceCheck:
 
 
 class TestExperimentSpec:
-    def test_valid(self):
-        ExperimentSpec("error_curve", ("m.txt",), (1, 2, 3), (0,), "out.csv")
+    """The checks error_curve and kld_curve make on the ranks and seeds
+    that specify an experiment."""
 
-    def test_ranks_strictly_increasing(self):
-        with pytest.raises(InputError, match="strictly increasing"):
-            ExperimentSpec("error_curve", (), (1, 1), (0,), "out.csv")
-        with pytest.raises(InputError, match="strictly increasing"):
-            ExperimentSpec("error_curve", (), (3, 2), (0,), "out.csv")
+    def test_valid(self, small_setup):
+        model, matrix, queries = small_setup
+        assert [rank for rank, _ in error_curve([matrix], (1, 2, 3))] == [1, 2, 3]
+        rows = kld_curve(model, matrix, "p", queries, ranks=(1, 2), seeds=(0,),
+                         iterations=20, snapshot_every=10, methods=("gibbs",))
+        assert {label for _, _, label, _ in rows} == {"1", "2", "exact"}
 
-    def test_needs_a_seed(self):
+    def test_ranks_strictly_increasing(self, small_setup):
+        model, matrix, queries = small_setup
+        with pytest.raises(InputError, match="strictly increasing"):
+            error_curve([matrix], (1, 1))
+        with pytest.raises(InputError, match="strictly increasing"):
+            kld_curve(model, matrix, "p", queries, ranks=(3, 2), seeds=(0,),
+                      iterations=20, snapshot_every=10)
+
+    def test_needs_a_seed(self, small_setup):
+        model, matrix, queries = small_setup
         with pytest.raises(InputError, match="seed"):
-            ExperimentSpec("kld_curve", (), (1,), (), "out.csv")
-
-    def test_kind_checked(self):
-        with pytest.raises(InputError, match="kind"):
-            ExperimentSpec("mystery", (), (), (0,), "out.csv")
+            kld_curve(model, matrix, "p", queries, ranks=(1,), seeds=(),
+                      iterations=20, snapshot_every=10)
 
 
 @pytest.fixture(scope="module")

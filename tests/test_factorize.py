@@ -56,6 +56,13 @@ class TestExactBooleanRank:
             exact_boolean_rank(m, max_search=3000)
         assert info.value.upper_bound >= info.value.lower_bound >= 1
 
+    def test_budget_upper_bound_never_above_min_dimension(self):
+        # the greedy cover of this matrix uses 15 rectangles; 14 always suffice
+        m = BoolMatrix(np.random.default_rng(103).random((14, 14)) < 0.5)
+        with pytest.raises(SearchBudgetError, match="rank <= 14") as info:
+            exact_boolean_rank(m, max_search=3000)
+        assert info.value.upper_bound == 14
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(InputError, match="nonempty"):
             exact_boolean_rank(BoolMatrix(np.zeros((0, 3), dtype=np.uint8)))
@@ -200,6 +207,10 @@ class TestTruncate:
         with pytest.raises(InputError, match="truncate"):
             truncate(example_factorization, 4)
 
+    def test_rejects_negative_rank(self, example_factorization):
+        with pytest.raises(InputError, match="truncate"):
+            truncate(example_factorization, -1)
+
     def test_needs_target(self, example_factorization):
         detached = Factorization.from_text(example_factorization.to_text())
         with pytest.raises(InputError, match="target"):
@@ -221,6 +232,19 @@ class TestFactorizationType:
             Factorization((), (2, 3), row_labels=("a",))
         with pytest.raises(InputError, match="expected 2"):
             Factorization.from_text("#rows a,b,c\n0 2 2 4\n")
+
+    def test_duplicate_label_header_refused(self):
+        with pytest.raises(InputError, match="duplicate #rows"):
+            Factorization.from_text("#rows a,b\n#rows c,d\n0 2 2 0\n")
+
+    @pytest.mark.parametrize("error", [-1, 5, 999])
+    def test_error_outside_cell_count_refused(self, error):
+        with pytest.raises(InputError, match=r"outside \[0, 4\]"):
+            Factorization.from_text(f"0 2 2 {error}\n")
+
+    def test_empty_label_refused(self):
+        with pytest.raises(InputError, match="label"):
+            Factorization.from_text("#rows a,,b\n0 3 2 0\n")
 
     def test_error_tracks_target(self, example_matrix, example_factorization):
         assert example_factorization.error == hamming_error(

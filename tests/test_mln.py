@@ -1,7 +1,12 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
+from liftbmf.experiments import planted_symmetry_instance
+from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import (
     And,
     Atom,
@@ -20,6 +25,13 @@ from liftbmf.mln import (
     parse_literal,
     parse_model,
 )
+from liftbmf.reduction import (
+    constant_symmetry_classes,
+    encode_evidence,
+    extend_model,
+    matrix_to_evidence,
+)
+from liftbmf.sampler import _class_permutation
 
 PEER_MODEL = """
 domain = a, b, c, d
@@ -364,6 +376,132 @@ class TestEnumeration:
         cond = ground(model).condition(ev)
         assert Atom("linkto", ("a", "b")) not in cond.atoms
         assert len(cond.atoms) == 4 + 16 - 1
+
+
+COMPILED_MODEL = """
+domain = a, b, c
+pred r/0
+pred s/1
+pred p/2
+1.3 s(X) ^ p(X,Y) => s(Y)
+-0.7 p(X,X)
+0.4 s(X) v p(X,Y) v r
+hard s(a) v s(b) v p(c,c)
+hard r => s(c)
+"""
+
+
+def _relabeled_by_atoms(cond, values, perm):
+    """Reference relabeling that rebuilds every atom under the renaming."""
+    domain = cond.model.domain
+    sigma = {c: domain[perm[k]] for k, c in enumerate(domain)}
+    out = values.copy()
+    for i, atom in enumerate(cond.atoms):
+        out[cond.index[Atom(atom.pred, tuple(sigma[a] for a in atom.args))]] = values[i]
+    return out
+
+
+class TestCompiledModel:
+    def _conditioned(self, evidence_text=""):
+        model = parse_model(COMPILED_MODEL)
+        return ground(model).condition(parse_evidence(evidence_text, model))
+
+    def test_blanket_lists_hard_then_weighted_formulas_of_each_atom(self):
+        cond = self._conditioned("p(a,b)\n!p(b,a)\n")
+        assert cond.formulas == cond.hard + cond.weighted
+        for i in range(len(cond.atoms)):
+            touching = [k for k, comp in enumerate(cond.formulas) if i in comp.atom_ids]
+            assert list(cond.blanket[i]) == touching
+
+    def test_blanket_conditional_matches_full_log_weights(self):
+        cond = self._conditioned("p(a,b)\n!p(b,a)\n")
+        rng = np.random.default_rng(17)
+        decided = 0
+        for _ in range(30):
+            values = rng.integers(0, 2, size=len(cond.atoms))
+            before = values.copy()
+            for i in range(len(cond.atoms)):
+                lw = []
+                for setting in (0, 1):
+                    world = values.copy()
+                    world[i] = setting
+                    lw.append(cond.log_weight(world))
+                if lw[0] == lw[1] == -math.inf:
+                    continue  # a hard grounding outside atom i's blanket fails
+                p = cond.conditional(values, i)
+                if lw[1] == -math.inf:
+                    assert p == 0.0
+                elif lw[0] == -math.inf:
+                    assert p == 1.0
+                else:
+                    assert p == pytest.approx(1.0 / (1.0 + math.exp(lw[0] - lw[1])),
+                                              rel=1e-12, abs=1e-300)
+                decided += 1
+            assert np.array_equal(values, before)
+        assert decided > 100
+
+    def test_relabeling_matches_atom_rebuilding(self):
+        cond = self._conditioned()
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            values = rng.integers(0, 2, size=len(cond.atoms))
+            perm = rng.permutation(len(cond.model.domain))
+            assert np.array_equal(
+                cond.relabeled(values, perm), _relabeled_by_atoms(cond, values, perm)
+            )
+
+    def test_relabeling_under_evidence_symmetries(self):
+        model, matrix, _ = planted_symmetry_instance((3, 2))
+        evidence = matrix_to_evidence("p", matrix)
+        cond = ground(model).condition(evidence)
+        classes = constant_symmetry_classes(model, evidence)
+        rng = np.random.default_rng(29)
+        moved = 0
+        for _ in range(20):
+            values = rng.integers(0, 2, size=len(cond.atoms)).astype(np.uint8)
+            perm = _class_permutation(model.domain, classes, rng)
+            if perm is None:
+                continue
+            out = cond.relabeled(values, perm)
+            assert np.array_equal(out, _relabeled_by_atoms(cond, values, perm))
+            assert cond.log_weight(out) == cond.log_weight(values)
+            moved += 1
+        assert moved > 10
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestPinnedExactValues:
+    """Enumeration results recorded with the per-formula evaluation paths
+    that the compiled ground model replaced; float.hex keeps them exact."""
+
+    def test_planted_marginals(self):
+        model, matrix, queries = planted_symmetry_instance((4, 4))
+        exact = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
+        assert [exact[q].hex() for q in queries] == ["0x1.1b20994651c7dp-3"] * 8
+
+    def test_reduction_sides(self):
+        model, matrix, queries = planted_symmetry_instance((2, 2))
+        _, witness = exact_boolean_rank(matrix)
+        result = encode_evidence("p", witness, model.predicates)
+        lhs = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
+        rhs = exact_marginals(extend_model(model, result), result.unary_evidence, queries)
+        assert [lhs[q].hex() for q in queries] == ["0x1.82ad369253f1ep-3"] * 4
+        assert [rhs[q].hex() for q in queries] == (
+            ["0x1.82ad369253f1ep-3"] * 2 + ["0x1.82ad369253f1dp-3"] * 2
+        )
+
+    def test_world_distribution(self):
+        model = parse_model(
+            "domain = a, b\npred s/1\npred p/2\n"
+            "1.4 s(X) ^ p(X,Y) => s(Y)\n-0.8 p(X,X)\n0.3 s(X) v p(X,X)\n"
+            "hard s(a) v s(b)\n"
+        )
+        _, probs = enumerate_world_distribution(model, parse_evidence("p(a,b)\n", model))
+        assert len(probs) == 32
+        assert _digest([p.hex() for p in probs.tolist()]) == "4126ed3b12a6d17c"
 
 
 class TestEvidenceSet:

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from liftbmf.errors import InconsistencyError, InputError
+from liftbmf.errors import CapacityError, InconsistencyError, InputError
+from liftbmf.experiments import planted_symmetry_instance
+from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import (
     Atom,
     EvidenceSet,
@@ -13,7 +16,12 @@ from liftbmf.mln import (
     parse_evidence,
     parse_model,
 )
-from liftbmf.reduction import constant_symmetry_classes
+from liftbmf.reduction import (
+    constant_symmetry_classes,
+    encode_evidence,
+    extend_model,
+    matrix_to_evidence,
+)
 from liftbmf.sampler import (
     ChainConfig,
     estimate_marginals,
@@ -22,7 +30,6 @@ from liftbmf.sampler import (
     kld,
     orbital_step,
 )
-from liftbmf.sampler import _conditional_true_probability
 
 
 def _conditioned(model_text, evidence_text=""):
@@ -35,7 +42,7 @@ class TestGibbsStep:
     def test_single_free_atom_is_fair(self):
         _, _, cond = _conditioned("domain = a\npred q/1\n")
         values = np.array([0], dtype=np.uint8)
-        assert _conditional_true_probability(cond, values, 0) == pytest.approx(0.5)
+        assert cond.conditional(values, 0) == pytest.approx(0.5)
 
     def test_hard_forced_atom_always_true(self):
         _, _, cond = _conditioned("domain = a\npred q/1\nhard q(a)\n")
@@ -56,11 +63,11 @@ class TestGibbsStep:
         j = cond.index[Atom("q", ("b",))]
         values = np.zeros(2, dtype=np.uint8)
         values[j] = 1
-        assert _conditional_true_probability(cond, values, i) == pytest.approx(
+        assert cond.conditional(values, i) == pytest.approx(
             1.0 / (1.0 + math.exp(-w))
         )
         values[j] = 0
-        assert _conditional_true_probability(cond, values, i) == pytest.approx(
+        assert cond.conditional(values, i) == pytest.approx(
             1.0 / (1.0 + math.exp(w))
         )
 
@@ -68,7 +75,7 @@ class TestGibbsStep:
         model = parse_model("domain = a\npred q/1\nhard q(a)\nhard !q(a)\n")
         cond = ground(model).condition(EvidenceSet())
         with pytest.raises(InconsistencyError, match="inconsistent"):
-            _conditional_true_probability(cond, np.array([0], dtype=np.uint8), 0)
+            cond.conditional(np.array([0], dtype=np.uint8), 0)
 
     def test_step_is_pure(self):
         _, _, cond = _conditioned("domain = a, b\npred q/1\n0.5 q(X)\n")
@@ -285,4 +292,80 @@ class TestFindConsistentWorld:
         evidence = parse_evidence("q(a)\n!q(b)\nr(a)\nr(b)\n", model)
         cond = ground(model).condition(evidence)
         values = find_consistent_world(cond, np.random.default_rng(7))
-        assert all(c.table[c.packed_index(values)] for c in cond.hard)
+        assert cond.log_weight(values) > float("-inf")
+
+    def test_giving_up_is_a_capacity_refusal(self):
+        # running out of flips proves nothing about consistency
+        model = parse_model("domain = a\npred s/1\npred t/1\nhard s(a)\nhard !s(a) v t(a)\n")
+        cond = ground(model).condition(EvidenceSet())
+        with pytest.raises(CapacityError, match="0 flips over 1 restarts"):
+            find_consistent_world(cond, np.random.default_rng(0), max_restarts=1, max_flips=0)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def planted_sides():
+    """The (4,4) planted instance with binary evidence and with its exact
+    unary reduction."""
+    model, matrix, queries = planted_symmetry_instance((4, 4))
+    _, witness = exact_boolean_rank(matrix)
+    result = encode_evidence("p", witness, model.predicates)
+    return queries, {
+        "binary": (model, matrix_to_evidence("p", matrix)),
+        "unary": (extend_model(model, result), result.unary_evidence),
+    }
+
+
+class TestPinnedChainOutputs:
+    """Chain outputs for fixed seeds, recorded with the formula-scanning
+    sampler that the compiled ground model replaced.  A refactor that keeps
+    the RNG draw order and adds weights in compiled order reproduces them
+    bit for bit; estimates are compared as float.hex strings."""
+
+    @pytest.mark.parametrize(
+        "side,prob,estimates,snapshots",
+        [
+            ("binary", 0.0, [
+                "0x1.4d5ccdb76329ap-4", "0x1.411da0ec2daf1p-3", "0x1.34f563e9e16b1p-3",
+                "0x1.3b4fb68e1ae79p-3", "0x1.fc2a19a079307p-4", "0x1.08c5289ecc009p-3",
+                "0x1.3dab09344d2b6p-3", "0x1.25a1fbae8faa9p-3",
+            ], "49f15607e7ca79f5"),
+            ("binary", 0.2, [
+                "0x1.1dde02c541e9ep-3", "0x1.1b236d0f225d0p-3", "0x1.13cd6337ec951p-3",
+                "0x1.28a954dc37265p-3", "0x1.b623eeaf31eb2p-4", "0x1.211d97a351ef0p-3",
+                "0x1.305602cda1918p-3", "0x1.3f7ec73d227e9p-3",
+            ], "59548e1f8d483fd7"),
+            ("unary", 0.0, [
+                "0x1.af7c38ca16aa9p-5", "0x1.3d5e6e3b96eebp-3", "0x1.5fa2dbcebbe1fp-3",
+                "0x1.373a55afabbc7p-3", "0x1.4c98926432217p-5", "0x1.1a6aa99dd1b2fp-3",
+                "0x1.98cb56bde0b01p-3", "0x1.68806f4bb6b02p-3",
+            ], "e88ef17fccce1726"),
+            ("unary", 0.2, [
+                "0x1.3b4a29bf0d397p-3", "0x1.4db6a4397d5c0p-3", "0x1.154690315f8f9p-3",
+                "0x1.2a10258d4e54bp-3", "0x1.5fb0b53cdb643p-3", "0x1.b609536eee1ccp-4",
+                "0x1.5c74a51c844fdp-3", "0x1.1af61dd2d1583p-3",
+            ], "3ce30d56b4e96fbb"),
+        ],
+    )
+    def test_estimates_and_snapshots(self, planted_sides, side, prob, estimates, snapshots):
+        queries, sides = planted_sides
+        config = ChainConfig(3000, seed=4, orbital_move_probability=prob)
+        est = estimate_marginals(*sides[side], queries, config, snapshot_every=1000)
+        assert [est.estimates[q].hex() for q in queries] == estimates
+        assert _digest(
+            [(t, [snap[q].hex() for q in queries]) for t, snap in est.snapshots]
+        ) == snapshots
+
+    @pytest.mark.parametrize(
+        "seed,counts",
+        [(0, "126d5b595a2071e4"), (1, "9c717c5d06d17c9b"), (2, "14d600ad17b43b22")],
+    )
+    def test_orbital_world_counts(self, planted_sides, seed, counts):
+        _, sides = planted_sides
+        config = ChainConfig(4000, seed=seed, orbital_move_probability=0.2)
+        est = estimate_marginals(*sides["binary"], [], config, collect_world_counts=True)
+        assert est.world_counts.sum() == 3600
+        assert _digest(est.world_counts.tolist()) == counts
