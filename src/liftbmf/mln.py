@@ -4,7 +4,9 @@ Worlds assign a truth value to every non-evidence ground atom; each
 satisfied grounding of a weighted formula multiplies the world weight by
 e^w, and hard formulas filter worlds outright (they never down-weight).
 Exact queries enumerate worlds in log space and serve as the correctness
-oracle for everything built on top.
+oracle for everything built on top.  Conditioning runs unit propagation
+over the hard groundings, so the atom cap of exact queries counts only the
+atoms left open after evidence and unit propagation.
 """
 from __future__ import annotations
 
@@ -388,6 +390,14 @@ class Model:
         for f in self.hard_formulas:
             self.check_formula(f, "hard formula")
 
+    def __hash__(self):
+        return hash((
+            self.domain,
+            tuple(sorted(self.predicates.items())),
+            self.weighted_formulas,
+            self.hard_formulas,
+        ))
+
     def check_formula(self, f: Formula, where: str) -> None:
         for atom in atoms_of(f):
             arity = self.predicates.get(atom.pred)
@@ -669,6 +679,9 @@ class Conditioned:
     touching atom i, ascending, so hard ones come first.  `relabeling`
     holds one array per predicate of nonzero arity that maps the domain
     positions of an atom's constants to its atom id (-1 for evidence).
+    `forced` maps each atom id that unit propagation over the hard
+    groundings fixes to its value (0 or 1); every world of positive weight
+    agrees with it.
     """
 
     model: Model
@@ -681,6 +694,7 @@ class Conditioned:
     formulas: tuple[_CompiledFormula, ...]
     blanket: tuple[tuple[int, ...], ...]
     relabeling: tuple[np.ndarray, ...]
+    forced: Mapping[int, int]
 
     def log_weights(self, column, shape) -> np.ndarray:
         """Log weights of the worlds `column` describes (see
@@ -700,8 +714,9 @@ class Conditioned:
 
     def conditional(self, values: np.ndarray, i: int) -> float:
         """P(atom i = true | the other atoms as in `values`), read off atom
-        i's Markov blanket; raises if neither setting satisfies the hard
-        formulas there."""
+        i's Markov blanket.  Raises InputError if neither setting satisfies
+        the hard formulas there: the given world is infeasible, which
+        proves nothing about the model."""
         column = np.asarray(values, dtype=np.int64).tolist()
         logs = [0.0, 0.0]
         for setting in (0, 1):
@@ -710,8 +725,9 @@ class Conditioned:
                 logs[setting] += self.formulas[k].log_factor(column)
         log0, log1 = logs
         if log0 == log1 == -math.inf:
-            raise InconsistencyError(
-                "both settings of an atom violate hard formulas; the model is inconsistent"
+            raise InputError(
+                f"both settings of {format_atom(self.atoms[i])} violate hard formulas "
+                "given the rest of the world; the world is infeasible"
             )
         if log1 == -math.inf:
             return 0.0
@@ -766,6 +782,7 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     const_log_weight = 0.0
     weighted = []
     hard = []
+    hard_sources = []
     for w, g in grounding.weighted:
         simp = partial_evaluate(g, known)
         if simp is True:
@@ -780,6 +797,7 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
             )
         if simp is not True:
             hard.append(_compile_formula(simp, None, index))
+            hard_sources.append(g)
     formulas = tuple(hard + weighted)
     relabeling = tuple(
         np.array([
@@ -795,7 +813,40 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     return Conditioned(
         model, evidence, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
         formulas, tuple(map(tuple, blanket)), relabeling,
+        _propagate_units(hard, hard_sources, blanket),
     )
+
+
+def _propagate_units(
+    hard: Sequence[_CompiledFormula],
+    sources: Sequence[Formula],
+    blanket: Sequence[Sequence[int]],
+) -> dict[int, int]:
+    """Fixed point of unit propagation: a hard grounding with one atom left
+    unforced and one allowed value for it forces that atom.  Raises when a
+    grounding admits no value for its last open atom, or fails with all of
+    its atoms forced: then no world satisfies the hard formulas."""
+    forced: dict[int, int] = {}
+    pending = list(range(len(hard)))
+    while pending:
+        k = pending.pop()
+        comp = hard[k]
+        open_pos = [pos for pos, a in enumerate(comp.atom_ids) if a not in forced]
+        if len(open_pos) > 1:
+            continue
+        base = sum(forced[a] << pos for pos, a in enumerate(comp.atom_ids) if a in forced)
+        choices = [base | v << pos for pos in open_pos for v in (0, 1)] or [base]
+        allowed = [c for c in choices if comp.log_table[c] > -math.inf]
+        if not allowed:
+            raise InconsistencyError(
+                f"unit propagation refutes hard formula {format_formula(sources[k])}; "
+                "evidence and hard formulas are inconsistent"
+            )
+        if len(allowed) == 1 and open_pos:
+            atom_id = comp.atom_ids[open_pos[0]]
+            forced[atom_id] = allowed[0] >> open_pos[0] & 1
+            pending.extend(j for j in blanket[atom_id] if j < len(hard) and j != k)
+    return forced
 
 
 # --- exact inference by enumeration ---------------------------------------
@@ -803,32 +854,36 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
 _CHUNK_BITS = 18
 
 
-def _world_chunks(cond: Conditioned, atom_ids: Sequence[int]):
-    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time: yields
-    (columns, log weights), world w setting atom_ids[b] to bit b of w."""
+def _world_chunks(cond: Conditioned, atom_ids: Sequence[int], fixed: Mapping[int, int]):
+    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time, with
+    the atoms in `fixed` held at their values: yields (columns, log weights),
+    world w setting atom_ids[b] to bit b of w."""
     total = 1 << len(atom_ids)
     for start in range(0, total, 1 << _CHUNK_BITS):
         idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
         columns = {atom_id: (idx >> pos) & 1 for pos, atom_id in enumerate(atom_ids)}
-        yield columns, cond.log_weights(columns, idx.shape)
+        yield columns, cond.log_weights({**fixed, **columns}, idx.shape)
 
 
 def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
-    """Streaming world sum; returns (logZ, per-query marginals)."""
-    active = sorted({i for i, near in enumerate(cond.blanket) if near} | set(query_ids))
+    """Streaming world sum over the atoms unit propagation leaves open;
+    returns (logZ, per-query marginals), exactly 0 or 1 for forced queries."""
+    touched = {i for i, near in enumerate(cond.blanket) if near} | set(query_ids)
+    active = sorted(touched - cond.forced.keys())
     if len(active) > atom_cap:
         raise CapacityError(
             f"{len(active)} enumerated atoms exceed the cap of {atom_cap}"
         )
+    open_ids = [q for q in query_ids if q not in cond.forced]
     pieces: list[tuple[float, float, np.ndarray]] = []  # (shift, sum, query sums)
-    for columns, logw in _world_chunks(cond, active):
+    for columns, logw in _world_chunks(cond, active, cond.forced):
         mask = logw > -np.inf
         if mask.any():
             logw = logw[mask]
             shift = float(logw.max())
             weights = np.exp(logw - shift)
             qsums = np.array(
-                [weights[(columns[q][mask]).astype(bool)].sum() for q in query_ids]
+                [weights[(columns[q][mask]).astype(bool)].sum() for q in open_ids]
             )
             pieces.append((shift, float(weights.sum()), qsums))
         del columns  # free this chunk's columns before the next chunk builds its own
@@ -838,11 +893,14 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
     z = sum(s * np.exp(shift - top) for shift, s, _ in pieces)
     qtotals = sum(
         (qs * np.exp(shift - top) for shift, _, qs in pieces),
-        np.zeros(len(query_ids)),
+        np.zeros(len(open_ids)),
     )
     if z <= 0.0:
         raise InconsistencyError("zero partition mass")
-    return float(np.log(z) + top), qtotals / z
+    marginals = dict(zip(open_ids, qtotals / z))
+    return float(np.log(z) + top), [
+        float(cond.forced[q]) if q in cond.forced else marginals[q] for q in query_ids
+    ]
 
 
 def exact_marginals(
@@ -890,7 +948,7 @@ def enumerate_world_distribution(
     n = len(cond.atoms)
     if n > atom_cap:
         raise CapacityError(f"{n} atoms exceed the world-distribution cap of {atom_cap}")
-    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n))])
+    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n), {})])
     shift = logw.max()
     if shift == -np.inf:
         raise InconsistencyError("evidence and hard formulas admit no world")

@@ -120,6 +120,17 @@ class TestInfer:
         ev.write_text("!q(a)\n")
         assert run("infer", str(model), str(ev), "--query", "q(a)") == 3
 
+    def test_contradictory_hard_formulas_exit_three_from_every_method(self, tmp_path, capsys):
+        # unit propagation refutes the model before any sampling starts
+        model = tmp_path / "m.mln"
+        model.write_text("domain = a\npred q/1\nhard q(a)\nhard !q(a)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        for method in ("exact", "gibbs", "orbital-gibbs"):
+            assert run("infer", str(model), str(ev), "--query", "q(a)",
+                       "--method", method) == 3
+            assert "inconsistent" in capsys.readouterr().err
+
     def test_gibbs_and_orbital_methods(self, tmp_path, capsys):
         model = tmp_path / "m.mln"
         model.write_text("domain = a, b\npred q/1\npred s/1\n0.7 s(X) ^ q(X)\n")

@@ -13,6 +13,7 @@ from liftbmf.mln import (
     EvidenceSet,
     Iff,
     Implies,
+    Model,
     Or,
     enumerate_world_distribution,
     evaluate,
@@ -60,6 +61,17 @@ class TestParseModel:
         )
         assert len(model.hard_formulas) == 1
         assert model.weighted_formulas[0][0] == -0.5
+
+    def test_equal_models_hash_equal(self):
+        model = parse_model(PEER_MODEL)
+        twin = parse_model(model.to_text())
+        # declaration order of predicates does not matter for equality
+        reordered = Model(model.domain, dict(reversed(list(model.predicates.items()))),
+                          model.weighted_formulas)
+        assert model == twin == reordered
+        assert hash(model) == hash(twin) == hash(reordered)
+        extended = model.extended(hard=[Atom("studentpage", ("a",))])
+        assert len({model, twin, reordered, extended}) == 2
 
     def test_round_trip(self):
         model = parse_model(PEER_MODEL)
@@ -469,6 +481,98 @@ class TestCompiledModel:
         assert moved > 10
 
 
+PROPAGATION_HARD_POOL = (
+    "s(a)", "!t(b)", "u(c)", "r", "!r",
+    "s(X) => t(X)", "t(X) => u(X)", "r => s(b)", "u(X) => !s(X)", "s(a) v t(b) v u(c)",
+)
+
+
+def _satisfiable_by_brute_force(model, evidence):
+    """Whether any full world agrees with the evidence and every hard grounding."""
+    g = ground(model)
+    free = [a for a in model.all_atoms() if a not in evidence]
+    for bits in range(1 << len(free)):
+        lookup = dict(evidence.items())
+        lookup.update({a: bool(bits >> i & 1) for i, a in enumerate(free)})
+        if all(evaluate(f, lookup) for f in g.hard):
+            return True
+    return False
+
+
+class TestUnitPropagation:
+    """Exact queries enumerate only the atoms unit propagation leaves open;
+    the full-world distribution, which enumerates every atom, is the oracle."""
+
+    def test_marginals_match_full_world_enumeration(self):
+        rng = np.random.default_rng(43)
+        base = parse_model(
+            "domain = a, b, c\npred r/0\npred s/1\npred t/1\npred u/1\n"
+            "0.7 s(X) ^ t(X)\n-1.1 u(X) v r\n0.4 t(X) => s(X)\n"
+        )
+        outcomes = {"answered": 0, "refuted": 0, "most_forced": 0}
+        for trial in range(60):
+            picks = rng.random(len(PROPAGATION_HARD_POOL)) < 0.35
+            model = base.extended(hard=[
+                parse_formula(text, base) for text, pick in zip(PROPAGATION_HARD_POOL, picks)
+                if pick
+            ])
+            evidence = EvidenceSet()
+            if trial % 2:
+                for atom in model.all_atoms():
+                    if rng.random() < 0.2:
+                        evidence.assign(atom, bool(rng.random() < 0.5))
+            try:
+                cond = ground(model).condition(evidence)
+            except InconsistencyError as exc:
+                assert not _satisfiable_by_brute_force(model, evidence)
+                outcomes["refuted"] += "unit propagation" in str(exc)
+                continue
+            try:
+                atoms, probs = enumerate_world_distribution(model, evidence)
+            except InconsistencyError:
+                assert not _satisfiable_by_brute_force(model, evidence)
+                continue
+            exact = exact_marginals(model, evidence, atoms)
+            worlds = np.arange(len(probs))
+            for i, atom in enumerate(atoms):
+                oracle = probs[(worlds >> i) & 1 == 1].sum()
+                assert exact[atom] == pytest.approx(oracle, abs=1e-12)
+                if i in cond.forced:
+                    # every world of positive mass agrees with the forced value
+                    assert exact[atom] == cond.forced[i]
+                    assert not probs[(worlds >> i & 1) != cond.forced[i]].any()
+            outcomes["answered"] += 1
+            outcomes["most_forced"] = max(outcomes["most_forced"], len(cond.forced))
+        assert outcomes["answered"] > 20 and outcomes["refuted"] > 5
+        assert outcomes["most_forced"] >= 6
+
+    def test_forced_atoms_follow_an_implication_chain(self):
+        model = parse_model(
+            "domain = a\npred s/1\npred t/1\npred u/1\npred v0/1\n"
+            "hard s(a)\nhard s(X) => t(X)\nhard t(X) => u(X)\nhard u(X) v v0(X)\n"
+        )
+        cond = ground(model).condition(EvidenceSet())
+        assert {cond.atoms[i].pred: v for i, v in cond.forced.items()} == {
+            "s": 1, "t": 1, "u": 1
+        }
+
+    def test_planted_8_8_reduced_side_enumerates_only_open_atoms(self):
+        model, matrix, queries = planted_symmetry_instance((8, 8))
+        _, witness = exact_boolean_rank(matrix)
+        result = encode_evidence("p", witness, model.predicates)
+        extended = extend_model(model, result)
+        cond = ground(extended).condition(result.unary_evidence)
+        assert sorted(cond.forced) == [i for i, a in enumerate(cond.atoms) if a.pred == "p"]
+        assert len(cond.forced) == 256
+        lhs = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
+        rhs = exact_marginals(extended, result.unary_evidence, queries)
+        for q in queries:
+            assert rhs[q] == pytest.approx(lhs[q], abs=1e-9)
+        linked, unlinked = Atom("p", ("c0", "c7")), Atom("p", ("c0", "c8"))
+        forced_answers = exact_marginals(extended, result.unary_evidence, [linked, unlinked])
+        assert forced_answers == {linked: 1.0, unlinked: 0.0}
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
@@ -489,9 +593,8 @@ class TestPinnedExactValues:
         lhs = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
         rhs = exact_marginals(extend_model(model, result), result.unary_evidence, queries)
         assert [lhs[q].hex() for q in queries] == ["0x1.82ad369253f1ep-3"] * 4
-        assert [rhs[q].hex() for q in queries] == (
-            ["0x1.82ad369253f1ep-3"] * 2 + ["0x1.82ad369253f1dp-3"] * 2
-        )
+        # unit propagation leaves the reduced side the same four open atoms
+        assert [rhs[q].hex() for q in queries] == ["0x1.82ad369253f1ep-3"] * 4
 
     def test_world_distribution(self):
         model = parse_model(

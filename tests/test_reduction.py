@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from liftbmf.boolmat import BoolMatrix, boolean_product
 from liftbmf.errors import InputError
+from liftbmf.experiments import random_equivalence_instance
 from liftbmf.factorize import Factorization, exact_boolean_rank, truncate
 from liftbmf.mln import (
     Atom,
@@ -10,6 +13,7 @@ from liftbmf.mln import (
     Not,
     format_formula,
     exact_query,
+    ground,
     parse_evidence,
     parse_model,
 )
@@ -147,6 +151,36 @@ class TestPartialEvidence:
         enc = encode_partial_evidence("p", true_atoms, false_atoms, LABELS)
         assert enc.true_matrix.ones() == 7
         assert enc.false_matrix.ones() == 8
+
+    def test_reducing_both_indicators_preserves_marginals(self):
+        # p1 and p0 each reduced to unary evidence: unit propagation forces
+        # every p1 and p0 atom, then in a second round each p atom they fix
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            model, _, query = random_equivalence_instance(rng, max_m=4)
+            status = rng.integers(0, 3, size=len(model.domain) ** 2)  # 0/1 known, 2 open
+            pairs = itertools.product(model.domain, repeat=2)
+            known = [(Atom("p", xy), bool(v)) for xy, v in zip(pairs, status) if v < 2]
+            enc = encode_partial_evidence(
+                "p", [a for a, v in known if v], [a for a, v in known if not v], model.domain
+            )
+            extended = model.extended(
+                {enc.true_predicate: 2, enc.false_predicate: 2}, hard=enc.formulas
+            )
+            unary = EvidenceSet()
+            for pred, matrix in ((enc.true_predicate, enc.true_matrix),
+                                 (enc.false_predicate, enc.false_matrix)):
+                _, witness = exact_boolean_rank(matrix)
+                result = encode_evidence(pred, witness, extended.predicates)
+                extended = extend_model(extended, result)
+                unary = unary.merged(result.unary_evidence)
+            cond = ground(extended).condition(unary)
+            forced_p = {cond.atoms[i]: bool(v) for i, v in cond.forced.items()
+                        if cond.atoms[i].pred == "p"}
+            assert forced_p == dict(known)
+            assert exact_query(extended, unary, query) == pytest.approx(
+                exact_query(model, EvidenceSet(known), query), abs=1e-9
+            )
 
     def test_overlap_rejected(self):
         atom = Atom("p", ("a", "a"))

@@ -73,9 +73,17 @@ class TestGibbsStep:
 
     def test_contradictory_hard_formulas_raise(self):
         model = parse_model("domain = a\npred q/1\nhard q(a)\nhard !q(a)\n")
-        cond = ground(model).condition(EvidenceSet())
         with pytest.raises(InconsistencyError, match="inconsistent"):
+            cond = ground(model).condition(EvidenceSet())
             cond.conditional(np.array([0], dtype=np.uint8), 0)
+
+    def test_infeasible_world_is_an_input_error(self):
+        # the model is satisfiable (t(a) true), only the given world is not
+        _, _, cond = _conditioned(
+            "domain = a\npred s/1\npred t/1\nhard (s(a) v !s(a)) ^ t(a)\n"
+        )
+        with pytest.raises(InputError, match="infeasible"):
+            gibbs_step(cond, cond.world([0, 0]), np.random.default_rng(1))
 
     def test_step_is_pure(self):
         _, _, cond = _conditioned("domain = a, b\npred q/1\n0.5 q(X)\n")
