@@ -259,7 +259,6 @@ def kld_curve(
     methods: Sequence[str] = ("gibbs", "orbital-gibbs"),
     orbital_prob: float = 0.1,
     estimator: str = "rao_blackwell",
-    include_exact_chain: bool | None = None,
 ) -> list[tuple[int, str, str, float]]:
     """KLD against exact marginals at logged iterations, averaged over seeds.
 
@@ -273,13 +272,15 @@ def kld_curve(
     _check_ranks(ranks)
     if not seeds:
         raise InputError("at least one seed is required")
+    if not 1 <= snapshot_every <= iterations:
+        raise InputError(
+            f"snapshot_every must be in [1, iterations={iterations}], got {snapshot_every}"
+        )
     if reference not in ("exact", "self"):
         raise InputError(f"reference must be 'exact' or 'self', got {reference!r}")
     for method in methods:
         if method not in ("gibbs", "orbital-gibbs"):
             raise InputError(f"unknown chain method {method!r}")
-    if include_exact_chain is None:
-        include_exact_chain = reference == "exact"
 
     _, full = exact_boolean_rank(evidence_matrix)
     levels: list[tuple[str, EvidenceSet]] = []
@@ -287,11 +288,9 @@ def kld_curve(
         approx = truncate(full, min(rank, full.rank())).reconstruct()
         levels.append((str(rank), matrix_to_evidence(pred, approx)))
     exact_evidence = matrix_to_evidence(pred, evidence_matrix)
-    if include_exact_chain:
-        levels.append(("exact", exact_evidence))
-
     exact_reference = None
     if reference == "exact":
+        levels.append(("exact", exact_evidence))
         exact_reference = exact_marginals(model, exact_evidence, queries)
 
     rows: list[tuple[int, str, str, float]] = []

@@ -1,12 +1,13 @@
 """Minimal Markov Logic engine: parsing, grounding, exact inference.
 
-Worlds assign a truth value to every non-evidence ground atom; each
-satisfied grounding of a weighted formula multiplies the world weight by
-e^w, and hard formulas filter worlds outright (they never down-weight).
-Exact queries enumerate worlds in log space and serve as the correctness
-oracle for everything built on top.  Conditioning runs unit propagation
-over the hard groundings, so the atom cap of exact queries counts only the
-atoms left open after evidence and unit propagation.
+Conditioning substitutes the evidence into the groundings and runs unit
+propagation over the hard ones: an atom it derives is substituted out
+exactly like evidence.  Worlds assign a truth value to every ground atom
+that evidence and unit propagation leave open; each satisfied grounding of
+a weighted formula multiplies the world weight by e^w, and hard formulas
+filter worlds outright (they never down-weight).  Exact queries enumerate
+those worlds in log space and serve as the correctness oracle for
+everything built on top.
 """
 from __future__ import annotations
 
@@ -505,7 +506,8 @@ class EvidenceSet:
 
 @dataclass(frozen=True)
 class World:
-    """One truth assignment to the non-evidence ground atoms."""
+    """One truth assignment to the ground atoms that evidence and unit
+    propagation leave open."""
 
     atoms: tuple[Atom, ...]
     values: np.ndarray
@@ -644,14 +646,18 @@ class _CompiledFormula:
     # weighted grounding holds, else 0; 0 where a hard one holds, else -inf
     log_table: np.ndarray
 
-    def log_factor(self, column):
-        """Log factor in one world or a batch: `column[i]` holds atom i's
-        value(s) as Python ints or int64, since narrower types overflow the
-        packed table index past 8 atoms."""
+    def packed(self, column):
+        """Index into `log_table` of one world or a batch: `column[i]` holds
+        atom i's value(s) as Python ints or int64, since narrower types
+        overflow the index past 8 atoms."""
         packed = column[self.atom_ids[0]]
         for pos, atom_id in enumerate(self.atom_ids[1:], 1):
             packed = packed | column[atom_id] << pos
-        return self.log_table[packed]
+        return packed
+
+    def log_factor(self, column):
+        """Log factor in one world or a batch (see `packed`)."""
+        return self.log_table[self.packed(column)]
 
 
 def _compile_formula(f: Formula, weight, index: Mapping[Atom, int]) -> _CompiledFormula:
@@ -671,21 +677,23 @@ def _compile_formula(f: Formula, weight, index: Mapping[Atom, int]) -> _Compiled
 
 @dataclass(frozen=True)
 class Conditioned:
-    """A grounding with evidence substituted out, compiled once.
+    """A grounding with its known atoms substituted out, compiled once.
 
-    `atoms` is every non-evidence ground atom of the signature, in a fixed
-    order; compiled formulas index into it.  `formulas` is `hard` then
-    `weighted`, and `blanket[i]` lists the positions in `formulas` of those
-    touching atom i, ascending, so hard ones come first.  `relabeling`
-    holds one array per predicate of nonzero arity that maps the domain
-    positions of an atom's constants to its atom id (-1 for evidence).
-    `forced` maps each atom id that unit propagation over the hard
-    groundings fixes to its value (0 or 1); every world of positive weight
-    agrees with it.
+    `known` is the given evidence plus every atom that unit propagation
+    over the hard groundings derives from it: a hard grounding left with
+    one open atom and one allowed value for it fixes that atom, exactly as
+    evidence does, and every world of positive weight agrees with it.
+    `atoms` is every other ground atom of the signature, the atoms left
+    open, in a fixed order; compiled formulas index into it.  `formulas` is
+    `hard` then `weighted`, and `blanket[i]` lists the positions in
+    `formulas` of those touching atom i, ascending, so hard ones come
+    first.  `relabeling` holds one array per predicate of nonzero arity
+    with an open atom; it maps the domain positions of an atom's constants
+    to its atom id (-1 for a known atom).
     """
 
     model: Model
-    evidence: EvidenceSet
+    known: Mapping[Atom, bool]
     atoms: tuple[Atom, ...]
     index: Mapping[Atom, int]
     weighted: tuple[_CompiledFormula, ...]
@@ -694,7 +702,6 @@ class Conditioned:
     formulas: tuple[_CompiledFormula, ...]
     blanket: tuple[tuple[int, ...], ...]
     relabeling: tuple[np.ndarray, ...]
-    forced: Mapping[int, int]
 
     def log_weights(self, column, shape) -> np.ndarray:
         """Log weights of the worlds `column` describes (see
@@ -718,12 +725,13 @@ class Conditioned:
         the hard formulas there: the given world is infeasible, which
         proves nothing about the model."""
         column = np.asarray(values, dtype=np.int64).tolist()
-        logs = [0.0, 0.0]
-        for setting in (0, 1):
-            column[i] = setting
-            for k in self.blanket[i]:
-                logs[setting] += self.formulas[k].log_factor(column)
-        log0, log1 = logs
+        column[i] = 0
+        log0 = log1 = 0.0
+        for k in self.blanket[i]:
+            comp = self.formulas[k]
+            packed = comp.packed(column)
+            log0 += comp.log_table[packed]
+            log1 += comp.log_table[packed | 1 << comp.atom_ids.index(i)]
         if log0 == log1 == -math.inf:
             raise InputError(
                 f"both settings of {format_atom(self.atoms[i])} violate hard formulas "
@@ -740,7 +748,7 @@ class Conditioned:
     def relabeled(self, values: np.ndarray, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
         positions: the value of atom p(c1, ..., ck) moves to
-        p(perm[c1], ..., perm[ck]).  Evidence atoms must map to evidence."""
+        p(perm[c1], ..., perm[ck]).  Known atoms must map to known atoms."""
         out = values.copy()
         for lookup in self.relabeling:
             moved = lookup[np.ix_(*[perm] * lookup.ndim)]
@@ -748,14 +756,14 @@ class Conditioned:
         return out
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:
-        """Check query atoms; split off those the evidence fixes, with
-        their probability, from the open ones."""
+        """Check query atoms; split off the known ones, given or derived,
+        with their probability, from the open ones."""
         fixed: dict[Atom, float] = {}
         open_queries: list[Atom] = []
         for atom in queries:
             self.model.check_formula(atom, "query")
-            if atom in self.evidence:
-                fixed[atom] = 1.0 if self.evidence[atom] else 0.0
+            if atom in self.known:
+                fixed[atom] = 1.0 if self.known[atom] else 0.0
             else:
                 open_queries.append(atom)
         return fixed, open_queries
@@ -777,76 +785,69 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     for atom, value in evidence.items():
         model.check_formula(atom, "evidence")
         known[atom] = value
+    residual_hard = _propagate_units(grounding.hard, known)
     atoms = tuple(a for a in model.all_atoms() if a not in known)
     index = {a: i for i, a in enumerate(atoms)}
     const_log_weight = 0.0
     weighted = []
-    hard = []
-    hard_sources = []
     for w, g in grounding.weighted:
         simp = partial_evaluate(g, known)
         if simp is True:
             const_log_weight += w
         elif simp is not False:
             weighted.append(_compile_formula(simp, w, index))
-    for g in grounding.hard:
-        simp = partial_evaluate(g, known)
-        if simp is False:
-            raise InconsistencyError(
-                f"evidence violates hard formula {format_formula(g)}"
-            )
-        if simp is not True:
-            hard.append(_compile_formula(simp, None, index))
-            hard_sources.append(g)
+    hard = [_compile_formula(simp, None, index) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
-    relabeling = tuple(
+    lookups = (
         np.array([
             index.get(Atom(name, args), -1)
             for args in itertools.product(model.domain, repeat=arity)
         ]).reshape((len(model.domain),) * arity)
         for name, arity in model.predicates.items() if arity
     )
+    relabeling = tuple(lookup for lookup in lookups if (lookup >= 0).any())
     blanket: list[list[int]] = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
     return Conditioned(
-        model, evidence, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
+        model, known, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
         formulas, tuple(map(tuple, blanket)), relabeling,
-        _propagate_units(hard, hard_sources, blanket),
     )
 
 
-def _propagate_units(
-    hard: Sequence[_CompiledFormula],
-    sources: Sequence[Formula],
-    blanket: Sequence[Sequence[int]],
-) -> dict[int, int]:
-    """Fixed point of unit propagation: a hard grounding with one atom left
-    unforced and one allowed value for it forces that atom.  Raises when a
-    grounding admits no value for its last open atom, or fails with all of
-    its atoms forced: then no world satisfies the hard formulas."""
-    forced: dict[int, int] = {}
+def _propagate_units(hard: Sequence[Formula], known: dict[Atom, bool]) -> list[Formula | bool]:
+    """Unit propagation to a fixed point: a hard grounding left with one
+    open atom and one allowed value for it adds that atom to `known`, just
+    as evidence does.  Returns every grounding partially evaluated under
+    the final `known`.  Raises when a grounding admits no value: then no
+    world satisfies the evidence and the hard formulas."""
+    watchers: dict[Atom, list[int]] = {}
+    for k, g in enumerate(hard):
+        for atom in set(atoms_of(g)):
+            watchers.setdefault(atom, []).append(k)
+    residual: list[Formula | bool] = list(hard)
     pending = list(range(len(hard)))
     while pending:
         k = pending.pop()
-        comp = hard[k]
-        open_pos = [pos for pos, a in enumerate(comp.atom_ids) if a not in forced]
-        if len(open_pos) > 1:
+        simp = residual[k] = partial_evaluate(hard[k], known)
+        if simp is True:
             continue
-        base = sum(forced[a] << pos for pos, a in enumerate(comp.atom_ids) if a in forced)
-        choices = [base | v << pos for pos in open_pos for v in (0, 1)] or [base]
-        allowed = [c for c in choices if comp.log_table[c] > -math.inf]
+        open_atoms = () if simp is False else set(atoms_of(simp))
+        if len(open_atoms) > 1:
+            continue
+        allowed = [(a, v) for a in open_atoms for v in (False, True) if evaluate(simp, {a: v})]
         if not allowed:
             raise InconsistencyError(
-                f"unit propagation refutes hard formula {format_formula(sources[k])}; "
+                f"unit propagation refutes hard formula {format_formula(hard[k])}; "
                 "evidence and hard formulas are inconsistent"
             )
-        if len(allowed) == 1 and open_pos:
-            atom_id = comp.atom_ids[open_pos[0]]
-            forced[atom_id] = allowed[0] >> open_pos[0] & 1
-            pending.extend(j for j in blanket[atom_id] if j < len(hard) and j != k)
-    return forced
+        if len(allowed) == 1:
+            atom, value = allowed[0]
+            known[atom] = value
+            residual[k] = True
+            pending.extend(j for j in watchers[atom] if j != k)
+    return residual
 
 
 # --- exact inference by enumeration ---------------------------------------
@@ -854,36 +855,32 @@ def _propagate_units(
 _CHUNK_BITS = 18
 
 
-def _world_chunks(cond: Conditioned, atom_ids: Sequence[int], fixed: Mapping[int, int]):
-    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time, with
-    the atoms in `fixed` held at their values: yields (columns, log weights),
-    world w setting atom_ids[b] to bit b of w."""
+def _world_chunks(cond: Conditioned, atom_ids: Sequence[int]):
+    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time: yields
+    (columns, log weights), world w setting atom_ids[b] to bit b of w."""
     total = 1 << len(atom_ids)
     for start in range(0, total, 1 << _CHUNK_BITS):
         idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
         columns = {atom_id: (idx >> pos) & 1 for pos, atom_id in enumerate(atom_ids)}
-        yield columns, cond.log_weights({**fixed, **columns}, idx.shape)
+        yield columns, cond.log_weights(columns, idx.shape)
 
 
 def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
-    """Streaming world sum over the atoms unit propagation leaves open;
-    returns (logZ, per-query marginals), exactly 0 or 1 for forced queries."""
-    touched = {i for i, near in enumerate(cond.blanket) if near} | set(query_ids)
-    active = sorted(touched - cond.forced.keys())
+    """Streaming world sum; returns (logZ, per-query marginals)."""
+    active = sorted({i for i, near in enumerate(cond.blanket) if near} | set(query_ids))
     if len(active) > atom_cap:
         raise CapacityError(
             f"{len(active)} enumerated atoms exceed the cap of {atom_cap}"
         )
-    open_ids = [q for q in query_ids if q not in cond.forced]
     pieces: list[tuple[float, float, np.ndarray]] = []  # (shift, sum, query sums)
-    for columns, logw in _world_chunks(cond, active, cond.forced):
+    for columns, logw in _world_chunks(cond, active):
         mask = logw > -np.inf
         if mask.any():
             logw = logw[mask]
             shift = float(logw.max())
             weights = np.exp(logw - shift)
             qsums = np.array(
-                [weights[(columns[q][mask]).astype(bool)].sum() for q in open_ids]
+                [weights[(columns[q][mask]).astype(bool)].sum() for q in query_ids]
             )
             pieces.append((shift, float(weights.sum()), qsums))
         del columns  # free this chunk's columns before the next chunk builds its own
@@ -893,14 +890,11 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
     z = sum(s * np.exp(shift - top) for shift, s, _ in pieces)
     qtotals = sum(
         (qs * np.exp(shift - top) for shift, _, qs in pieces),
-        np.zeros(len(open_ids)),
+        np.zeros(len(query_ids)),
     )
     if z <= 0.0:
         raise InconsistencyError("zero partition mass")
-    marginals = dict(zip(open_ids, qtotals / z))
-    return float(np.log(z) + top), [
-        float(cond.forced[q]) if q in cond.forced else marginals[q] for q in query_ids
-    ]
+    return float(np.log(z) + top), qtotals / z
 
 
 def exact_marginals(
@@ -939,7 +933,8 @@ def enumerate_world_distribution(
     atom_cap: int = 16,
     ground_cap: int = DEFAULT_GROUND_CAP,
 ) -> tuple[tuple[Atom, ...], np.ndarray]:
-    """Exact distribution over full worlds, indexed by packed atom bits.
+    """Exact distribution over the worlds of the atoms that evidence and
+    unit propagation leave open, indexed by packed atom bits.
 
     World w has bit i equal to the value of atoms[i].  Only sensible for
     small models; guarded by `atom_cap`.
@@ -948,7 +943,7 @@ def enumerate_world_distribution(
     n = len(cond.atoms)
     if n > atom_cap:
         raise CapacityError(f"{n} atoms exceed the world-distribution cap of {atom_cap}")
-    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n), {})])
+    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n))])
     shift = logw.max()
     if shift == -np.inf:
         raise InconsistencyError("evidence and hard formulas admit no world")

@@ -1,6 +1,7 @@
 """Gibbs sampling with optional evidence-symmetry orbital moves.
 
-Each iteration resamples one non-evidence atom from its full conditional;
+Each iteration resamples one open atom, one that neither the evidence nor
+unit propagation over the hard formulas fixes, from its full conditional;
 with the configured probability the step is preceded by an orbital jump
 that applies a uniform random permutation within each class of
 exchangeable constants.  Such permutations leave world weights unchanged,
@@ -59,6 +60,8 @@ class ChainConfig:
             )
         if self.estimator not in ("frequency", "rao_blackwell"):
             raise InputError(f"unknown estimator {self.estimator!r}")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise InputError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.resolved_burn_in() >= self.iterations:
             raise InputError(
                 f"burn_in {self.resolved_burn_in()} must be below iterations {self.iterations}"
@@ -90,7 +93,7 @@ class MarginalEstimate:
 
 
 def gibbs_step(cond: Conditioned, state: World, rng: np.random.Generator) -> World:
-    """Resample one uniformly chosen non-evidence atom from its conditional."""
+    """Resample one uniformly chosen open atom from its conditional."""
     values = np.array(state.values, dtype=np.uint8)
     i = int(rng.integers(len(values)))
     p = cond.conditional(values, i)
@@ -181,8 +184,12 @@ def estimate_marginals(
 
     Deterministic given the config: all randomness flows from independent
     PCG64 streams spawned off the seed.  Snapshots record the running
-    estimate every `snapshot_every` iterations once past burn-in.
+    estimate every `snapshot_every` iterations once past burn-in.  With no
+    atom left open, every query is known and every iteration keeps the one
+    world.
     """
+    if snapshot_every is not None and snapshot_every < 1:
+        raise InputError(f"snapshot_every must be at least 1, got {snapshot_every}")
     cond = ground(model).condition(evidence)
     fixed, open_queries = cond.split_queries(queries)
     burn_in = config.resolved_burn_in()
@@ -197,8 +204,6 @@ def estimate_marginals(
 
     values = find_consistent_world(cond, init_rng)
     n = len(cond.atoms)
-    if n == 0:
-        raise InputError("model has no non-evidence atoms to sample")
 
     qpos = {cond.index[a]: k for k, a in enumerate(open_queries)}
     sums = np.zeros(len(open_queries))
@@ -224,7 +229,7 @@ def estimate_marginals(
     t = 0
     while t < config.iterations:
         block = min(_BLOCK, config.iterations - t)
-        picks = atom_rng.integers(0, n, size=block)
+        picks = atom_rng.integers(0, n, size=block) if n else None
         unifs = unif_rng.random(block)
         if use_orbital:
             jumps = orbit_decide_rng.random(block) < config.orbital_move_probability
@@ -236,12 +241,13 @@ def estimate_marginals(
                     values = cond.relabeled(values, perm)
                     if counts is not None:
                         world_int = int(sum(int(v) << i for i, v in enumerate(values)))
-            i = int(picks[b])
-            p = cond.conditional(values, i)
-            new = 1 if unifs[b] < p else 0
-            if new != values[i]:
-                values[i] = new
-                world_int ^= 1 << i
+            if n:
+                i = int(picks[b])
+                p = cond.conditional(values, i)
+                new = 1 if unifs[b] < p else 0
+                if new != values[i]:
+                    values[i] = new
+                    world_int ^= 1 << i
             if t > burn_in:
                 samples += 1
                 for qi, k in qpos.items():

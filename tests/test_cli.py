@@ -155,6 +155,16 @@ class TestInfer:
                    "--estimator", "frequency") == 0
         assert capsys.readouterr().out.strip() == "q(a) 1"
 
+    def test_gibbs_with_no_open_atom_answers_from_evidence(self, tmp_path, capsys):
+        model = tmp_path / "m.mln"
+        model.write_text("domain = a\npred q/1\n0.5 q(X)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("q(a)\n")
+        for method in ("exact", "gibbs"):
+            assert run("infer", str(model), str(ev), "--query", "q(a)",
+                       "--method", method, "--iters", "500") == 0
+            assert capsys.readouterr().out.strip() == "q(a) 1"
+
     def test_seed_env_variable(self, tmp_path, monkeypatch, capsys):
         model = tmp_path / "m.mln"
         model.write_text("domain = a, b\npred q/1\n0.4 q(X)\n")

@@ -215,6 +215,13 @@ class TestKldCurve:
         with pytest.raises(InputError, match="method"):
             kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, methods=("mc",))
 
+    @pytest.mark.parametrize("snapshot_every", [0, -1, 101])
+    def test_snapshot_interval_within_iterations(self, small_setup, snapshot_every):
+        # outside [1, iterations] no chain row would be logged
+        model, matrix, queries = small_setup
+        with pytest.raises(InputError, match="snapshot_every"):
+            kld_curve(model, matrix, "p", queries, [1], [0], 100, snapshot_every)
+
 
 class TestPlantedSymmetryInstance:
     def test_classes_are_blocks(self):

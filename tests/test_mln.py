@@ -487,21 +487,24 @@ PROPAGATION_HARD_POOL = (
 )
 
 
-def _satisfiable_by_brute_force(model, evidence):
-    """Whether any full world agrees with the evidence and every hard grounding."""
+def _brute_force_worlds(model, evidence):
+    """Every full world that agrees with the evidence and satisfies every
+    hard grounding, with its weight, by `evaluate` on the ground formulas."""
     g = ground(model)
     free = [a for a in model.all_atoms() if a not in evidence]
+    worlds = []
     for bits in range(1 << len(free)):
         lookup = dict(evidence.items())
         lookup.update({a: bool(bits >> i & 1) for i, a in enumerate(free)})
         if all(evaluate(f, lookup) for f in g.hard):
-            return True
-    return False
+            log_weight = sum(w for w, f in g.weighted if evaluate(f, lookup))
+            worlds.append((lookup, math.exp(log_weight)))
+    return free, worlds
 
 
 class TestUnitPropagation:
-    """Exact queries enumerate only the atoms unit propagation leaves open;
-    the full-world distribution, which enumerates every atom, is the oracle."""
+    """Atoms that unit propagation derives are substituted out like
+    evidence; brute force over full worlds is the oracle."""
 
     def test_marginals_match_full_world_enumeration(self):
         rng = np.random.default_rng(43)
@@ -509,7 +512,7 @@ class TestUnitPropagation:
             "domain = a, b, c\npred r/0\npred s/1\npred t/1\npred u/1\n"
             "0.7 s(X) ^ t(X)\n-1.1 u(X) v r\n0.4 t(X) => s(X)\n"
         )
-        outcomes = {"answered": 0, "refuted": 0, "most_forced": 0}
+        outcomes = {"answered": 0, "refuted": 0, "most_derived": 0}
         for trial in range(60):
             picks = rng.random(len(PROPAGATION_HARD_POOL)) < 0.35
             model = base.extended(hard=[
@@ -521,30 +524,31 @@ class TestUnitPropagation:
                 for atom in model.all_atoms():
                     if rng.random() < 0.2:
                         evidence.assign(atom, bool(rng.random() < 0.5))
+            free, worlds = _brute_force_worlds(model, evidence)
             try:
                 cond = ground(model).condition(evidence)
             except InconsistencyError as exc:
-                assert not _satisfiable_by_brute_force(model, evidence)
+                assert not worlds
                 outcomes["refuted"] += "unit propagation" in str(exc)
                 continue
             try:
-                atoms, probs = enumerate_world_distribution(model, evidence)
+                exact = exact_marginals(model, evidence, free)
             except InconsistencyError:
-                assert not _satisfiable_by_brute_force(model, evidence)
+                assert not worlds
                 continue
-            exact = exact_marginals(model, evidence, atoms)
-            worlds = np.arange(len(probs))
-            for i, atom in enumerate(atoms):
-                oracle = probs[(worlds >> i) & 1 == 1].sum()
+            z = sum(w for _, w in worlds)
+            for atom in free:
+                oracle = sum(w for lookup, w in worlds if lookup[atom]) / z
                 assert exact[atom] == pytest.approx(oracle, abs=1e-12)
-                if i in cond.forced:
-                    # every world of positive mass agrees with the forced value
-                    assert exact[atom] == cond.forced[i]
-                    assert not probs[(worlds >> i & 1) != cond.forced[i]].any()
+            derived = {a: v for a, v in cond.known.items() if a not in evidence}
+            for atom, value in derived.items():
+                # every world of positive mass agrees with the derived value
+                assert exact[atom] == value
+                assert all(lookup[atom] == value for lookup, _ in worlds)
             outcomes["answered"] += 1
-            outcomes["most_forced"] = max(outcomes["most_forced"], len(cond.forced))
+            outcomes["most_derived"] = max(outcomes["most_derived"], len(derived))
         assert outcomes["answered"] > 20 and outcomes["refuted"] > 5
-        assert outcomes["most_forced"] >= 6
+        assert outcomes["most_derived"] >= 6
 
     def test_forced_atoms_follow_an_implication_chain(self):
         model = parse_model(
@@ -552,9 +556,8 @@ class TestUnitPropagation:
             "hard s(a)\nhard s(X) => t(X)\nhard t(X) => u(X)\nhard u(X) v v0(X)\n"
         )
         cond = ground(model).condition(EvidenceSet())
-        assert {cond.atoms[i].pred: v for i, v in cond.forced.items()} == {
-            "s": 1, "t": 1, "u": 1
-        }
+        assert {a.pred: v for a, v in cond.known.items()} == {"s": True, "t": True, "u": True}
+        assert cond.atoms == (Atom("v0", ("a",)),)
 
     def test_planted_8_8_reduced_side_enumerates_only_open_atoms(self):
         model, matrix, queries = planted_symmetry_instance((8, 8))
@@ -562,15 +565,14 @@ class TestUnitPropagation:
         result = encode_evidence("p", witness, model.predicates)
         extended = extend_model(model, result)
         cond = ground(extended).condition(result.unary_evidence)
-        assert sorted(cond.forced) == [i for i, a in enumerate(cond.atoms) if a.pred == "p"]
-        assert len(cond.forced) == 256
+        assert sum(a.pred == "p" for a in cond.known) == 256
+        assert cond.atoms == queries
         lhs = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
         rhs = exact_marginals(extended, result.unary_evidence, queries)
-        for q in queries:
-            assert rhs[q] == pytest.approx(lhs[q], abs=1e-9)
+        assert rhs == lhs
         linked, unlinked = Atom("p", ("c0", "c7")), Atom("p", ("c0", "c8"))
-        forced_answers = exact_marginals(extended, result.unary_evidence, [linked, unlinked])
-        assert forced_answers == {linked: 1.0, unlinked: 0.0}
+        derived_answers = exact_marginals(extended, result.unary_evidence, [linked, unlinked])
+        assert derived_answers == {linked: 1.0, unlinked: 0.0}
 
 
 def _digest(obj) -> str:

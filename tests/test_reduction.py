@@ -5,7 +5,7 @@ import pytest
 
 from liftbmf.boolmat import BoolMatrix, boolean_product
 from liftbmf.errors import InputError
-from liftbmf.experiments import random_equivalence_instance
+from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
 from liftbmf.factorize import Factorization, exact_boolean_rank, truncate
 from liftbmf.mln import (
     Atom,
@@ -175,9 +175,8 @@ class TestPartialEvidence:
                 extended = extend_model(extended, result)
                 unary = unary.merged(result.unary_evidence)
             cond = ground(extended).condition(unary)
-            forced_p = {cond.atoms[i]: bool(v) for i, v in cond.forced.items()
-                        if cond.atoms[i].pred == "p"}
-            assert forced_p == dict(known)
+            derived_p = {a: v for a, v in cond.known.items() if a.pred == "p"}
+            assert derived_p == dict(known)
             assert exact_query(extended, unary, query) == pytest.approx(
                 exact_query(model, EvidenceSet(known), query), abs=1e-9
             )
@@ -278,6 +277,41 @@ class TestMatrixEvidenceConversion:
     def test_requires_labels(self):
         with pytest.raises(InputError, match="labels"):
             matrix_to_evidence("p", BoolMatrix(np.zeros((2, 2), dtype=np.uint8)))
+
+
+def _compiled(cond):
+    return (
+        cond.atoms, cond.const_log_weight, cond.blanket,
+        [(comp.atom_ids, comp.log_table.tolist()) for comp in cond.formulas],
+        [lookup.tolist() for lookup in cond.relabeling],
+    )
+
+
+class TestReducedModelIsTheDirectModel:
+    """Unit propagation derives every p atom from the unary evidence, so the
+    reduced side conditions to the direct side's compiled model itself."""
+
+    def _check(self, model, matrix, query):
+        evidence = matrix_to_evidence("p", matrix)
+        _, witness = exact_boolean_rank(matrix)
+        result = encode_evidence("p", witness, model.predicates)
+        extended = extend_model(model, result)
+        direct = ground(model).condition(evidence)
+        reduced = ground(extended).condition(result.unary_evidence)
+        assert _compiled(reduced) == _compiled(direct)
+        assert exact_query(extended, result.unary_evidence, query) == exact_query(
+            model, evidence, query
+        )
+
+    @pytest.mark.parametrize("blocks", [(2, 2), (3, 2), (4, 4), (8, 8), (5, 3, 4)])
+    def test_planted_instances(self, blocks):
+        model, matrix, queries = planted_symmetry_instance(blocks)
+        self._check(model, matrix, queries[0])
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            self._check(*random_equivalence_instance(rng, max_m=5))
 
 
 class TestConstantSymmetryClasses:

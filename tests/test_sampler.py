@@ -45,12 +45,13 @@ class TestGibbsStep:
         assert cond.conditional(values, 0) == pytest.approx(0.5)
 
     def test_hard_forced_atom_always_true(self):
-        _, _, cond = _conditioned("domain = a\npred q/1\nhard q(a)\n")
+        # two open atoms, so unit propagation leaves the grounding to the chain
+        _, _, cond = _conditioned("domain = a\npred q/1\npred s/1\nhard q(a) ^ (s(a) v !s(a))\n")
         rng = np.random.default_rng(0)
-        world = cond.world([1])
+        world = cond.world([1, 0])
         for _ in range(20):
             world = gibbs_step(cond, world, rng)
-            assert world.values[0] == 1
+            assert world.values[cond.index[Atom("q", ("a",))]] == 1
 
     def test_agreement_chain_conditional_is_sigmoid(self):
         # one weighted equivalence between two atoms: flipping the sampled
@@ -151,6 +152,7 @@ class TestChainConfig:
         [
             {"iterations": 0},
             {"iterations": 10, "burn_in": 10},
+            {"iterations": 100, "burn_in": -5},
             {"iterations": 10, "orbital_move_probability": 1.5},
             {"iterations": 10, "estimator": "magic"},
         ],
@@ -220,6 +222,27 @@ class TestEstimateMarginals:
         est = estimate_marginals(model, EvidenceSet(), [Atom("q", ("a",))], config,
                                  snapshot_every=250)
         assert [it for it, _ in est.snapshots] == [250, 500, 750, 1000]
+
+    @pytest.mark.parametrize("snapshot_every", [0, -3])
+    def test_snapshot_interval_must_be_positive(self, snapshot_every):
+        model = parse_model("domain = a\npred q/1\n")
+        config = ChainConfig(iterations=100, seed=0)
+        with pytest.raises(InputError, match="snapshot_every"):
+            estimate_marginals(model, EvidenceSet(), [Atom("q", ("a",))], config,
+                               snapshot_every=snapshot_every)
+
+    def test_no_open_atom_answers_from_known_values(self):
+        # unit propagation fixes q(a); s(a) is evidence: nothing is left open
+        model = parse_model("domain = a\npred q/1\npred s/1\nhard q(a)\n")
+        evidence = parse_evidence("!s(a)\n", model)
+        queries = [Atom("q", ("a",)), Atom("s", ("a",))]
+        config = ChainConfig(iterations=100, burn_in=10, seed=0)
+        est = estimate_marginals(model, evidence, queries, config, snapshot_every=25,
+                                 collect_world_counts=True)
+        expected = {queries[0]: 1.0, queries[1]: 0.0}
+        assert est.estimates == expected
+        assert est.snapshots == tuple((t, expected) for t in (25, 50, 75, 100))
+        assert est.world_counts.tolist() == [90]
 
     def test_evidence_query_is_constant(self):
         model = parse_model("domain = a, b\npred q/1\n")
@@ -304,7 +327,7 @@ class TestFindConsistentWorld:
 
     def test_giving_up_is_a_capacity_refusal(self):
         # running out of flips proves nothing about consistency
-        model = parse_model("domain = a\npred s/1\npred t/1\nhard s(a)\nhard !s(a) v t(a)\n")
+        model = parse_model("domain = a\npred s/1\npred t/1\nhard s(a) v t(a)\n")
         cond = ground(model).condition(EvidenceSet())
         with pytest.raises(CapacityError, match="0 flips over 1 restarts"):
             find_consistent_world(cond, np.random.default_rng(0), max_restarts=1, max_flips=0)
@@ -331,7 +354,9 @@ class TestPinnedChainOutputs:
     """Chain outputs for fixed seeds, recorded with the formula-scanning
     sampler that the compiled ground model replaced.  A refactor that keeps
     the RNG draw order and adds weights in compiled order reproduces them
-    bit for bit; estimates are compared as float.hex strings."""
+    bit for bit; estimates are compared as float.hex strings.  The unary
+    side conditions to the binary side's compiled model, so it reproduces
+    the binary rows."""
 
     @pytest.mark.parametrize(
         "side,prob,estimates,snapshots",
@@ -347,15 +372,15 @@ class TestPinnedChainOutputs:
                 "0x1.305602cda1918p-3", "0x1.3f7ec73d227e9p-3",
             ], "59548e1f8d483fd7"),
             ("unary", 0.0, [
-                "0x1.af7c38ca16aa9p-5", "0x1.3d5e6e3b96eebp-3", "0x1.5fa2dbcebbe1fp-3",
-                "0x1.373a55afabbc7p-3", "0x1.4c98926432217p-5", "0x1.1a6aa99dd1b2fp-3",
-                "0x1.98cb56bde0b01p-3", "0x1.68806f4bb6b02p-3",
-            ], "e88ef17fccce1726"),
+                "0x1.4d5ccdb76329ap-4", "0x1.411da0ec2daf1p-3", "0x1.34f563e9e16b1p-3",
+                "0x1.3b4fb68e1ae79p-3", "0x1.fc2a19a079307p-4", "0x1.08c5289ecc009p-3",
+                "0x1.3dab09344d2b6p-3", "0x1.25a1fbae8faa9p-3",
+            ], "49f15607e7ca79f5"),
             ("unary", 0.2, [
-                "0x1.3b4a29bf0d397p-3", "0x1.4db6a4397d5c0p-3", "0x1.154690315f8f9p-3",
-                "0x1.2a10258d4e54bp-3", "0x1.5fb0b53cdb643p-3", "0x1.b609536eee1ccp-4",
-                "0x1.5c74a51c844fdp-3", "0x1.1af61dd2d1583p-3",
-            ], "3ce30d56b4e96fbb"),
+                "0x1.1dde02c541e9ep-3", "0x1.1b236d0f225d0p-3", "0x1.13cd6337ec951p-3",
+                "0x1.28a954dc37265p-3", "0x1.b623eeaf31eb2p-4", "0x1.211d97a351ef0p-3",
+                "0x1.305602cda1918p-3", "0x1.3f7ec73d227e9p-3",
+            ], "59548e1f8d483fd7"),
         ],
     )
     def test_estimates_and_snapshots(self, planted_sides, side, prob, estimates, snapshots):
