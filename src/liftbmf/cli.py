@@ -230,8 +230,6 @@ def _add_search_flags(p: _Parser) -> None:
 
 def _add_chain_flags(p: _Parser) -> None:
     p.add_argument("--iters", type=int, default=_env("ITERS", 20000, int))
-    p.add_argument("--burnin", type=int, default=_env("BURNIN", None, int))
-    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
     p.add_argument(
         "--orbital-prob", type=float, default=_env("ORBITAL_PROB", 0.1, float)
     )
@@ -278,6 +276,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--atom-cap", type=int, default=_env("ATOM_CAP", mln.DEFAULT_ATOM_CAP, int))
     _add_chain_flags(p)
+    p.add_argument("--burnin", type=int, default=_env("BURNIN", None, int))
+    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("gen", help="synthetic planted-rank evidence matrix")
@@ -312,15 +312,9 @@ def build_parser() -> _Parser:
     e.add_argument("--query-pred", required=True)
     e.add_argument("--ranks", type=_int_list, required=True)
     e.add_argument("--seeds", type=_int_list, required=True)
-    e.add_argument("--iters", type=int, default=_env("ITERS", 20000, int))
     e.add_argument("--snapshot-every", type=int, default=1000)
     e.add_argument("--reference", choices=("exact", "self"), default="exact")
-    e.add_argument("--orbital-prob", type=float, default=_env("ORBITAL_PROB", 0.1, float))
-    e.add_argument(
-        "--estimator",
-        choices=("frequency", "rao_blackwell"),
-        default=_env("ESTIMATOR", "rao_blackwell", str),
-    )
+    _add_chain_flags(e)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=_cmd_experiment_kld_curve)
 

@@ -747,12 +747,14 @@ class Conditioned:
 
     def relabeled(self, values: np.ndarray, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
-        positions: the value of atom p(c1, ..., ck) moves to
-        p(perm[c1], ..., perm[ck]).  Known atoms must map to known atoms."""
+        positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
+        An open atom that would land on a known one raises InputError."""
         out = values.copy()
         for lookup in self.relabeling:
-            moved = lookup[np.ix_(*[perm] * lookup.ndim)]
-            out[moved[lookup >= 0]] = values[lookup[lookup >= 0]]
+            targets = lookup[np.ix_(*[perm] * lookup.ndim)][lookup >= 0]
+            if (targets < 0).any():
+                raise InputError("the permutation moves an open atom onto a known atom")
+            out[targets] = values[lookup[lookup >= 0]]
         return out
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:

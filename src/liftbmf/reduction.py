@@ -29,6 +29,7 @@ from .mln import (
     Model,
     Not,
     Or,
+    atoms_of,
     format_atom,
 )
 
@@ -241,48 +242,46 @@ def evidence_to_matrix(
     return BoolMatrix(bits, row_labels, col_labels)
 
 
-def _swap_constants(atom: Atom, a: str, b: str) -> Atom:
-    return Atom(atom.pred, tuple(b if c == a else a if c == b else c for c in atom.args))
-
-
-def _swap_preserves_evidence(evidence: EvidenceSet, a: str, b: str) -> bool:
-    for atom, value in evidence.items():
-        if a in atom.args or b in atom.args:
-            if evidence.get(_swap_constants(atom, a, b)) != value:
-                return False
-    return True
-
-
 def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tuple[str, ...], ...]:
     """Constants exchangeable under the evidence and the model's formulas.
 
     Two constants share a class when swapping them maps the evidence onto
-    itself; constants mentioned explicitly in any formula stay in singleton
-    classes so class permutations never change world weights.
+    itself, i.e. leaves each predicate's int8 evidence array (-1 unassigned)
+    equal with every axis permuted; constants mentioned in a formula stay
+    singletons, so class permutations keep world weights.  Preserving swaps
+    form a group, so a constant is tested against one member per class:
+    O(classes * m * m^arity).  Evidence outside the model raises InputError.
     """
-    from .mln import atoms_of
+    position = {c: k for k, c in enumerate(model.domain)}
+    formulas = model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
+    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args if a in position}
+    tables = {p: np.full((len(position),) * k, -1, np.int8) for p, k in model.predicates.items()}
+    for atom, value in evidence.items():
+        at = tuple(map(position.get, atom.args))
+        if model.predicates.get(atom.pred) != len(at) or None in at:
+            model.check_formula(atom, "evidence")  # raises, naming what is wrong
+        tables[atom.pred][at] = value
+    assigned = [t for t in tables.values() if t.ndim and t.max() >= 0]
 
-    mentioned: set[str] = set()
-    for _, f in model.weighted_formulas:
-        for atom in atoms_of(f):
-            mentioned.update(arg for arg in atom.args if arg in model.domain)
-    for f in model.hard_formulas:
-        for atom in atoms_of(f):
-            mentioned.update(arg for arg in atom.args if arg in model.domain)
+    def swaps(a: str, b: str) -> bool:
+        perm = np.arange(len(position))
+        perm[[position[a], position[b]]] = position[b], position[a]
+        for t in assigned:
+            moved = t
+            for axis in range(t.ndim):
+                moved = moved.take(perm, axis)
+            if not np.array_equal(moved, t):
+                return False
+        return True
 
     classes: list[list[str]] = []
     for c in model.domain:
-        if c in mentioned:
-            classes.append([c])
-            continue
-        placed = False
-        for cls in classes:
-            if cls[0] in mentioned:
-                continue
-            if all(_swap_preserves_evidence(evidence, c, d) for d in cls):
+        # (c d) = (d0 d)(c d0)(d0 d), and each member d of a class swaps with
+        # its first member d0: so c swaps with all members iff with d0.
+        for cls in () if c in mentioned else classes:
+            if cls[0] not in mentioned and swaps(c, cls[0]):
                 cls.append(c)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([c])
     return tuple(tuple(cls) for cls in classes)

@@ -101,19 +101,21 @@ def gibbs_step(cond: Conditioned, state: World, rng: np.random.Generator) -> Wor
     return cond.world(values)
 
 
-def _class_permutation(
-    domain: Sequence[str], classes: Sequence[Sequence[str]], rng: np.random.Generator
-) -> np.ndarray | None:
-    """A uniform random permutation within each class, as an array over
-    domain positions; None when every class draws the identity."""
+def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    """The domain positions of each class of two or more constants."""
     position = {c: k for k, c in enumerate(domain)}
-    perm = np.arange(len(domain))
-    for cls in classes:
-        if len(cls) < 2:
-            continue
-        at = np.array([position[c] for c in cls])
-        perm[at] = at[rng.permutation(len(cls))]
-    return None if np.array_equal(perm, np.arange(len(domain))) else perm
+    return [np.array([position[c] for c in cls]) for cls in classes if len(cls) > 1]
+
+
+def _class_permutation(
+    m: int, positions: Sequence[np.ndarray], rng: np.random.Generator
+) -> np.ndarray | None:
+    """A uniform random permutation within each class, as an array over the
+    m domain positions; None when every class draws the identity."""
+    perm = np.arange(m)
+    for at in positions:
+        perm[at] = at[rng.permutation(len(at))]
+    return None if np.array_equal(perm, np.arange(m)) else perm
 
 
 def orbital_step(
@@ -128,7 +130,8 @@ def orbital_step(
     log weight, because exchangeable constants agree on all evidence and
     do not occur in formulas.
     """
-    perm = _class_permutation(cond.model.domain, classes, rng)
+    domain = cond.model.domain
+    perm = _class_permutation(len(domain), _class_positions(domain, classes), rng)
     if perm is None:
         return state
     return cond.world(cond.relabeled(state.values, perm))
@@ -195,6 +198,7 @@ def estimate_marginals(
     burn_in = config.resolved_burn_in()
     use_orbital = config.orbital_move_probability > 0.0
     classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
+    class_positions = _class_positions(model.domain, classes)
 
     streams = [
         np.random.default_rng(s)
@@ -236,7 +240,7 @@ def estimate_marginals(
         for b in range(block):
             t += 1
             if use_orbital and jumps[b]:
-                perm = _class_permutation(model.domain, classes, orbit_perm_rng)
+                perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
                 if perm is not None:
                     values = cond.relabeled(values, perm)
                     if counts is not None:

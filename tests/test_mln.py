@@ -32,7 +32,7 @@ from liftbmf.reduction import (
     extend_model,
     matrix_to_evidence,
 )
-from liftbmf.sampler import _class_permutation
+from liftbmf.sampler import _class_permutation, _class_positions
 
 PEER_MODEL = """
 domain = a, b, c, d
@@ -462,16 +462,25 @@ class TestCompiledModel:
                 cond.relabeled(values, perm), _relabeled_by_atoms(cond, values, perm)
             )
 
+    def test_relabeling_onto_a_known_atom_is_refused(self):
+        # swapping a and b would move open q(b) onto the evidence atom q(a)
+        model = parse_model("domain = a, b, c\npred t/1\npred q/1\n0.5 q(X)\n0.3 t(X)\n")
+        cond = ground(model).condition(parse_evidence("q(a)\n", model))
+        values = np.array([1, 0, 0, 0, 0], dtype=np.uint8)
+        with pytest.raises(InputError, match="moves an open atom onto a known atom"):
+            cond.relabeled(values, np.array([1, 0, 2]))
+        assert np.array_equal(cond.relabeled(values, np.array([0, 2, 1])), [0, 1, 0, 0, 0])
+
     def test_relabeling_under_evidence_symmetries(self):
         model, matrix, _ = planted_symmetry_instance((3, 2))
         evidence = matrix_to_evidence("p", matrix)
         cond = ground(model).condition(evidence)
-        classes = constant_symmetry_classes(model, evidence)
+        positions = _class_positions(model.domain, constant_symmetry_classes(model, evidence))
         rng = np.random.default_rng(29)
         moved = 0
         for _ in range(20):
             values = rng.integers(0, 2, size=len(cond.atoms)).astype(np.uint8)
-            perm = _class_permutation(model.domain, classes, rng)
+            perm = _class_permutation(len(model.domain), positions, rng)
             if perm is None:
                 continue
             out = cond.relabeled(values, perm)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from liftbmf.mln import (
     Atom,
     EvidenceSet,
     Not,
+    atoms_of,
     format_formula,
     exact_query,
     ground,
@@ -314,7 +316,107 @@ class TestReducedModelIsTheDirectModel:
             self._check(*random_equivalence_instance(rng, max_m=5))
 
 
+def _swapped(evidence, a, b):
+    """The evidence with constants a and b exchanged in every atom."""
+    swap = {a: b, b: a}
+    return EvidenceSet(
+        (Atom(atom.pred, tuple(swap.get(c, c) for c in atom.args)), value)
+        for atom, value in evidence.items()
+    )
+
+
+CLASS_INSTANCE_KINDS = ("full", "partial", "reduced", "zero-arity", "mentioned")
+
+
+def _random_class_instance(rng, kind):
+    """A small model plus evidence: full or partial binary evidence, the
+    unary evidence of a reduction, zero-arity plus unary plus sparse
+    ternary evidence, or unary evidence under formulas naming a constant."""
+    if kind == "reduced":
+        model, matrix, _ = random_equivalence_instance(rng, max_m=6)
+        _, witness = exact_boolean_rank(matrix)
+        result = encode_evidence("p", witness, model.predicates)
+        return extend_model(model, result), result.unary_evidence
+    domain = "abcdef"[: int(rng.integers(1, 7))]
+    header = f"domain = {', '.join(domain)}\n"
+
+    def coin(p):
+        return bool(rng.random() < p)
+
+    if kind in ("full", "partial"):
+        model = parse_model(header + "pred p/2\npred s/1\n0.5 s(X) ^ p(X,Y) => s(Y)\n")
+        q = rng.integers(0, 2, size=(len(domain), 2))
+        r = q if coin(0.5) else rng.integers(0, 2, size=(len(domain), 2))
+        bits = q @ r.T > 0
+        w = rng.integers(0, 2, size=(len(domain), 2))
+        known = w @ w.T > 0 if kind == "partial" else np.ones_like(bits)
+        pairs = itertools.product(enumerate(domain), repeat=2)
+        return model, EvidenceSet(
+            (Atom("p", (x, y)), bool(bits[i, j])) for (i, x), (j, y) in pairs if known[i, j]
+        )
+    if kind == "zero-arity":
+        model = parse_model(header + "pred r/0\npred u/1\npred t/3\n0.3 r\n")
+        evidence = [(Atom("r", ()), coin(0.5))] if coin(0.5) else []
+        evidence += [(Atom("u", (c,)), coin(0.7)) for c in domain if coin(0.6)]
+        sparse = coin(0.5)
+        evidence += [
+            (Atom("t", args), True)
+            for args in itertools.product(domain, repeat=3) if sparse and coin(0.05)
+        ]
+        return model, EvidenceSet(evidence)
+    named = domain[int(rng.integers(len(domain)))]
+    text = header + f"pred p/2\npred s/1\n0.5 s({named}) => p(X,{named})\n"
+    if coin(0.5):
+        text += f"hard s(X) v !s({domain[-1]})\n"
+    return parse_model(text), EvidenceSet(
+        (Atom("s", (c,)), coin(0.5)) for c in domain if coin(0.5)
+    )
+
+
 class TestConstantSymmetryClasses:
+    def test_classes_against_swapped_evidence(self):
+        rng = np.random.default_rng(61)
+        grouped = separated = 0
+        for k in range(1000):
+            model, evidence = _random_class_instance(rng, CLASS_INSTANCE_KINDS[k % 5])
+            classes = constant_symmetry_classes(model, evidence)
+            assert sorted(itertools.chain(*classes)) == sorted(model.domain)
+            mentioned = {
+                a for f in model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
+                for atom in atoms_of(f) for a in atom.args if a in model.domain
+            }
+            for cls in classes:
+                assert len(cls) == 1 or not mentioned & set(cls)
+                for c, d in itertools.combinations(cls, 2):
+                    assert _swapped(evidence, c, d) == evidence, (model, cls)
+                    grouped += 1
+            firsts = [cls[0] for cls in classes if cls[0] not in mentioned]
+            for c, d in itertools.combinations(firsts, 2):
+                assert _swapped(evidence, c, d) != evidence, (model, c, d)
+                separated += 1
+        assert grouped > 500 and separated > 500
+
+    @pytest.mark.parametrize("k", [16, 32])
+    def test_planted_blocks_are_the_classes(self, k):
+        model, matrix, _ = planted_symmetry_instance((k, k))
+        classes = constant_symmetry_classes(model, matrix_to_evidence("p", matrix))
+        assert classes == (model.domain[:k], model.domain[k:])
+
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            (Atom("q", ("zz",)), "unknown constant 'zz'"),
+            (Atom("nope", ("a",)), "unknown predicate 'nope'"),
+            (Atom("p", ("a",)), "p expects 2 arguments, got 1"),
+            (Atom("q", ()), "q expects 1 arguments, got 0"),
+        ],
+    )
+    def test_evidence_outside_the_model_is_refused(self, atom, message):
+        model = parse_model("domain = a, b\npred p/2\npred q/1\n")
+        evidence = EvidenceSet({Atom("q", ("a",)): True, atom: False})
+        with pytest.raises(InputError, match=re.escape(message)):
+            constant_symmetry_classes(model, evidence)
+
     def test_unary_signatures_group_constants(self):
         model = parse_model("domain = a, b, c, d\npred q/1\npred s/1\n0.5 s(X)\n")
         ev = parse_evidence("q(a)\nq(b)\n!q(c)\n!q(d)\n", model)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from liftbmf import sampler
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
 from liftbmf.experiments import planted_symmetry_instance
 from liftbmf.factorize import exact_boolean_rank
@@ -143,6 +144,16 @@ class TestOrbitalStep:
             pytest.fail("no swap drawn in 20 attempts")
 
 
+    def test_class_that_moves_an_open_atom_onto_evidence_is_refused(self):
+        _, _, cond = _conditioned(
+            "domain = a, b, c\npred t/1\npred q/1\n0.5 q(X)\n0.3 t(X)\n", "q(a)\n"
+        )
+        world = cond.world([1, 0, 0, 0, 0])
+        # seed 3 draws the swap of a and b, which q(a) alone tells apart
+        with pytest.raises(InputError, match="onto a known atom"):
+            orbital_step(cond, world, (("a", "b"),), np.random.default_rng(3))
+
+
 class TestChainConfig:
     def test_burn_in_default_is_ten_percent(self):
         assert ChainConfig(iterations=1000).resolved_burn_in() == 100
@@ -243,6 +254,17 @@ class TestEstimateMarginals:
         assert est.estimates == expected
         assert est.snapshots == tuple((t, expected) for t in (25, 50, 75, 100))
         assert est.world_counts.tolist() == [90]
+
+    def test_classes_become_positions_once_per_chain(self, monkeypatch):
+        model, matrix, queries = planted_symmetry_instance((3, 3))
+        calls = []
+        real = sampler._class_positions
+        monkeypatch.setattr(
+            sampler, "_class_positions", lambda *args: calls.append(args) or real(*args)
+        )
+        config = ChainConfig(iterations=500, seed=1, orbital_move_probability=1.0)
+        estimate_marginals(model, matrix_to_evidence("p", matrix), queries, config)
+        assert len(calls) == 1
 
     def test_evidence_query_is_constant(self):
         model = parse_model("domain = a, b\npred q/1\n")
