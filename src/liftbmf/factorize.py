@@ -49,6 +49,10 @@ class AssoParams:
     max_rank: int | None = None
 
     def __post_init__(self):
+        for name in ("tau", "w_plus", "w_minus"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if not 0.0 < self.tau <= 1.0:
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
         if self.w_plus <= 0:
@@ -457,24 +461,31 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     row joins only if it strictly improves the weighted cover gain.  Ties
     among candidates break toward the lowest candidate index, so the output
     is deterministic.
+
+    The counts of still-open 1s and 0s each candidate would cover in each
+    row are computed once and then updated only on the rows of each kept
+    pair, from the cells that pair newly covers.  They are held as float64
+    so the matmuls run on BLAS; every term is 0 or 1 and every sum at most
+    l, far below 2**53, so each count is exact and the gains equal integer
+    arithmetic bit for bit.
     """
     params = params or AssoParams()
     k, l = p.shape
     max_rank = min(k, l) if params.max_rank is None else min(params.max_rank, min(k, l))
-    bits = p.bits.astype(np.int64)
+    bits = p.bits.astype(np.float64)
     norms = bits.sum(axis=0)
     keep = norms > 0
     if not keep.any() or max_rank == 0:
         return Factorization((), (k, l), p.row_labels, p.col_labels).with_target(p)
     overlap = bits.T @ bits
     cand = (overlap[keep] / norms[keep, None] >= params.tau).astype(np.uint8)
+    cand_t = cand.T.astype(np.float64)
+    new_ones = bits @ cand_t
+    new_zeros = (1.0 - bits) @ cand_t
 
-    covered = np.zeros((k, l), dtype=np.uint8)
+    covered = np.zeros((k, l), dtype=bool)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_rank):
-        open_cells = 1 - covered
-        new_ones = (bits * open_cells) @ cand.T
-        new_zeros = ((1 - bits) * open_cells) @ cand.T
         delta = params.w_plus * new_ones - params.w_minus * new_zeros
         gains = np.clip(delta, 0.0, None).sum(axis=0)
         pick = int(np.argmax(gains))
@@ -483,7 +494,12 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
         q = (delta[:, pick] > 0.0).astype(np.uint8)
         r = cand[pick].copy()
         pairs.append((q, r))
-        covered |= np.outer(q, r)
+        rows = np.flatnonzero(q)
+        newly = r.astype(bool) & ~covered[rows]
+        covered[rows] |= newly
+        row_bits = bits[rows]
+        new_ones[rows] -= (row_bits * newly) @ cand_t
+        new_zeros[rows] -= ((1.0 - row_bits) * newly) @ cand_t
     return Factorization(
         tuple(pairs), (k, l), p.row_labels, p.col_labels
     ).with_target(p)

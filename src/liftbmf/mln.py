@@ -748,13 +748,27 @@ class Conditioned:
     def relabeled(self, values: np.ndarray, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
         positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
-        An open atom that would land on a known one raises InputError."""
+        Raises InputError unless `perm` holds each domain position exactly
+        once, and when an open atom would land on a known one."""
+        perm = np.asarray(perm)
+        m = len(self.model.domain)
+        ok = perm.shape == (m,) and perm.dtype.kind in "iu" and ((perm >= 0) & (perm < m)).all()
+        if ok:
+            hit = np.zeros(m, dtype=bool)
+            hit[perm] = True
+            ok = hit.all()
+        if not ok:
+            raise InputError(f"perm must hold each of the {m} domain positions exactly once")
         out = values.copy()
         for lookup in self.relabeling:
-            targets = lookup[np.ix_(*[perm] * lookup.ndim)][lookup >= 0]
+            moved = lookup
+            for axis in range(lookup.ndim):
+                moved = moved.take(perm, axis)
+            is_open = lookup >= 0
+            targets = moved[is_open]
             if (targets < 0).any():
                 raise InputError("the permutation moves an open atom onto a known atom")
-            out[targets] = values[lookup[lookup >= 0]]
+            out[targets] = values[lookup[is_open]]
         return out
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:

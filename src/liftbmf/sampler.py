@@ -102,8 +102,13 @@ def gibbs_step(cond: Conditioned, state: World, rng: np.random.Generator) -> Wor
 
 
 def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """The domain positions of each class of two or more constants."""
+    """The domain positions of each class of two or more constants; a
+    constant outside the domain raises InputError."""
     position = {c: k for k, c in enumerate(domain)}
+    for cls in classes:
+        for c in cls:
+            if c not in position:
+                raise InputError(f"symmetry class {tuple(cls)} names {c!r}, not in the domain")
     return [np.array([position[c] for c in cls]) for cls in classes if len(cls) > 1]
 
 

@@ -76,6 +76,16 @@ class TestFactorize:
         monkeypatch.setenv("LIFTBMF_TAU", "not-a-number")
         assert run("factorize", example_file, "-o", str(out)) == 1
 
+    def test_non_finite_weights_exit_one(self, example_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "f.fct"
+        assert run("factorize", example_file, "-o", str(out), "--w-plus", "nan") == 1
+        assert "w_plus must be finite" in capsys.readouterr().err
+        assert run("factorize", example_file, "-o", str(out), "--w-minus", "inf") == 1
+        monkeypatch.setenv("LIFTBMF_W_PLUS", "nan")
+        assert run("factorize", example_file, "-o", str(out)) == 1
+        assert "w_plus must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_beats_env(self, example_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "f.fct"
         monkeypatch.setenv("LIFTBMF_TAU", "1.5")  # invalid, but flag wins

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from liftbmf.boolmat import BoolMatrix, hamming_error
 from liftbmf.errors import CapacityError, InputError, SearchBudgetError
+from liftbmf.experiments import gen_synthetic
 from liftbmf.factorize import (
     AssoParams,
     Factorization,
@@ -171,6 +174,93 @@ class TestAssoFactorize:
         assert f.col_labels == LABELS
 
 
+def _asso_full_recompute(p: BoolMatrix, params: AssoParams) -> Factorization:
+    """The ASSO greedy as first written: int64 counts of open 1s and 0s per
+    row and candidate, recomputed over the whole matrix every round."""
+    k, l = p.shape
+    max_rank = min(k, l) if params.max_rank is None else min(params.max_rank, min(k, l))
+    bits = p.bits.astype(np.int64)
+    norms = bits.sum(axis=0)
+    keep = norms > 0
+    if not keep.any() or max_rank == 0:
+        return Factorization((), (k, l), p.row_labels, p.col_labels).with_target(p)
+    overlap = bits.T @ bits
+    cand = (overlap[keep] / norms[keep, None] >= params.tau).astype(np.uint8)
+
+    covered = np.zeros((k, l), dtype=np.uint8)
+    pairs = []
+    for _ in range(max_rank):
+        open_cells = 1 - covered
+        new_ones = (bits * open_cells) @ cand.T
+        new_zeros = ((1 - bits) * open_cells) @ cand.T
+        delta = params.w_plus * new_ones - params.w_minus * new_zeros
+        gains = np.clip(delta, 0.0, None).sum(axis=0)
+        pick = int(np.argmax(gains))
+        if gains[pick] <= 0.0:
+            break
+        q = (delta[:, pick] > 0.0).astype(np.uint8)
+        r = cand[pick].copy()
+        pairs.append((q, r))
+        covered |= np.outer(q, r)
+    return Factorization(tuple(pairs), (k, l), p.row_labels, p.col_labels).with_target(p)
+
+
+def _pairs_digest(f: Factorization) -> str:
+    h = hashlib.sha256()
+    for q, r in f.pairs:
+        h.update(np.asarray(q, dtype=np.uint8).tobytes())
+        h.update(np.asarray(r, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+class TestAssoAgainstFullRecompute:
+    """The incremental float64 greedy against the full int64 recompute."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(2026)
+        seen = {"non-square": 0, "zero column": 0, "rank 0": 0, "rank None": 0, "pairs": 0}
+        for _ in range(420):
+            k, l = (int(x) for x in rng.integers(1, 40, size=2))
+            bits = (rng.random((k, l)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
+            if rng.random() < 0.25:
+                bits[:, rng.random(l) < 0.3] = 0
+            params = AssoParams(
+                tau=float(rng.choice([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])),
+                w_plus=float(rng.choice([0.3, 0.7, 1.0, 1.7, 2.3])),
+                w_minus=float(rng.choice([0.0, 0.3, 0.7, 1.0, 1.7, 2.3])),
+                max_rank=[None, *range(12)][int(rng.integers(13))],
+            )
+            m = BoolMatrix(bits)
+            f = asso_factorize(m, params)
+            assert f == _asso_full_recompute(m, params)
+            seen["non-square"] += k != l
+            seen["zero column"] += bool((bits.sum(axis=0) == 0).any())
+            seen["rank 0"] += params.max_rank == 0
+            seen["rank None"] += params.max_rank is None
+            seen["pairs"] += f.rank()
+        assert min(seen.values()) >= 20, seen
+
+    def test_planted_matrices(self):
+        for seed in range(12):
+            m, _ = gen_synthetic(40 + 10 * seed, 1 + seed % 8, (0.0, 0.01, 0.05)[seed % 3], seed)
+            params = AssoParams(max_rank=12)
+            f = asso_factorize(m, params)
+            assert f.rank() > 0
+            assert f == _asso_full_recompute(m, params)
+
+    def test_pinned_m1000_rank10(self):
+        """Error and pair digest recorded from the full int64 recompute that
+        `_asso_full_recompute` copies, before the incremental float64 greedy
+        replaced it (38 s against 1.1 s on a 2-core host)."""
+        m, _ = gen_synthetic(1000, 10, 0.01, 1)
+        f = asso_factorize(m, AssoParams(max_rank=10))
+        assert f.rank() == 10
+        assert f.error == 69329
+        assert _pairs_digest(f) == (
+            "98061b28a827b7e600131006548b5b255f78ac30a979ef7a01270c062b756a96"
+        )
+
+
 class TestAssoParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -181,6 +271,11 @@ class TestAssoParams:
             {"w_plus": -1.0},
             {"w_minus": -0.5},
             {"max_rank": -1},
+            {"tau": float("nan")},
+            {"w_plus": float("nan")},
+            {"w_plus": float("inf")},
+            {"w_minus": float("nan")},
+            {"w_minus": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -471,6 +471,19 @@ class TestCompiledModel:
             cond.relabeled(values, np.array([1, 0, 2]))
         assert np.array_equal(cond.relabeled(values, np.array([0, 2, 1])), [0, 1, 0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "perm",
+        [[1, 0, 0], [0, 0, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]],
+         [0.0, 1.0, 2.0]],
+    )
+    def test_relabeling_needs_a_permutation(self, perm):
+        # [1, 0, 0] once sent t(b) and t(c) to one slot and lost the true value
+        cond = ground(parse_model("domain = a, b, c\npred t/1\n")).condition(EvidenceSet())
+        values = np.array([0, 0, 1], dtype=np.uint8)
+        with pytest.raises(InputError, match="each of the 3 domain positions exactly once"):
+            cond.relabeled(values, np.array(perm))
+        assert np.array_equal(cond.relabeled(values, np.array([2, 0, 1])), [0, 1, 0])
+
     def test_relabeling_under_evidence_symmetries(self):
         model, matrix, _ = planted_symmetry_instance((3, 2))
         evidence = matrix_to_evidence("p", matrix)

@@ -101,6 +101,14 @@ class TestOrbitalStep:
         out = orbital_step(cond, world, (("a",), ("b",)), np.random.default_rng(0))
         assert list(out.values) == [1, 0]
 
+    def test_class_naming_a_constant_outside_the_domain_is_refused(self):
+        _, _, cond = _conditioned("domain = a, b, c\npred q/1\n")
+        world = cond.world([1, 0, 0])
+        with pytest.raises(InputError, match="'zz', not in the domain"):
+            orbital_step(cond, world, (("a", "zz"),), np.random.default_rng(0))
+        with pytest.raises(InputError, match="'zz'"):
+            orbital_step(cond, world, (("zz",),), np.random.default_rng(0))
+
     def test_identity_permutation_possible(self):
         _, _, cond = _conditioned("domain = a, b\npred q/1\n")
         world = cond.world([1, 0])
