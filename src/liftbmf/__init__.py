@@ -36,7 +36,6 @@ from .mln import (
     Atom,
     EvidenceSet,
     Model,
-    World,
     exact_marginals,
     exact_query,
     ground,
@@ -53,7 +52,7 @@ from .reduction import (
     matrix_to_evidence,
     symmetry_signature_classes,
 )
-from .sampler import ChainConfig, MarginalEstimate, estimate_marginals, gibbs_step, kld, orbital_step
+from .sampler import ChainConfig, MarginalEstimate, estimate_marginals, kld
 
 __version__ = "0.1.0"
 
@@ -62,13 +61,12 @@ __all__ = [
     "hamming_error", "flip_counts",
     "AssoParams", "Factorization", "exact_boolean_rank", "asso_factorize",
     "truncate", "optimal_error_at_rank", "real_rank",
-    "Atom", "Model", "EvidenceSet", "World", "parse_model", "parse_evidence",
+    "Atom", "Model", "EvidenceSet", "parse_model", "parse_evidence",
     "ground", "exact_query", "exact_marginals",
     "ReductionResult", "encode_evidence", "encode_partial_evidence",
     "symmetry_signature_classes", "implied_relation", "extend_model",
     "matrix_to_evidence", "constant_symmetry_classes",
-    "ChainConfig", "MarginalEstimate", "gibbs_step", "orbital_step",
-    "estimate_marginals", "kld",
+    "ChainConfig", "MarginalEstimate", "estimate_marginals", "kld",
     "LiftBmfError", "InputError", "CapacityError", "SearchBudgetError",
     "InconsistencyError",
     "__version__",

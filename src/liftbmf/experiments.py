@@ -201,6 +201,8 @@ def equivalence_check(
     tolerance: float = EQUIVALENCE_TOLERANCE,
 ) -> list[tuple[int, float, bool]]:
     """Compare exact inference before and after the unary reduction."""
+    if instances < 1:
+        raise InputError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(instances):

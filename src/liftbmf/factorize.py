@@ -341,12 +341,16 @@ def exact_boolean_rank(
     """Smallest n such that p factors exactly into n Boolean outer products.
 
     Refuses matrices with more than `size_cap` entries; raises
-    SearchBudgetError with the bounds proven so far if the branch-and-bound
-    cover search expands more than `max_search` nodes.
+    SearchBudgetError with the bounds proven so far if concept enumeration
+    and the branch-and-bound cover search together take more than
+    `max_search` nodes.
     """
     k, l = p.shape
     if k == 0 or l == 0:
         raise InputError("matrix must be nonempty")
+    for name, cap in (("max_search", max_search), ("size_cap", size_cap)):
+        if cap < 0:
+            raise InputError(f"{name} must be non-negative, got {cap}")
     if k * l > size_cap:
         raise CapacityError(
             f"{k}x{l} matrix exceeds the exact-rank cap of {size_cap} entries; "
@@ -362,8 +366,19 @@ def exact_boolean_rank(
     if ones_mask == 0:
         return 0, empty
 
+    def out_of_budget(what: str, lb: int, ub: int) -> SearchBudgetError:
+        return SearchBudgetError(
+            f"{what} exceeded {max_search} nodes; best bounds so far: {lb} <= rank <= {ub}",
+            lower_bound=lb,
+            upper_bound=ub,
+        )
+
     budget = [max_search]
-    rects = _concepts(p, budget)
+    try:
+        rects = _concepts(p, budget)
+    except SearchBudgetError:
+        # p has a one, and min(k, l) rectangles always suffice: one per row or per column
+        raise out_of_budget("concept enumeration", 1, min(k, l)) from None
     covers = [(_rect_cells(rows, cols, l), rows, cols) for rows, cols in rects]
     # canonical order: biggest coverage first, then by masks, for determinism
     covers.sort(key=lambda t: (-t[0].bit_count(), t[1], t[2]))
@@ -394,14 +409,7 @@ def exact_boolean_rank(
         budget[0] -= 1
         if budget[0] < 0:
             lb = math.ceil(ones_mask.bit_count() / max_cover)
-            # min(k, l) rectangles always suffice: one per row or per column
-            ub = min(best_len, k, l)
-            raise SearchBudgetError(
-                f"exact rank search exceeded {max_search} nodes; "
-                f"best bounds so far: {lb} <= rank <= {ub}",
-                lower_bound=lb,
-                upper_bound=ub,
-            )
+            raise out_of_budget("exact rank search", lb, min(best_len, k, l))
         if not uncovered:
             if depth < best_len:
                 best = list(chosen)

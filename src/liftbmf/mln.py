@@ -23,7 +23,7 @@ from .errors import CapacityError, InconsistencyError, InputError
 
 __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "Iff", "Formula",
-    "Model", "EvidenceSet", "World",
+    "Model", "EvidenceSet",
     "parse_model", "parse_evidence", "parse_formula", "parse_literal",
     "format_formula", "format_atom", "format_literal",
     "ground", "Grounding", "Conditioned",
@@ -386,7 +386,9 @@ class Model:
                 raise InputError("'v' is reserved for disjunction")
             if arity < 0:
                 raise InputError(f"negative arity for {name}")
-        for _, f in self.weighted_formulas:
+        for w, f in self.weighted_formulas:
+            if not math.isfinite(w):
+                raise InputError(f"weight {w} of {format_formula(f)} is not finite")
             self.check_formula(f, "weighted formula")
         for f in self.hard_formulas:
             self.check_formula(f, "hard formula")
@@ -502,20 +504,6 @@ class EvidenceSet:
     def to_text(self) -> str:
         lines = [format_literal(a, v) for a, v in self._assignments.items()]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass(frozen=True)
-class World:
-    """One truth assignment to the ground atoms that evidence and unit
-    propagation leave open."""
-
-    atoms: tuple[Atom, ...]
-    values: np.ndarray
-    log_weight: float
-
-    @property
-    def assignment(self) -> dict[Atom, bool]:
-        return {a: bool(v) for a, v in zip(self.atoms, self.values)}
 
 
 # --- model/evidence text formats ------------------------------------------
@@ -675,6 +663,14 @@ def _compile_formula(f: Formula, weight, index: Mapping[Atom, int]) -> _Compiled
     return _CompiledFormula(ids, log_table)
 
 
+def permute_axes(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """`table` with every axis reindexed by `perm`: entry (c1, ..., ck) of
+    the result is entry (perm[c1], ..., perm[ck]) of `table`."""
+    for axis in range(table.ndim):
+        table = table.take(perm, axis)
+    return table
+
+
 @dataclass(frozen=True)
 class Conditioned:
     """A grounding with its known atoms substituted out, compiled once.
@@ -715,16 +711,28 @@ class Conditioned:
             logw += comp.log_factor(column)
         return logw
 
-    def log_weight(self, values: np.ndarray) -> float:
-        """Log weight of a world; -inf when a hard grounding is violated."""
-        return float(self.log_weights(np.asarray(values, dtype=np.int64).tolist(), ()))
+    def _world(self, values) -> np.ndarray:
+        """A world as int64 0/1 values, one per open atom in `atoms` order;
+        InputError for any other shape."""
+        values = np.asarray(values, dtype=np.int64)
+        if values.shape != (len(self.atoms),):
+            raise InputError(
+                f"world must assign {len(self.atoms)} atoms, got shape {values.shape}"
+            )
+        return values
 
-    def conditional(self, values: np.ndarray, i: int) -> float:
+    def log_weight(self, values) -> float:
+        """Log weight of a world; -inf when a hard grounding is violated."""
+        return float(self.log_weights(self._world(values).tolist(), ()))
+
+    def conditional(self, values, i: int) -> float:
         """P(atom i = true | the other atoms as in `values`), read off atom
         i's Markov blanket.  Raises InputError if neither setting satisfies
         the hard formulas there: the given world is infeasible, which
         proves nothing about the model."""
-        column = np.asarray(values, dtype=np.int64).tolist()
+        column = self._world(values).tolist()
+        if not 0 <= i < len(column):
+            raise InputError(f"atom index {i} outside [0, {len(column)})")
         column[i] = 0
         log0 = log1 = 0.0
         for k in self.blanket[i]:
@@ -745,11 +753,12 @@ class Conditioned:
         gap = min(max(log0 - log1, -700.0), 700.0)
         return 1.0 / (1.0 + math.exp(gap))
 
-    def relabeled(self, values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    def relabeled(self, values, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
         positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
         Raises InputError unless `perm` holds each domain position exactly
         once, and when an open atom would land on a known one."""
+        values = self._world(values)
         perm = np.asarray(perm)
         m = len(self.model.domain)
         ok = perm.shape == (m,) and perm.dtype.kind in "iu" and ((perm >= 0) & (perm < m)).all()
@@ -761,9 +770,7 @@ class Conditioned:
             raise InputError(f"perm must hold each of the {m} domain positions exactly once")
         out = values.copy()
         for lookup in self.relabeling:
-            moved = lookup
-            for axis in range(lookup.ndim):
-                moved = moved.take(perm, axis)
+            moved = permute_axes(lookup, perm)
             is_open = lookup >= 0
             targets = moved[is_open]
             if (targets < 0).any():
@@ -783,16 +790,6 @@ class Conditioned:
             else:
                 open_queries.append(atom)
         return fixed, open_queries
-
-    def world(self, values) -> World:
-        values = np.asarray(values, dtype=np.uint8)
-        if values.shape != (len(self.atoms),):
-            raise InputError(
-                f"world must assign {len(self.atoms)} atoms, got shape {values.shape}"
-            )
-        snapshot = values.copy()
-        snapshot.setflags(write=False)
-        return World(self.atoms, snapshot, self.log_weight(values))
 
 
 def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
@@ -913,6 +910,12 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
     return float(np.log(z) + top), qtotals / z
 
 
+def _check_caps(atom_cap: int, ground_cap: int) -> None:
+    for name, cap in (("atom_cap", atom_cap), ("ground_cap", ground_cap)):
+        if cap < 0:
+            raise InputError(f"{name} must be non-negative, got {cap}")
+
+
 def exact_marginals(
     model: Model,
     evidence: EvidenceSet,
@@ -921,6 +924,7 @@ def exact_marginals(
     ground_cap: int = DEFAULT_GROUND_CAP,
 ) -> dict[Atom, float]:
     """P(atom = true | evidence) for each query atom, by enumeration."""
+    _check_caps(atom_cap, ground_cap)
     cond = ground(model, ground_cap).condition(evidence)
     result, open_queries = cond.split_queries(queries)
     if open_queries or cond.hard:
@@ -952,9 +956,10 @@ def enumerate_world_distribution(
     """Exact distribution over the worlds of the atoms that evidence and
     unit propagation leave open, indexed by packed atom bits.
 
-    World w has bit i equal to the value of atoms[i].  Only sensible for
+    Index w sets atoms[i] to bit i of w.  Only sensible for
     small models; guarded by `atom_cap`.
     """
+    _check_caps(atom_cap, ground_cap)
     cond = ground(model, ground_cap).condition(evidence)
     n = len(cond.atoms)
     if n > atom_cap:

@@ -31,6 +31,7 @@ from .mln import (
     Or,
     atoms_of,
     format_atom,
+    permute_axes,
 )
 
 __all__ = [
@@ -266,13 +267,7 @@ def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tupl
     def swaps(a: str, b: str) -> bool:
         perm = np.arange(len(position))
         perm[[position[a], position[b]]] = position[b], position[a]
-        for t in assigned:
-            moved = t
-            for axis in range(t.ndim):
-                moved = moved.take(perm, axis)
-            if not np.array_equal(moved, t):
-                return False
-        return True
+        return all(np.array_equal(permute_axes(t, perm), t) for t in assigned)
 
     classes: list[list[str]] = []
     for c in model.domain:

@@ -1,12 +1,16 @@
 """Gibbs sampling with optional evidence-symmetry orbital moves.
 
-Each iteration resamples one open atom, one that neither the evidence nor
-unit propagation over the hard formulas fixes, from its full conditional;
-with the configured probability the step is preceded by an orbital jump
-that applies a uniform random permutation within each class of
-exchangeable constants.  Such permutations leave world weights unchanged,
-so the stationary distribution is preserved.  Marginals come from either
-the sample frequency or Rao-Blackwellized conditional averaging.
+`estimate_marginals` runs the chain on the compiled model.  Each
+iteration resamples one open atom, one that neither the evidence nor unit
+propagation over the hard formulas fixes, from its full conditional
+(`Conditioned.conditional`, read off the atom's Markov blanket); with the
+configured probability the step is preceded by an orbital jump
+(`Conditioned.relabeled`) that applies a uniform random permutation within
+each class of exchangeable constants.  Exchangeable constants agree on all
+evidence and occur in no formula, so such permutations leave
+`Conditioned.log_weight` unchanged and the stationary distribution is
+preserved.  Marginals come from either the sample frequency or
+Rao-Blackwellized conditional averaging.
 """
 from __future__ import annotations
 
@@ -17,21 +21,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .mln import (
-    Atom,
-    Conditioned,
-    EvidenceSet,
-    Model,
-    World,
-    ground,
-)
+from .mln import Atom, Conditioned, EvidenceSet, Model, ground
 from .reduction import constant_symmetry_classes
 
 __all__ = [
     "ChainConfig",
     "MarginalEstimate",
-    "gibbs_step",
-    "orbital_step",
     "estimate_marginals",
     "kld",
     "RNG_ALGORITHM",
@@ -92,15 +87,6 @@ class MarginalEstimate:
 # --- elementary chain moves ------------------------------------------------
 
 
-def gibbs_step(cond: Conditioned, state: World, rng: np.random.Generator) -> World:
-    """Resample one uniformly chosen open atom from its conditional."""
-    values = np.array(state.values, dtype=np.uint8)
-    i = int(rng.integers(len(values)))
-    p = cond.conditional(values, i)
-    values[i] = 1 if rng.random() < p else 0
-    return cond.world(values)
-
-
 def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[np.ndarray]:
     """The domain positions of each class of two or more constants; a
     constant outside the domain raises InputError."""
@@ -121,25 +107,6 @@ def _class_permutation(
     for at in positions:
         perm[at] = at[rng.permutation(len(at))]
     return None if np.array_equal(perm, np.arange(m)) else perm
-
-
-def orbital_step(
-    cond: Conditioned,
-    state: World,
-    classes: Sequence[Sequence[str]],
-    rng: np.random.Generator,
-) -> World:
-    """Apply a uniform random permutation within each symmetry class.
-
-    The induced relabeling of the atom assignment never changes the world
-    log weight, because exchangeable constants agree on all evidence and
-    do not occur in formulas.
-    """
-    domain = cond.model.domain
-    perm = _class_permutation(len(domain), _class_positions(domain, classes), rng)
-    if perm is None:
-        return state
-    return cond.world(cond.relabeled(state.values, perm))
 
 
 def find_consistent_world(

@@ -29,7 +29,7 @@ from liftbmf.reduction import (
     matrix_to_evidence,
     symmetry_signature_classes,
 )
-from liftbmf.sampler import ChainConfig, estimate_marginals, orbital_step
+from liftbmf.sampler import ChainConfig, _class_permutation, _class_positions, estimate_marginals
 from liftbmf.mln import ground
 
 from conftest import EXAMPLE_P, EXAMPLE_Q, EXAMPLE_R, LABELS
@@ -164,13 +164,15 @@ def test_criterion_6_sampler_correctness():
     evidence = matrix_to_evidence("p", sym_matrix)
     classes = constant_symmetry_classes(sym_model, evidence)
     cond = ground(sym_model).condition(evidence)
+    domain = sym_model.domain
+    positions = _class_positions(domain, classes)
     rng = np.random.default_rng(606)
     invariant = True
     for _ in range(1000):
         values = rng.integers(0, 2, size=len(cond.atoms)).astype(np.uint8)
-        world = cond.world(values)
-        moved = orbital_step(cond, world, classes, rng)
-        invariant &= moved.log_weight == world.log_weight
+        perm = _class_permutation(len(domain), positions, rng)
+        moved = values if perm is None else cond.relabeled(values, perm)
+        invariant &= cond.log_weight(moved) == cond.log_weight(values)
     elapsed = time.perf_counter() - start
     _verdict(
         6,

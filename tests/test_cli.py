@@ -46,6 +46,11 @@ class TestRank:
         assert run("rank", str(path)) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-search", "--size-cap"])
+    def test_negative_cap_exits_one(self, example_file, flag, capsys):
+        assert run("rank", example_file, flag, "-1") == 1
+        assert "must be non-negative" in capsys.readouterr().err
+
     def test_witness_file(self, example_file, tmp_path, capsys):
         out = tmp_path / "w.fct"
         assert run("rank", example_file, "--witness", str(out)) == 0
@@ -122,6 +127,23 @@ class TestInfer:
         assert run("infer", str(model), str(ev), "--query", "q(a)") == 0
         atom, prob = capsys.readouterr().out.split()
         assert atom == "q(a)" and prob == "0.5"
+
+    def test_negative_atom_cap_exits_one(self, tmp_path, capsys):
+        model = tmp_path / "m.mln"
+        model.write_text("domain = a\npred q/1\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        assert run("infer", str(model), str(ev), "--query", "q(a)", "--atom-cap", "-1") == 1
+        assert "atom_cap must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_formula_weight_exits_one(self, tmp_path, weight, capsys):
+        model = tmp_path / "m.mln"
+        model.write_text(f"domain = a\npred q/1\n{weight} q(a)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        assert run("infer", str(model), str(ev), "--query", "q(a)") == 1
+        assert "not finite" in capsys.readouterr().err
 
     def test_inconsistent_exits_three(self, tmp_path, capsys):
         model = tmp_path / "m.mln"
@@ -292,6 +314,14 @@ class TestExperimentCommands:
         lines = out.read_text().splitlines()
         assert lines[1] == "instance,max_abs_diff,pass"
         assert all(line.endswith(",true") for line in lines[2:])
+
+    @pytest.mark.parametrize("instances", ["0", "-5"])
+    def test_equivalence_check_needs_an_instance(self, tmp_path, instances, capsys):
+        out = tmp_path / "eq.csv"
+        assert run("experiment", "equivalence-check", "--instances", instances,
+                   "-o", str(out)) == 1
+        assert "instances must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kld_curve_csv(self, tmp_path):
         model = tmp_path / "m.mln"

@@ -59,6 +59,19 @@ class TestExactBooleanRank:
             exact_boolean_rank(m, max_search=3000)
         assert info.value.upper_bound >= info.value.lower_bound >= 1
 
+    def test_concept_enumeration_budget_reports_trivial_bounds(self):
+        with pytest.raises(SearchBudgetError, match="1 <= rank <= 6") as info:
+            exact_boolean_rank(BoolMatrix(np.eye(6, dtype=np.uint8)), max_search=3)
+        assert (info.value.lower_bound, info.value.upper_bound) == (1, 6)
+        wide = BoolMatrix(np.ones((2, 9), dtype=np.uint8))
+        with pytest.raises(SearchBudgetError, match="concept enumeration.*1 <= rank <= 2"):
+            exact_boolean_rank(wide, max_search=0)
+
+    @pytest.mark.parametrize("caps", [{"max_search": -1}, {"size_cap": -1}])
+    def test_negative_caps_are_input_errors(self, caps):
+        with pytest.raises(InputError, match=f"{next(iter(caps))} must be non-negative"):
+            exact_boolean_rank(BoolMatrix(np.eye(3, dtype=np.uint8)), **caps)
+
     def test_budget_upper_bound_never_above_min_dimension(self):
         # the greedy cover of this matrix uses 15 rectangles; 14 always suffice
         m = BoolMatrix(np.random.default_rng(103).random((14, 14)) < 0.5)

@@ -97,6 +97,13 @@ class TestParseModel:
         with pytest.raises(InputError, match=message):
             parse_model(text)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "+inf", "1e999"])
+    def test_non_finite_formula_weight_is_refused(self, weight):
+        with pytest.raises(InputError, match="not finite"):
+            parse_model(f"domain = a\npred q/1\n{weight} q(a)\n")
+        with pytest.raises(InputError, match="not finite"):
+            Model(("a",), {"q": 1}, ((float(weight), Atom("q", ("a",))),))
+
 
 class TestParseEvidence:
     def test_negative_literal(self):
@@ -260,6 +267,17 @@ class TestExactQuery:
         with pytest.raises(CapacityError, match="cap"):
             exact_query(model, EvidenceSet(), Atom("p", ("a", "b")), atom_cap=24)
 
+    @pytest.mark.parametrize("caps", [{"atom_cap": -1}, {"ground_cap": -1}])
+    def test_negative_caps_are_input_errors(self, caps):
+        model = parse_model("domain = a\npred q/1\n")
+        name = next(iter(caps))
+        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+            exact_query(model, EvidenceSet(), Atom("q", ("a",)), **caps)
+        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+            exact_marginals(model, EvidenceSet(), [], **caps)
+        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+            enumerate_world_distribution(model, EvidenceSet(), **caps)
+
     def test_renaming_invariance(self):
         # permuting two constants with identical evidence leaves the
         # permuted query unchanged
@@ -330,12 +348,27 @@ class TestWorldWeights:
             else:
                 assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_world_view(self):
-        model = parse_model("domain = a\npred q/1\n0.3 q(a)\n")
+    @pytest.mark.parametrize("size", [0, 3, 5])
+    def test_world_of_the_wrong_size_is_refused(self, size):
+        # four open atoms: q(a), q(b), s(a), s(b)
+        model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")
         cond = ground(model).condition(EvidenceSet())
-        world = cond.world([1])
-        assert world.assignment == {Atom("q", ("a",)): True}
-        assert world.log_weight == pytest.approx(0.3)
+        values = np.ones(size, dtype=np.int64)
+        with pytest.raises(InputError, match="must assign 4 atoms"):
+            cond.log_weight(values)
+        with pytest.raises(InputError, match="must assign 4 atoms"):
+            cond.conditional(values, 0)
+        with pytest.raises(InputError, match="must assign 4 atoms"):
+            cond.relabeled(values, np.array([1, 0]))
+        with pytest.raises(InputError, match="must assign 4 atoms"):
+            cond.log_weight(np.ones((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("i", [-1, 4, 100])
+    def test_conditional_of_an_atom_outside_the_world_is_refused(self, i):
+        model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")
+        cond = ground(model).condition(EvidenceSet())
+        with pytest.raises(InputError, match=r"outside \[0, 4\)"):
+            cond.conditional([1, 0, 1, 1], i)
 
 
 class TestEnumeration:
