@@ -57,6 +57,24 @@ def _read_label_header(line: str, lineno: int, labels: dict[str, tuple[str, ...]
             labels[tag] = tuple(p.strip() for p in names.split(",")) if names.strip() else ()
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """`values` as a read-only contiguous uint8 array.
+
+    Entries are checked before the cast, so 0.5, NaN or 256 are refused
+    rather than truncated or wrapped; bools pass as 0/1.
+    """
+    bits = np.asarray(values)
+    if bits.dtype == np.uint8:
+        bad = bits.size and bits.max() > 1
+    else:
+        bad = bits.dtype != bool and not ((bits == 0) | (bits == 1)).all()
+    if bad:
+        raise InputError(f"{what} entries must be 0 or 1")
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    bits.setflags(write=False)
+    return bits
+
+
 @dataclass(frozen=True, eq=False)
 class BoolMatrix:
     """k x l bit matrix with optional row/column labels."""
@@ -66,15 +84,9 @@ class BoolMatrix:
     col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.dtype != np.uint8:
-            bits = bits.astype(np.uint8)
+        bits = _bit_array(self.bits, "matrix")
         if bits.ndim != 2:
             raise InputError(f"matrix must be 2-dimensional, got shape {bits.shape}")
-        if bits.size and bits.max() > 1:
-            raise InputError("matrix entries must be 0 or 1")
-        bits = np.ascontiguousarray(bits)
-        bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "row_labels", _check_labels(self.row_labels, bits.shape[0], "row"))
         object.__setattr__(self, "col_labels", _check_labels(self.col_labels, bits.shape[1], "col"))

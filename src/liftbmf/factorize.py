@@ -3,7 +3,10 @@
 The exact solver covers the 1-entries of the matrix with maximal all-ones
 rectangles (formal concepts) using branch-and-bound set cover; by
 construction no rectangle touches a 0-entry, so a minimum cover is a
-minimum exact factorization.  The greedy solver follows the ASSO scheme:
+minimum exact factorization.  Concepts are enumerated breadth first from
+the empty column set; the search branches on the uncovered cell with the
+fewest covering rectangles, in a cell order fixed before it starts.  The
+greedy solver follows the ASSO scheme:
 candidate column patterns come from thresholded association confidences,
 and each round keeps the candidate whose best per-row companion maximizes
 a weighted cover gain.
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolmat import BoolMatrix, _check_labels, _read_label_header, boolean_product, hamming_error
+from .boolmat import (BoolMatrix, _bit_array, _check_labels, _read_label_header,
+                      boolean_product, hamming_error)
 from .errors import CapacityError, InputError, SearchBudgetError
 
 __all__ = [
@@ -64,13 +68,9 @@ class AssoParams:
 
 
 def _as_vector(v, n: int, what: str) -> np.ndarray:
-    vec = np.asarray(v, dtype=np.uint8)
+    vec = _bit_array(v, what)
     if vec.shape != (n,):
         raise InputError(f"{what} must have length {n}, got shape {vec.shape}")
-    if vec.size and vec.max() > 1:
-        raise InputError(f"{what} entries must be 0 or 1")
-    vec = np.ascontiguousarray(vec)
-    vec.setflags(write=False)
     return vec
 
 
@@ -255,56 +255,40 @@ def write_factorization(f: Factorization, path) -> None:
 # --- exact Boolean rank ------------------------------------------------
 
 
+def _pack(bits: np.ndarray) -> int:
+    """The 0/1 vector `bits` as an int whose bit i is entry i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _concepts(p: BoolMatrix, budget: list[int]) -> list[tuple[int, int]]:
     """All maximal all-ones rectangles, as (row bitmask, column bitmask).
 
-    Enumerated as closures of column subsets; `budget` is a one-element
-    mutable node counter shared with the cover search.
+    Enumerated breadth first as closures of column subsets, starting from
+    the empty column set with every row; that start is no concept, since
+    every concept has a column.  `budget` is a one-element mutable node
+    counter shared with the cover search.
     """
     k, l = p.shape
-    row_cols = [int("".join(str(b) for b in reversed(p.bits[i])), 2) if p.bits[i].any() else 0
-                for i in range(k)]
-    col_rows = [0] * l
-    for i in range(k):
-        for j in range(l):
-            if p.bits[i, j]:
-                col_rows[j] |= 1 << i
-
-    def rows_of(col_mask: int) -> int:
-        rows = (1 << k) - 1
-        m = col_mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            rows &= col_rows[j]
-            m &= m - 1
-        return rows
+    row_cols = [_pack(row) for row in p.bits]
+    col_rows = [_pack(col) for col in p.bits.T]
 
     def cols_of(row_mask: int) -> int:
         cols = (1 << l) - 1
-        m = row_mask
-        while m:
-            i = (m & -m).bit_length() - 1
+        for i in _set_bits(row_mask):
             cols &= row_cols[i]
-            m &= m - 1
         return cols
 
-    seen: dict[int, int] = {}
-    queue: list[int] = []
-    for j in range(l):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchBudgetError("concept enumeration exceeded the search budget")
-        rows = col_rows[j]
-        if not rows:
-            continue
-        closed = cols_of(rows)
-        if closed not in seen:
-            seen[closed] = rows
-            queue.append(closed)
-    head = 0
-    while head < len(queue):
-        b = queue[head]
-        head += 1
+    seen = {0: (1 << k) - 1}
+    queue = [0]
+    for b in queue:
         rows = seen[b]
         for j in range(l):
             if b >> j & 1:
@@ -319,18 +303,7 @@ def _concepts(p: BoolMatrix, budget: list[int]) -> list[tuple[int, int]]:
             if closed not in seen:
                 seen[closed] = rows2
                 queue.append(closed)
-    return [(rows, b) for b, rows in seen.items()]
-
-
-def _rect_cells(rows: int, cols: int, l: int) -> int:
-    """Bitmask over flat cell positions i*l+j of the rectangle rows x cols."""
-    cells = 0
-    m = rows
-    while m:
-        i = (m & -m).bit_length() - 1
-        cells |= cols << (i * l)
-        m &= m - 1
-    return cells
+    return [(rows, b) for b, rows in seen.items() if b]
 
 
 def exact_boolean_rank(
@@ -358,11 +331,7 @@ def exact_boolean_rank(
         )
 
     empty = Factorization((), (k, l), p.row_labels, p.col_labels).with_target(p)
-    ones_mask = 0
-    for i in range(k):
-        for j in range(l):
-            if p.bits[i, j]:
-                ones_mask |= 1 << (i * l + j)
+    ones_mask = _pack(p.bits.ravel())
     if ones_mask == 0:
         return 0, empty
 
@@ -379,17 +348,17 @@ def exact_boolean_rank(
     except SearchBudgetError:
         # p has a one, and min(k, l) rectangles always suffice: one per row or per column
         raise out_of_budget("concept enumeration", 1, min(k, l)) from None
-    covers = [(_rect_cells(rows, cols, l), rows, cols) for rows, cols in rects]
+    covers = [(sum(cols << i * l for i in _set_bits(rows)), rows, cols)
+              for rows, cols in rects]
     # canonical order: biggest coverage first, then by masks, for determinism
     covers.sort(key=lambda t: (-t[0].bit_count(), t[1], t[2]))
-    cell_list = [b for b in range(k * l) if ones_mask >> b & 1]
-    covering: dict[int, list[int]] = {b: [] for b in cell_list}
+    covering: dict[int, list[int]] = {b: [] for b in _set_bits(ones_mask)}
     for idx, (cells, _, _) in enumerate(covers):
-        m = cells
-        while m:
-            b = (m & -m).bit_length() - 1
+        for b in _set_bits(cells):
             covering[b].append(idx)
-            m &= m - 1
+    # branch on the uncovered cell with the fewest covering rectangles, the
+    # lowest such cell on ties: a stable sort of the ascending cells
+    order = sorted(covering, key=lambda b: len(covering[b]))
     max_cover = max(c[0].bit_count() for c in covers)
 
     # greedy cover gives the initial upper bound (and a feasible witness)
@@ -421,18 +390,7 @@ def exact_boolean_rank(
         if prev is not None and prev <= depth:
             return
         memo[uncovered] = depth
-        # branch on the uncovered cell with the fewest covering rectangles
-        pick_cell = None
-        pick_count = None
-        m = uncovered
-        while m:
-            b = (m & -m).bit_length() - 1
-            c = len(covering[b])
-            if pick_count is None or c < pick_count:
-                pick_cell, pick_count = b, c
-                if c == 1:
-                    break
-            m &= m - 1
+        pick_cell = next(b for b in order if uncovered >> b & 1)
         options = sorted(
             covering[pick_cell],
             key=lambda i: -(covers[i][0] & uncovered).bit_count(),

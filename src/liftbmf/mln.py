@@ -711,26 +711,33 @@ class Conditioned:
             logw += comp.log_factor(column)
         return logw
 
-    def _world(self, values) -> np.ndarray:
-        """A world as int64 0/1 values, one per open atom in `atoms` order;
-        InputError for any other shape."""
-        values = np.asarray(values, dtype=np.int64)
+    def _column(self, values) -> list[int]:
+        """A world as a list of 0/1 ints, one per open atom in `atoms` order;
+        InputError for any other shape, for a dtype other than integer or
+        bool, and for any entry other than 0 or 1."""
+        values = np.asarray(values)
         if values.shape != (len(self.atoms),):
             raise InputError(
                 f"world must assign {len(self.atoms)} atoms, got shape {values.shape}"
             )
-        return values
+        kind = values.dtype.kind
+        if kind == "b":
+            values = values.view(np.uint8)
+        column = values.tolist()
+        if (kind not in "biu" and column) or not set(column) <= {0, 1}:
+            raise InputError("world entries must be 0 or 1, as integers or bools")
+        return column
 
     def log_weight(self, values) -> float:
         """Log weight of a world; -inf when a hard grounding is violated."""
-        return float(self.log_weights(self._world(values).tolist(), ()))
+        return float(self.log_weights(self._column(values), ()))
 
     def conditional(self, values, i: int) -> float:
         """P(atom i = true | the other atoms as in `values`), read off atom
         i's Markov blanket.  Raises InputError if neither setting satisfies
         the hard formulas there: the given world is infeasible, which
         proves nothing about the model."""
-        column = self._world(values).tolist()
+        column = self._column(values)
         if not 0 <= i < len(column):
             raise InputError(f"atom index {i} outside [0, {len(column)})")
         column[i] = 0
@@ -758,7 +765,7 @@ class Conditioned:
         positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
         Raises InputError unless `perm` holds each domain position exactly
         once, and when an open atom would land on a known one."""
-        values = self._world(values)
+        values = np.array(self._column(values), dtype=np.int64)
         perm = np.asarray(perm)
         m = len(self.model.domain)
         ok = perm.shape == (m,) and perm.dtype.kind in "iu" and ((perm >= 0) & (perm < m)).all()

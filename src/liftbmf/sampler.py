@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .mln import Atom, Conditioned, EvidenceSet, Model, ground
+from .mln import Atom, Conditioned, EvidenceSet, Model, format_atom, ground
 from .reduction import constant_symmetry_classes
 
 __all__ = [
@@ -252,13 +252,21 @@ def kld(
 
     Estimates are clamped to [eps, 1-eps] so empty-count estimates stay
     finite; the reference is used as-is with the 0 log 0 = 0 convention.
+    Raises InputError for a reference atom without an estimate and for any
+    value outside [0, 1], NaN included.
     """
     values = estimate.estimates if isinstance(estimate, MarginalEstimate) else estimate
     if not reference:
         raise InputError("reference marginals are empty")
     total = 0.0
     for atom, p in reference.items():
-        q = min(max(values[atom], eps), 1.0 - eps)
+        if atom not in values:
+            raise InputError(f"no estimate for reference atom {format_atom(atom)}")
+        q = values[atom]
+        for what, x in (("reference", p), ("estimate", q)):
+            if not 0.0 <= x <= 1.0:
+                raise InputError(f"{what} of {format_atom(atom)} must be in [0, 1], got {x}")
+        q = min(max(q, eps), 1.0 - eps)
         term = 0.0
         if p > 0.0:
             term += p * math.log(p / q)

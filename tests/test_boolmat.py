@@ -134,6 +134,24 @@ class TestConstruction:
         with pytest.raises(InputError, match="0 or 1"):
             BoolMatrix(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.5, 1], [1, 1]],
+            [[1.7, 0], [0, 1]],
+            [[np.nan, 1], [1, 1]],
+            [[256, 0], [0, 1]],
+        ],
+    )
+    def test_refuses_entries_a_uint8_cast_would_change(self, entries):
+        # each of these used to be truncated or wrapped to a 0/1 matrix
+        with pytest.raises(InputError, match="matrix entries must be 0 or 1"):
+            BoolMatrix(np.array(entries))
+
+    def test_accepts_bools_and_integral_floats(self):
+        for entries in ([[True, False]], [[1.0, 0.0]], [[1, 0]]):
+            assert BoolMatrix(np.array(entries)).bits.tolist() == [[1, 0]]
+
     def test_rejects_bad_labels(self):
         with pytest.raises(InputError, match="expected 2"):
             BoolMatrix(np.zeros((2, 2), dtype=np.uint8), ("a",), None)

@@ -274,6 +274,51 @@ class TestAssoAgainstFullRecompute:
         )
 
 
+class TestExactRankPinned:
+    """Ranks, witnesses and budget errors recorded from the exact solver
+    before its concept loop was merged and its branching order fixed up
+    front; witnesses feed `truncate` in `kld_curve`, so pair order counts."""
+
+    def test_pinned_ranks_and_witnesses(self):
+        rng = np.random.default_rng(909)
+        pool = []
+        for _ in range(300):
+            k, l = rng.integers(2, 11, size=2)
+            pool.append(rng.random((k, l)) < rng.uniform(0.15, 0.85))
+        pool += [rng.random((10, 10)) < 0.5 for _ in range(12)]
+        h = hashlib.sha256()
+        for bits in pool:
+            rank, witness = exact_boolean_rank(BoolMatrix(bits))
+            h.update(f"{rank}:{_pairs_digest(witness)}\n".encode())
+        assert h.hexdigest() == (
+            "136dd3c177c65db4987df0fc5597b48c7675bc987c2acf1f8453f2637255fcc9"
+        )
+
+    def test_pinned_budget_errors(self):
+        concepts, search = "concept enumeration", "exact rank search"
+        expected = [
+            [(50, concepts, 1, 10), (500, search, 3, 10), (5000, search, 3, 9)],
+            [(50, concepts, 1, 10), (500, 8), (5000, 8)],
+            [(50, concepts, 1, 11), (500, concepts, 1, 11), (5000, search, 5, 11)],
+            [(50, concepts, 1, 11), (500, concepts, 1, 11), (5000, search, 5, 10)],
+        ]
+        rng = np.random.default_rng(910)
+        for side, outcomes in zip((10, 10, 11, 11), expected):
+            m = BoolMatrix(rng.random((side, side)) < 0.5)
+            for outcome in outcomes:
+                budget = outcome[0]
+                if len(outcome) == 2:
+                    assert exact_boolean_rank(m, max_search=budget)[0] == outcome[1]
+                    continue
+                _, stage, lb, ub = outcome
+                with pytest.raises(SearchBudgetError) as info:
+                    exact_boolean_rank(m, max_search=budget)
+                assert (info.value.lower_bound, info.value.upper_bound) == (lb, ub)
+                assert str(info.value) == (
+                    f"{stage} exceeded {budget} nodes; best bounds so far: {lb} <= rank <= {ub}"
+                )
+
+
 class TestAssoParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -326,6 +371,13 @@ class TestTruncate:
 
 
 class TestFactorizationType:
+    @pytest.mark.parametrize("q", [[257, 1], [0.5, 1], [np.nan, 1]])
+    def test_refuses_vector_entries_a_uint8_cast_would_change(self, q):
+        with pytest.raises(InputError, match="q vector entries must be 0 or 1"):
+            Factorization(((np.array(q), np.array([1, 1])),), (2, 2))
+        with pytest.raises(InputError, match="r vector entries must be 0 or 1"):
+            Factorization(((np.array([1, 1]), np.array(q)),), (2, 2))
+
     def test_rank_bounded_by_dimensions(self):
         pair = (np.ones(2, dtype=np.uint8), np.ones(3, dtype=np.uint8))
         with pytest.raises(InputError, match="exceeds"):

@@ -363,6 +363,30 @@ class TestWorldWeights:
         with pytest.raises(InputError, match="must assign 4 atoms"):
             cond.log_weight(np.ones((2, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "values", [[2, 0, 2, 0], [-1, 0, 0, 0], [0, 3, 0, 0], [0.5, 0, 0, 0], [1.0, 0, 0, 0]]
+    )
+    def test_world_entries_other_than_0_or_1_are_refused(self, values):
+        # these used to index past a log table, wrap to its last entry, or
+        # be truncated to 0 by the int64 cast
+        model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")
+        cond = ground(model).condition(EvidenceSet())
+        with pytest.raises(InputError, match="world entries must be 0 or 1"):
+            cond.log_weight(values)
+        with pytest.raises(InputError, match="world entries must be 0 or 1"):
+            cond.conditional(values, 0)
+        with pytest.raises(InputError, match="world entries must be 0 or 1"):
+            cond.relabeled(values, np.array([1, 0]))
+
+    def test_bool_worlds_are_read_as_0_and_1(self):
+        model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")
+        cond = ground(model).condition(EvidenceSet())
+        flags = np.array([True, False, True, True])
+        ints = flags.astype(np.int64)
+        assert cond.log_weight(flags) == cond.log_weight(ints) == 0.5
+        assert cond.conditional(flags, 1) == cond.conditional(ints, 1)
+        assert cond.relabeled(flags, np.array([1, 0])).tolist() == [0, 1, 1, 1]
+
     @pytest.mark.parametrize("i", [-1, 4, 100])
     def test_conditional_of_an_atom_outside_the_world_is_refused(self, i):
         model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")

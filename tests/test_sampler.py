@@ -341,6 +341,27 @@ class TestKld:
         ref = {Atom("q", ("a",)): 1.0}
         assert math.isfinite(kld(ref, {Atom("q", ("a",)): 0.0}))
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (1.5, 0.5, r"reference of q\(a\) must be in \[0, 1\], got 1.5"),
+            (-0.1, 0.5, "reference of q.a. must be in"),
+            (float("nan"), 0.5, "reference of q.a. must be in .*nan"),
+            (0.5, float("nan"), "estimate of q.a. must be in .*nan"),
+            (0.5, 1.2, "estimate of q.a. must be in"),
+        ],
+    )
+    def test_refuses_values_outside_the_unit_interval(self, p, q, message):
+        # a reference of 1.5 gave 1.648, a NaN reference counted as 0 and a
+        # NaN estimate gave nan
+        with pytest.raises(InputError, match=message):
+            kld({Atom("q", ("a",)): p}, {Atom("q", ("a",)): q})
+
+    def test_refuses_a_reference_atom_without_estimate(self):
+        ref = {Atom("q", ("a",)): 0.5, Atom("q", ("b",)): 0.5}
+        with pytest.raises(InputError, match=r"no estimate for reference atom q\(b\)"):
+            kld(ref, {Atom("q", ("a",)): 0.5})
+
     def test_accepts_marginal_estimate(self):
         model = parse_model("domain = a\npred q/1\n")
         config = ChainConfig(iterations=100, seed=0)
