@@ -61,7 +61,9 @@ def _bit_array(values, what: str) -> np.ndarray:
     """`values` as a read-only contiguous uint8 array.
 
     Entries are checked before the cast, so 0.5, NaN or 256 are refused
-    rather than truncated or wrapped; bools pass as 0/1.
+    rather than truncated or wrapped; bools pass as 0/1.  A writable input
+    is copied, since the caller may still write to it; a read-only one is
+    shared.
     """
     bits = np.asarray(values)
     if bits.dtype == np.uint8:
@@ -70,7 +72,7 @@ def _bit_array(values, what: str) -> np.ndarray:
         bad = bits.dtype != bool and not ((bits == 0) | (bits == 1)).all()
     if bad:
         raise InputError(f"{what} entries must be 0 or 1")
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    bits = np.array(bits, dtype=np.uint8, order="C", copy=True if bits.flags.writeable else None)
     bits.setflags(write=False)
     return bits
 

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the integer check
+behind the InputErrors for seeds and counts.
 
 The CLI maps these onto exit codes: InputError -> 1, CapacityError -> 2,
 InconsistencyError -> 3.
 """
+import numbers
 
 __all__ = [
     "LiftBmfError",
@@ -36,3 +38,10 @@ class SearchBudgetError(CapacityError):
 
 class InconsistencyError(LiftBmfError):
     """Evidence and hard constraints admit no world (zero partition mass)."""
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """InputError unless `value` is an integer, Python or numpy, of at least
+    `minimum`; bools and integral floats are refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, boolean_product
-from .errors import InputError
+from .errors import InputError, check_integer
 from .factorize import AssoParams, asso_factorize, exact_boolean_rank, truncate
 from .mln import And, Atom, EvidenceSet, Iff, Implies, Model, Not, Or, exact_marginals, exact_query
 from .reduction import encode_evidence, extend_model, matrix_to_evidence
@@ -62,6 +62,7 @@ def gen_synthetic(
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
     if not 0.0 < fill_target < 1.0:
         raise InputError(f"fill target must be in (0, 1), got {fill_target}")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     if planted_rank == 0:
         bits = np.zeros((m, m), dtype=np.uint8)
@@ -112,6 +113,7 @@ def planted_block_matrix(
         raise InputError(f"need at least 3 constants per block: m={m}, blocks={blocks}")
     if not 0.0 <= noise < 0.5:
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     extra = rng.multinomial(m - 3 * blocks, np.full(blocks, 1.0 / blocks))
     sizes = [3 + int(e) for e in extra]
@@ -176,7 +178,10 @@ def random_equivalence_instance(
     max_weighted: int = 2,
     weight_range: tuple[float, float] = (-2.0, 2.0),
 ) -> tuple[Model, BoolMatrix, Atom]:
-    """Small random model, planted low-rank binary evidence, and a query."""
+    """Small random model, planted low-rank binary evidence, and a query,
+    all drawn from `rng`."""
+    if not isinstance(rng, np.random.Generator):
+        raise InputError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     m = int(rng.integers(2, max_m + 1))
     domain = tuple("abcdefghij"[:m])
     s_x, s_y = Atom("s", ("X",)), Atom("s", ("Y",))
@@ -203,6 +208,7 @@ def equivalence_check(
     """Compare exact inference before and after the unary reduction."""
     if instances < 1:
         raise InputError(f"instances must be at least 1, got {instances}")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(instances):
@@ -274,6 +280,8 @@ def kld_curve(
     _check_ranks(ranks)
     if not seeds:
         raise InputError("at least one seed is required")
+    for seed in seeds:
+        check_integer(seed, "seed", 0)
     if not 1 <= snapshot_every <= iterations:
         raise InputError(
             f"snapshot_every must be in [1, iterations={iterations}], got {snapshot_every}"

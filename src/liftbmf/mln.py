@@ -15,6 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -732,6 +733,26 @@ class Conditioned:
         """Log weight of a world; -inf when a hard grounding is violated."""
         return float(self.log_weights(self._column(values), ()))
 
+    @cached_property
+    def _plans(self) -> tuple[tuple[tuple[memoryview, int, tuple[tuple[int, int], ...]], ...], ...]:
+        """Per open atom i, one entry per formula of `blanket[i]`, in order:
+        the formula's log table as a memoryview of its array (indexing it
+        gives a Python float), atom i's bit in the packed index, and the
+        (atom id, bit position) pairs of its other atoms.  Built on the
+        first conditional, so exact enumeration never pays for it."""
+        tables = [memoryview(comp.log_table) for comp in self.formulas]
+        return tuple(
+            tuple(
+                (
+                    tables[k],
+                    1 << self.formulas[k].atom_ids.index(i),
+                    tuple((a, pos) for pos, a in enumerate(self.formulas[k].atom_ids) if a != i),
+                )
+                for k in near
+            )
+            for i, near in enumerate(self.blanket)
+        )
+
     def conditional(self, values, i: int) -> float:
         """P(atom i = true | the other atoms as in `values`), read off atom
         i's Markov blanket.  Raises InputError if neither setting satisfies
@@ -740,13 +761,19 @@ class Conditioned:
         column = self._column(values)
         if not 0 <= i < len(column):
             raise InputError(f"atom index {i} outside [0, {len(column)})")
-        column[i] = 0
+        return self._conditional(column, i)
+
+    def _conditional(self, column: list[int], i: int) -> float:
+        """`conditional` on a world already checked by `_column` and an atom
+        index in range.  Factors are added one blanket formula at a time, in
+        blanket order, the order every caller's floats depend on."""
         log0 = log1 = 0.0
-        for k in self.blanket[i]:
-            comp = self.formulas[k]
-            packed = comp.packed(column)
-            log0 += comp.log_table[packed]
-            log1 += comp.log_table[packed | 1 << comp.atom_ids.index(i)]
+        for table, bit, others in self._plans[i]:
+            packed = 0
+            for atom_id, pos in others:
+                packed |= column[atom_id] << pos
+            log0 += table[packed]
+            log1 += table[packed | bit]
         if log0 == log1 == -math.inf:
             raise InputError(
                 f"both settings of {format_atom(self.atoms[i])} violate hard formulas "
@@ -775,15 +802,26 @@ class Conditioned:
             ok = hit.all()
         if not ok:
             raise InputError(f"perm must hold each of the {m} domain positions exactly once")
-        out = values.copy()
+        if not self._keeps_open_atoms_open(perm):
+            raise InputError("the permutation moves an open atom onto a known atom")
+        return values[self._relabeling_sources(perm)]
+
+    def _keeps_open_atoms_open(self, perm: np.ndarray) -> bool:
+        """Whether renaming constants by the permutation `perm` sends every
+        open atom to an open atom.  The permutations that do form a group."""
+        return all(
+            (permute_axes(lookup, perm)[lookup >= 0] >= 0).all() for lookup in self.relabeling
+        )
+
+    def _relabeling_sources(self, perm: np.ndarray) -> np.ndarray:
+        """For each open atom, the id of the atom whose value it takes when
+        constants are renamed by `perm`, a permutation that keeps open atoms
+        open: the relabeled world is `values[sources]`."""
+        sources = np.arange(len(self.atoms))
         for lookup in self.relabeling:
-            moved = permute_axes(lookup, perm)
             is_open = lookup >= 0
-            targets = moved[is_open]
-            if (targets < 0).any():
-                raise InputError("the permutation moves an open atom onto a known atom")
-            out[targets] = values[lookup[is_open]]
-        return out
+            sources[permute_axes(lookup, perm)[is_open]] = lookup[is_open]
+        return sources
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:
         """Check query atoms; split off the known ones, given or derived,

@@ -11,6 +11,14 @@ evidence and occur in no formula, so such permutations leave
 `Conditioned.log_weight` unchanged and the stationary distribution is
 preserved.  Marginals come from either the sample frequency or
 Rao-Blackwellized conditional averaging.
+
+The chain holds its world as a list of Python ints and its running sums as
+Python floats.  The world is checked once per chain, on WalkSAT's output,
+and again after each jump; the steps in between call the unchecked
+conditional.  That jumps keep open atoms open is checked once per chain,
+on the swaps that generate the class permutations.  None of this changes
+a drawn number or the order of a floating-point addition, so a seed gives
+the same estimates as the numpy-world chain it replaced.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, check_integer
 from .mln import Atom, Conditioned, EvidenceSet, Model, format_atom, ground
 from .reduction import constant_symmetry_classes
 
@@ -47,16 +55,16 @@ class ChainConfig:
     estimator: str = "rao_blackwell"
 
     def __post_init__(self):
-        if self.iterations <= 0:
-            raise InputError(f"iterations must be positive, got {self.iterations}")
+        check_integer(self.iterations, "iterations", 1)
+        if self.burn_in is not None:
+            check_integer(self.burn_in, "burn_in", 0)
+        check_integer(self.seed, "seed", 0)
         if not 0.0 <= self.orbital_move_probability <= 1.0:
             raise InputError(
                 f"orbital_move_probability must be in [0, 1], got {self.orbital_move_probability}"
             )
         if self.estimator not in ("frequency", "rao_blackwell"):
             raise InputError(f"unknown estimator {self.estimator!r}")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise InputError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.resolved_burn_in() >= self.iterations:
             raise InputError(
                 f"burn_in {self.resolved_burn_in()} must be below iterations {self.iterations}"
@@ -105,8 +113,29 @@ def _class_permutation(
     m domain positions; None when every class draws the identity."""
     perm = np.arange(m)
     for at in positions:
-        perm[at] = at[rng.permutation(len(at))]
-    return None if np.array_equal(perm, np.arange(m)) else perm
+        perm[at] = rng.permutation(at)
+    return None if (perm == np.arange(m)).all() else perm
+
+
+def _check_class_swaps(cond: Conditioned, positions: Sequence[np.ndarray]) -> None:
+    """InputError unless every permutation within the classes keeps open
+    atoms open.  Such permutations form a group, and the swaps of each
+    class's first member with each other member generate the permutations
+    within the classes, so checking those swaps covers every jump."""
+    for at in positions:
+        for c in at[1:]:
+            swap = np.arange(len(cond.model.domain))
+            swap[[at[0], c]] = c, at[0]
+            if not cond._keeps_open_atoms_open(swap):
+                raise InputError(
+                    f"swapping {cond.model.domain[at[0]]!r} and {cond.model.domain[c]!r} "
+                    "moves an open atom onto a known atom"
+                )
+
+
+def _packed(world: Sequence[int]) -> int:
+    """A world as an int, atom i's value at bit i."""
+    return sum(v << i for i, v in enumerate(world))
 
 
 def find_consistent_world(
@@ -171,6 +200,7 @@ def estimate_marginals(
     use_orbital = config.orbital_move_probability > 0.0
     classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
     class_positions = _class_positions(model.domain, classes)
+    _check_class_swaps(cond, class_positions)
 
     streams = [
         np.random.default_rng(s)
@@ -178,11 +208,11 @@ def estimate_marginals(
     ]
     init_rng, atom_rng, unif_rng, orbit_decide_rng, orbit_perm_rng = streams
 
-    values = find_consistent_world(cond, init_rng)
-    n = len(cond.atoms)
+    world = cond._column(find_consistent_world(cond, init_rng))
+    n = len(world)
 
-    qpos = {cond.index[a]: k for k, a in enumerate(open_queries)}
-    sums = np.zeros(len(open_queries))
+    query_ids = [(cond.index[a], k) for k, a in enumerate(open_queries)]
+    sums = [0.0] * len(open_queries)
     samples = 0
 
     counts = None
@@ -191,43 +221,44 @@ def estimate_marginals(
         if n > 16:
             raise InputError(f"world counting supports at most 16 atoms, got {n}")
         counts = np.zeros(1 << n, dtype=np.int64)
-        world_int = int(sum(int(v) << i for i, v in enumerate(values)))
+        world_int = _packed(world)
 
     snapshots: list[tuple[int, dict[Atom, float]]] = []
 
     def current_estimates() -> dict[Atom, float]:
         # ChainConfig keeps burn_in below iterations, so samples > 0 here
         est = dict(fixed)
-        est.update({a: float(sums[k] / samples) for k, a in enumerate(open_queries)})
+        est.update({a: sums[k] / samples for k, a in enumerate(open_queries)})
         return est
 
+    conditional = cond._conditional
     rao_blackwell = config.estimator == "rao_blackwell"
     t = 0
     while t < config.iterations:
         block = min(_BLOCK, config.iterations - t)
-        picks = atom_rng.integers(0, n, size=block) if n else None
-        unifs = unif_rng.random(block)
+        picks = atom_rng.integers(0, n, size=block).tolist() if n else None
+        unifs = unif_rng.random(block).tolist()
         if use_orbital:
-            jumps = orbit_decide_rng.random(block) < config.orbital_move_probability
+            jumps = (orbit_decide_rng.random(block) < config.orbital_move_probability).tolist()
         for b in range(block):
             t += 1
             if use_orbital and jumps[b]:
                 perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
                 if perm is not None:
-                    values = cond.relabeled(values, perm)
+                    world = cond._column(np.asarray(world)[cond._relabeling_sources(perm)])
                     if counts is not None:
-                        world_int = int(sum(int(v) << i for i, v in enumerate(values)))
+                        world_int = _packed(world)
             if n:
-                i = int(picks[b])
-                p = cond.conditional(values, i)
+                i = picks[b]
+                p = conditional(world, i)
                 new = 1 if unifs[b] < p else 0
-                if new != values[i]:
-                    values[i] = new
+                if new != world[i]:
+                    world[i] = new
                     world_int ^= 1 << i
             if t > burn_in:
                 samples += 1
-                for qi, k in qpos.items():
-                    sums[k] += p if rao_blackwell and qi == i else values[qi]
+                for qi, k in query_ids:
+                    sums[k] += p if rao_blackwell and qi == i else world[qi]
                 if counts is not None:
                     counts[world_int] += 1
                 if snapshot_every and t % snapshot_every == 0:

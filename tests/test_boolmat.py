@@ -164,6 +164,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             example_matrix.bits[0, 0] = 0
 
+    def test_callers_writable_array_stays_writable_and_apart(self):
+        bits = np.zeros((2, 2), dtype=np.uint8)
+        matrix = BoolMatrix(bits)
+        bits[0, 0] = 1
+        assert matrix.bits[0, 0] == 0
+        row = bits[1]  # a writable view is the caller's too
+        matrix = BoolMatrix(row.reshape(1, 2))
+        row[1] = 1
+        assert matrix.bits.tolist() == [[0, 0]]
+
+    def test_read_only_array_is_shared(self):
+        bits = np.eye(3, dtype=np.uint8)
+        bits.setflags(write=False)
+        assert BoolMatrix(bits).bits is bits
+
     def test_entry_bounds(self, example_matrix):
         assert example_matrix.entry(1, 3) == 1
         with pytest.raises(InputError):

@@ -278,6 +278,34 @@ class TestGen:
         assert head.startswith("# gen ") and "seed=9" in head
 
 
+class TestBadSeeds:
+    """Every seed-taking command refuses a negative seed with exit 1 and a
+    one-line error, not a traceback from numpy's seeding."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("infer", "{model}", "{evidence}", "--query", "q(b)", "--method", "gibbs",
+             "--seed", "-1"),
+            ("gen", "-m", "10", "--rank", "2", "--seed", "-1", "-o", "{out}"),
+            ("experiment", "equivalence-check", "--seed", "-1", "-o", "{out}"),
+            ("experiment", "error-curve", "--planted", "10,2,0.1", "--ranks", "1,2",
+             "--seeds", "-1", "-o", "{out}"),
+        ],
+        ids=["infer", "gen", "equivalence-check", "error-curve"],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, capsys, argv):
+        paths = {"model": tmp_path / "m.mln", "evidence": tmp_path / "e.ev",
+                 "out": tmp_path / "out.txt"}
+        paths["model"].write_text("domain = a, b\npred q/1\n0.5 q(X)\n")
+        paths["evidence"].write_text("q(a)\n")
+        assert run(*(arg.format(**paths) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("liftbmf: error: ") and "seed must be an integer >= 0" in err
+        assert "Traceback" not in err
+        assert not paths["out"].exists()
+
+
 class TestExperimentCommands:
     def test_error_curve_on_example(self, example_file, tmp_path, capsys):
         out = tmp_path / "err.csv"

@@ -145,6 +145,40 @@ class TestExperimentSpec:
                       iterations=20, snapshot_every=10)
 
 
+BAD_SEEDS = [-1, 1.5, 2.0, True, "3"]
+
+
+class TestSeedsAreChecked:
+    """A seed that is not a non-negative integer is an InputError, not a
+    ValueError from inside numpy's seeding."""
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_generators(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            gen_synthetic(5, 2, 0.0, seed)
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            planted_block_matrix(6, 2, 0.0, seed)
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            equivalence_check(1, seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_kld_curve(self, small_setup, seed):
+        model, matrix, queries = small_setup
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            kld_curve(model, matrix, "p", queries, ranks=(1,), seeds=(0, seed),
+                      iterations=20, snapshot_every=10)
+
+    @pytest.mark.parametrize("rng", [3, None, np.random.RandomState(3)])
+    def test_random_instances_need_a_generator(self, rng):
+        with pytest.raises(InputError, match="rng must be a numpy Generator"):
+            random_equivalence_instance(rng)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        a, _ = gen_synthetic(6, 2, 0.1, np.int64(4))
+        b, _ = gen_synthetic(6, 2, 0.1, 4)
+        assert a.to_text() == b.to_text()
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     model = parse_model(

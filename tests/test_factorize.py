@@ -378,6 +378,16 @@ class TestFactorizationType:
         with pytest.raises(InputError, match="r vector entries must be 0 or 1"):
             Factorization(((np.array([1, 1]), np.array(q)),), (2, 2))
 
+    def test_callers_writable_vectors_stay_writable_and_apart(self):
+        q, r = np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)
+        f = Factorization(((q, r),), (2, 2))
+        q[1] = 1
+        r[0] = 1
+        assert f.pairs[0][0].tolist() == [1, 0] and f.pairs[0][1].tolist() == [0, 1]
+        shared = np.array([1, 1], dtype=np.uint8)
+        shared.setflags(write=False)
+        assert Factorization(((shared, shared),), (2, 2)).pairs[0][0] is shared
+
     def test_rank_bounded_by_dimensions(self):
         pair = (np.ones(2, dtype=np.uint8), np.ones(3, dtype=np.uint8))
         with pytest.raises(InputError, match="exceeds"):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
-from liftbmf.experiments import planted_symmetry_instance
+from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
 from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import (
     And,
     Atom,
+    Conditioned,
     EvidenceSet,
     Iff,
     Implies,
@@ -652,6 +653,118 @@ class TestUnitPropagation:
         linked, unlinked = Atom("p", ("c0", "c7")), Atom("p", ("c0", "c8"))
         derived_answers = exact_marginals(extended, result.unary_evidence, [linked, unlinked])
         assert derived_answers == {linked: 1.0, unlinked: 0.0}
+
+
+def _scanning_conditional(cond, values, i):
+    """The conditional as the compiled model first computed it: every
+    blanket formula packs its index from the whole world with atom i at 0
+    and finds atom i's bit by search.  None for an infeasible world."""
+    column = [int(v) for v in values]
+    column[i] = 0
+    log0 = log1 = 0.0
+    for k in cond.blanket[i]:
+        comp = cond.formulas[k]
+        packed = comp.packed(column)
+        log0 += comp.log_table[packed]
+        log1 += comp.log_table[packed | 1 << comp.atom_ids.index(i)]
+    if log0 == log1 == -math.inf:
+        return None
+    if log1 == -math.inf:
+        return 0.0
+    if log0 == -math.inf:
+        return 1.0
+    gap = min(max(log0 - log1, -700.0), 700.0)
+    return 1.0 / (1.0 + math.exp(gap))
+
+
+WIDE_FORMULA_MODEL = """
+domain = a, b, c
+pred q/1
+pred p/2
+1.3 p(X,Y) ^ p(Y,Z) ^ q(X) => p(X,Z) v q(Y) v q(Z) v p(Z,Y) v p(Z,X)
+-0.6 q(X) ^ p(X,Y) ^ p(Y,X) ^ q(Y) ^ p(X,X)
+hard p(X,Y) v p(Y,X) v q(X) v q(Y) v p(X,X)
+"""
+
+
+class TestPlanConditional:
+    """`Conditioned.conditional` reads per-atom blanket plans; the scanning
+    loop it replaced is the oracle, and the two must agree bit for bit."""
+
+    def _check(self, cond, rng, worlds=4):
+        infeasible = 0
+        for _ in range(worlds):
+            world = rng.integers(0, 2, size=len(cond.atoms))
+            # each world and its complement, so every neighbour takes both values
+            for values in (world, 1 - world):
+                for i in range(len(cond.atoms)):
+                    for own in (0, 1):
+                        values = values.copy()
+                        values[i] = own
+                        expected = _scanning_conditional(cond, values, i)
+                        if expected is None:
+                            infeasible += 1
+                            with pytest.raises(InputError, match="infeasible"):
+                                cond.conditional(values, i)
+                        else:
+                            assert cond.conditional(values, i).hex() == expected.hex()
+        return infeasible
+
+    def test_random_equivalence_instances_on_both_sides(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            model, matrix, _ = random_equivalence_instance(rng, max_m=4)
+            _, witness = exact_boolean_rank(matrix)
+            result = encode_evidence("p", witness, model.predicates)
+            for side_model, evidence in (
+                (model, matrix_to_evidence("p", matrix)),
+                (extend_model(model, result), result.unary_evidence),
+            ):
+                self._check(ground(side_model).condition(evidence), rng, worlds=2)
+
+    def test_models_with_residual_hard_formulas(self):
+        rng = np.random.default_rng(67)
+        base = parse_model(
+            "domain = a, b, c\npred r/0\npred s/1\npred t/1\npred u/1\n"
+            "0.7 s(X) ^ t(X)\n-1.1 u(X) v r\n0.4 t(X) => s(X)\n"
+        )
+        infeasible = hard_models = 0
+        for _ in range(40):
+            picks = rng.random(len(PROPAGATION_HARD_POOL)) < 0.35
+            model = base.extended(hard=[
+                parse_formula(text, base) for text, pick in zip(PROPAGATION_HARD_POOL, picks)
+                if pick
+            ])
+            try:
+                cond = ground(model).condition(EvidenceSet())
+            except InconsistencyError:
+                continue
+            hard_models += bool(cond.hard)
+            infeasible += self._check(cond, rng)
+        assert hard_models > 10 and infeasible > 0
+
+    def test_formulas_touching_five_to_eight_atoms(self):
+        model = parse_model(WIDE_FORMULA_MODEL)
+        rng = np.random.default_rng(71)
+        widths = set()
+        for evidence_text in ("", "q(a)\n!p(b,c)\n", "p(a,a)\np(b,b)\n!q(c)\n"):
+            cond = ground(model).condition(parse_evidence(evidence_text, model))
+            widths |= {len(comp.atom_ids) for comp in cond.formulas}
+            self._check(cond, rng, worlds=1)
+        assert set(range(5, 9)) <= widths
+
+    def test_exact_inference_never_builds_the_plans(self, monkeypatch):
+        def unbuildable(cond):
+            raise AssertionError("blanket plans built")
+
+        monkeypatch.setattr(Conditioned, "_plans", property(unbuildable))
+        model = parse_model(COMPILED_MODEL)
+        evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
+        cond = ground(model).condition(evidence)
+        exact_marginals(model, evidence, cond.atoms[:3])
+        enumerate_world_distribution(model, parse_evidence("p(a,b)\np(a,a)\n", model))
+        with pytest.raises(AssertionError, match="plans built"):
+            cond.conditional(np.ones(len(cond.atoms), dtype=np.int64), 0)
 
 
 def _digest(obj) -> str:

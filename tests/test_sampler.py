@@ -178,11 +178,22 @@ class TestChainConfig:
             {"iterations": 100, "burn_in": -5},
             {"iterations": 10, "orbital_move_probability": 1.5},
             {"iterations": 10, "estimator": "magic"},
+            {"iterations": 2.5},
+            {"iterations": True},
+            {"iterations": 10, "burn_in": 2.5},
+            {"iterations": 10, "burn_in": False},
+            {"iterations": 10, "seed": -1},
+            {"iterations": 10, "seed": 1.0},
+            {"iterations": 10, "seed": "1"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InputError):
             ChainConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        config = ChainConfig(np.int64(10), burn_in=np.int32(2), seed=np.uint8(3))
+        assert config.resolved_burn_in() == 2
 
 
 class TestEstimateMarginals:
@@ -277,6 +288,17 @@ class TestEstimateMarginals:
         config = ChainConfig(iterations=500, seed=1, orbital_move_probability=1.0)
         estimate_marginals(model, matrix_to_evidence("p", matrix), queries, config)
         assert len(calls) == 1
+
+    def test_classes_that_move_an_open_atom_onto_a_known_one_are_refused(self, monkeypatch):
+        # swapping b and c keeps the open atoms open; swapping b and a moves
+        # open q(b) onto the evidence atom q(a).  The check runs before the
+        # chain, so it does not wait for a jump to draw that swap.
+        model = parse_model("domain = a, b, c\npred t/1\npred q/1\n0.5 q(X)\n0.3 t(X)\n")
+        evidence = parse_evidence("q(a)\n", model)
+        monkeypatch.setattr(sampler, "constant_symmetry_classes", lambda *_: (("b", "c", "a"),))
+        config = ChainConfig(iterations=10, seed=0, orbital_move_probability=1e-12)
+        with pytest.raises(InputError, match="swapping 'b' and 'a' moves an open atom onto"):
+            estimate_marginals(model, evidence, [], config)
 
     def test_evidence_query_is_constant(self):
         model = parse_model("domain = a, b\npred q/1\n")
@@ -392,6 +414,12 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+RESIDUAL_HARD_MODEL = (
+    "domain = a, b, c, d\npred s/1\npred t/1\n"
+    "hard s(X) v t(X)\n1.1 s(X) ^ t(Y) => s(Y)\n-0.4 t(X)\n"
+)
+
+
 @pytest.fixture(scope="module")
 def planted_sides():
     """The (4,4) planted instance with binary evidence and with its exact
@@ -411,7 +439,9 @@ class TestPinnedChainOutputs:
     the RNG draw order and adds weights in compiled order reproduces them
     bit for bit; estimates are compared as float.hex strings.  The unary
     side conditions to the binary side's compiled model, so it reproduces
-    the binary rows."""
+    the binary rows.  The frequency, burn-in, always-jump and residual-hard
+    rows were recorded with the chain that held its world as a numpy array
+    and converted it on every conditional."""
 
     @pytest.mark.parametrize(
         "side,prob,estimates,snapshots",
@@ -446,6 +476,56 @@ class TestPinnedChainOutputs:
         assert _digest(
             [(t, [snap[q].hex() for q in queries]) for t, snap in est.snapshots]
         ) == snapshots
+
+    @pytest.mark.parametrize(
+        "config,estimates,snapshots",
+        [
+            (ChainConfig(3000, seed=5, orbital_move_probability=0.2, estimator="frequency"), [
+                "0x1.04ee2cc0a9e88p-3", "0x1.08b91419ca253p-3", "0x1.240795ceb2408p-3",
+                "0x1.104ee2cc0a9e8p-3", "0x1.d6480f2b9d648p-4", "0x1.0d4629b7f0d46p-3",
+                "0x1.20fedcba98765p-3", "0x1.1a2b3c4d5e6f8p-3",
+            ], "bf005db2197164f8"),
+            (ChainConfig(3000, burn_in=250, seed=6, orbital_move_probability=0.2), [
+                "0x1.1fc5270e33378p-3", "0x1.e8f8c8d9da46ap-4", "0x1.20f2bf1151efdp-3",
+                "0x1.f01ab87ee622fp-4", "0x1.1284ddee41a88p-3", "0x1.28eed4f416b13p-3",
+                "0x1.3c6c069e16b30p-3", "0x1.f6665cee5c9d5p-4",
+            ], "657de6db09b0dc51"),
+            (ChainConfig(3000, seed=7, orbital_move_probability=1.0), [
+                "0x1.08f2206236329p-3", "0x1.094658e1f3050p-3", "0x1.06a8c1a3d0f9ep-3",
+                "0x1.15ef2cfbddb15p-3", "0x1.2a3a11c5d5d68p-3", "0x1.2a7346815ee34p-3",
+                "0x1.278b974de5b67p-3", "0x1.19a37bcd507a0p-3",
+            ], "da3d137e59586c87"),
+        ],
+        ids=["frequency", "burn_in", "always_jump"],
+    )
+    def test_other_chain_settings(self, planted_sides, config, estimates, snapshots):
+        queries, sides = planted_sides
+        est = estimate_marginals(*sides["binary"], queries, config, snapshot_every=1000)
+        assert [est.estimates[q].hex() for q in queries] == estimates
+        assert _digest(
+            [(t, [snap[q].hex() for q in queries]) for t, snap in est.snapshots]
+        ) == snapshots
+
+    def test_residual_hard_formulas(self):
+        # t(a) and t(b) satisfy two groundings of the hard formula; the two
+        # for c and d stay in the compiled model, and {a, b}, {c, d} are
+        # exchangeable, so jumps move atoms that hard formulas constrain
+        model, evidence, cond = _conditioned(RESIDUAL_HARD_MODEL, "t(a)\nt(b)\n")
+        assert len(cond.hard) == 2
+        queries = [Atom("s", (c,)) for c in "abcd"] + [Atom("t", (c,)) for c in "cd"]
+        config = ChainConfig(3000, seed=8, orbital_move_probability=0.3)
+        est = estimate_marginals(model, evidence, queries, config, snapshot_every=1000)
+        assert [est.estimates[q].hex() for q in queries] == [
+            "0x1.3e888b41e0df6p-1", "0x1.39396ff2938f4p-1", "0x1.38709edc73d66p-1",
+            "0x1.36fa37b13c0c2p-1", "0x1.453507cba3667p-1", "0x1.4bf3e6b3be77cp-1",
+        ]
+        assert _digest(
+            [(t, [snap[q].hex() for q in queries]) for t, snap in est.snapshots]
+        ) == "d9f608e24fdec036"
+        config = ChainConfig(4000, seed=9, orbital_move_probability=0.5)
+        est = estimate_marginals(model, evidence, [], config, collect_world_counts=True)
+        assert est.world_counts.sum() == 3600
+        assert _digest(est.world_counts.tolist()) == "7fa563451e7a4d1e"
 
     @pytest.mark.parametrize(
         "seed,counts",
