@@ -40,8 +40,14 @@ class InconsistencyError(LiftBmfError):
     """Evidence and hard constraints admit no world (zero partition mass)."""
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer, Python or numpy; bools and integral
+    floats are not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def check_integer(value, name: str, minimum: int) -> None:
-    """InputError unless `value` is an integer, Python or numpy, of at least
-    `minimum`; bools and integral floats are refused too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    """InputError unless `value` is an integer (see `is_integer`) of at
+    least `minimum`."""
+    if not is_integer(value) or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, boolean_product
-from .errors import InputError, check_integer
+from .errors import InputError, check_integer, is_integer
 from .factorize import AssoParams, asso_factorize, exact_boolean_rank, truncate
 from .mln import And, Atom, EvidenceSet, Iff, Implies, Model, Not, Or, exact_marginals, exact_query
 from .reduction import encode_evidence, extend_model, matrix_to_evidence
@@ -34,6 +34,8 @@ EQUIVALENCE_TOLERANCE = 1e-9
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:
+    for rank in ranks:
+        check_integer(rank, "rank", 0)
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise InputError(f"ranks must be strictly increasing, got {tuple(ranks)}")
 
@@ -54,9 +56,9 @@ def gen_synthetic(
     `fill_target` (the 20-50% band); every parameter is returned so file
     headers can record the full recipe.
     """
-    if m <= 0:
-        raise InputError(f"matrix size must be positive, got {m}")
-    if planted_rank < 0 or planted_rank > m:
+    check_integer(m, "matrix size", 1)
+    check_integer(planted_rank, "planted rank", 0)
+    if planted_rank > m:
         raise InputError(f"planted rank must be in [0, {m}], got {planted_rank}")
     if not 0.0 <= noise < 0.5:
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
@@ -87,6 +89,8 @@ def gen_synthetic(
 
 def block_matrix(block_sizes: Sequence[int]) -> BoolMatrix:
     """Square block-diagonal 1-matrix: entry (i, j) is 1 iff same block."""
+    for size in block_sizes:
+        check_integer(size, "block size", 0)
     m = sum(block_sizes)
     bits = np.zeros((m, m), dtype=np.uint8)
     start = 0
@@ -109,7 +113,9 @@ def planted_block_matrix(
     separates structure from noise; `noise_count` in the metadata records
     the number of flipped entries.
     """
-    if blocks <= 0 or m < 3 * blocks:
+    check_integer(m, "matrix size", 0)
+    check_integer(blocks, "blocks", 1)
+    if m < 3 * blocks:
         raise InputError(f"need at least 3 constants per block: m={m}, blocks={blocks}")
     if not 0.0 <= noise < 0.5:
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
@@ -179,9 +185,14 @@ def random_equivalence_instance(
     weight_range: tuple[float, float] = (-2.0, 2.0),
 ) -> tuple[Model, BoolMatrix, Atom]:
     """Small random model, planted low-rank binary evidence, and a query,
-    all drawn from `rng`."""
+    all drawn from `rng`, over 2 to `max_m` constants, at most 10."""
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+    check_integer(max_m, "max_m", 2)
+    if max_m > 10:
+        raise InputError(f"max_m must be at most 10, got {max_m}")
+    check_integer(max_rank, "max_rank", 0)
+    check_integer(max_weighted, "max_weighted", 1)
     m = int(rng.integers(2, max_m + 1))
     domain = tuple("abcdefghij"[:m])
     s_x, s_y = Atom("s", ("X",)), Atom("s", ("Y",))
@@ -206,8 +217,8 @@ def equivalence_check(
     tolerance: float = EQUIVALENCE_TOLERANCE,
 ) -> list[tuple[int, float, bool]]:
     """Compare exact inference before and after the unary reduction."""
-    if instances < 1:
-        raise InputError(f"instances must be at least 1, got {instances}")
+    if not is_integer(instances) or instances < 1:
+        raise InputError(f"instances must be at least 1 and an integer, got {instances!r}")
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     rows = []
@@ -282,7 +293,8 @@ def kld_curve(
         raise InputError("at least one seed is required")
     for seed in seeds:
         check_integer(seed, "seed", 0)
-    if not 1 <= snapshot_every <= iterations:
+    check_integer(snapshot_every, "snapshot_every", 1)
+    if snapshot_every > iterations:
         raise InputError(
             f"snapshot_every must be in [1, iterations={iterations}], got {snapshot_every}"
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boolmat import (BoolMatrix, _bit_array, _check_labels, _read_label_header,
                       boolean_product, hamming_error)
-from .errors import CapacityError, InputError, SearchBudgetError
+from .errors import CapacityError, InputError, SearchBudgetError, check_integer, is_integer
 
 __all__ = [
     "AssoParams",
@@ -63,8 +63,8 @@ class AssoParams:
             raise InputError(f"w_plus must be positive, got {self.w_plus}")
         if self.w_minus < 0:
             raise InputError(f"w_minus must be nonnegative, got {self.w_minus}")
-        if self.max_rank is not None and self.max_rank < 0:
-            raise InputError(f"max_rank must be nonnegative, got {self.max_rank}")
+        if self.max_rank is not None:
+            check_integer(self.max_rank, "max_rank", 0)
 
 
 def _as_vector(v, n: int, what: str) -> np.ndarray:
@@ -232,8 +232,8 @@ class Factorization:
 
 def truncate(f: Factorization, n: int) -> Factorization:
     """Keep the first n pairs; the error is recomputed against the target."""
-    if not 0 <= n <= f.rank():
-        raise InputError(f"cannot truncate rank-{f.rank()} factorization to {n}")
+    if not is_integer(n) or not 0 <= n <= f.rank():
+        raise InputError(f"cannot truncate rank-{f.rank()} factorization to {n!r}")
     if n == f.rank():
         return f
     if f.target is None:
@@ -484,8 +484,7 @@ def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) 
     comparisons.
     """
     k, l = p.shape
-    if rank < 0:
-        raise InputError(f"rank must be nonnegative, got {rank}")
+    check_integer(rank, "rank", 0)
     if rank == 0:
         return p.ones()
     if k > 20:

@@ -795,23 +795,13 @@ class Conditioned:
         values = np.array(self._column(values), dtype=np.int64)
         perm = np.asarray(perm)
         m = len(self.model.domain)
-        ok = perm.shape == (m,) and perm.dtype.kind in "iu" and ((perm >= 0) & (perm < m)).all()
-        if ok:
-            hit = np.zeros(m, dtype=bool)
-            hit[perm] = True
-            ok = hit.all()
-        if not ok:
+        if not (perm.shape == (m,) and perm.dtype.kind in "iu"
+                and (np.sort(perm) == np.arange(m)).all()):
             raise InputError(f"perm must hold each of the {m} domain positions exactly once")
-        if not self._keeps_open_atoms_open(perm):
-            raise InputError("the permutation moves an open atom onto a known atom")
+        for lookup in self.relabeling:
+            if not (permute_axes(lookup, perm)[lookup >= 0] >= 0).all():
+                raise InputError("the permutation moves an open atom onto a known atom")
         return values[self._relabeling_sources(perm)]
-
-    def _keeps_open_atoms_open(self, perm: np.ndarray) -> bool:
-        """Whether renaming constants by the permutation `perm` sends every
-        open atom to an open atom.  The permutations that do form a group."""
-        return all(
-            (permute_axes(lookup, perm)[lookup >= 0] >= 0).all() for lookup in self.relabeling
-        )
 
     def _relabeling_sources(self, perm: np.ndarray) -> np.ndarray:
         """For each open atom, the id of the atom whose value it takes when

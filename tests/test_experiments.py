@@ -74,6 +74,11 @@ class TestPlantedBlocks:
         with pytest.raises(InputError, match="3 constants"):
             planted_block_matrix(5, 2, 0.0, 0)
 
+    @pytest.mark.parametrize("sizes", [[-1, 3], [2, -2], [1.5, 2]])
+    def test_block_sizes_must_be_non_negative_integers(self, sizes):
+        with pytest.raises(InputError, match="block size must be an integer >= 0"):
+            block_matrix(sizes)
+
 
 class TestErrorCurve:
     def test_planted_block_recovery(self):
@@ -117,6 +122,27 @@ class TestEquivalenceCheck:
             assert matrix.shape == (len(model.domain), len(model.domain))
             assert query.pred == "s"
             assert exact_boolean_rank(matrix)[0] <= 2
+
+    def test_instance_domain_spans_two_to_ten_constants(self):
+        rng = np.random.default_rng(4)
+        sizes = {len(random_equivalence_instance(rng, max_m=10)[0].domain) for _ in range(60)}
+        assert min(sizes) >= 2 and max(sizes) == 10
+        for _ in range(5):
+            assert len(random_equivalence_instance(rng, max_m=2)[0].domain) == 2
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_m": 1}, "max_m must be an integer >= 2"),
+            ({"max_m": 11}, "max_m must be at most 10"),
+            ({"max_m": 4.0}, "max_m must be an integer >= 2"),
+            ({"max_rank": -1}, "max_rank must be an integer >= 0"),
+            ({"max_weighted": 0}, "max_weighted must be an integer >= 1"),
+        ],
+    )
+    def test_instance_ranges_are_checked(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            random_equivalence_instance(np.random.default_rng(0), **kwargs)
 
 
 class TestExperimentSpec:
@@ -177,6 +203,47 @@ class TestSeedsAreChecked:
         a, _ = gen_synthetic(6, 2, 0.1, np.int64(4))
         b, _ = gen_synthetic(6, 2, 0.1, 4)
         assert a.to_text() == b.to_text()
+
+
+BAD_COUNTS = [2.5, 1.0, True]
+
+
+class TestCountsAreChecked:
+    """A size, rank or count that is not an integer, bools included, is an
+    InputError, not a TypeError from numpy nor a silent 1."""
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_generators(self, count):
+        with pytest.raises(InputError, match="matrix size must be an integer >= 1"):
+            gen_synthetic(count, 1, 0, 1)
+        with pytest.raises(InputError, match="planted rank must be an integer >= 0"):
+            gen_synthetic(5, count, 0, 1)
+        with pytest.raises(InputError, match="matrix size must be an integer >= 0"):
+            planted_block_matrix(count, 1, 0, 1)
+        with pytest.raises(InputError, match="blocks must be an integer >= 1"):
+            planted_block_matrix(10, count, 0, 1)
+        with pytest.raises(InputError, match="instances must be at least 1"):
+            equivalence_check(count, 0)
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_ranks(self, small_setup, count):
+        model, matrix, queries = small_setup
+        with pytest.raises(InputError, match="rank must be an integer >= 0"):
+            error_curve([matrix], [count])
+        with pytest.raises(InputError, match="rank must be an integer >= 0"):
+            error_curve([matrix], [0, count, 3])
+        with pytest.raises(InputError, match="rank must be an integer >= 0"):
+            kld_curve(model, matrix, "p", queries, ranks=(count,), seeds=(0,),
+                      iterations=20, snapshot_every=10)
+
+    def test_numpy_integer_counts_are_accepted(self, small_setup):
+        _, matrix, _ = small_setup
+        i = np.int64
+        assert gen_synthetic(i(6), i(2), 0.1, 4)[0] == gen_synthetic(6, 2, 0.1, 4)[0]
+        assert planted_block_matrix(i(9), i(3), 0.0, 1)[0] == planted_block_matrix(9, 3, 0.0, 1)[0]
+        assert block_matrix([i(2), i(3)]) == block_matrix([2, 3])
+        assert error_curve([matrix], [i(1), i(2)]) == error_curve([matrix], [1, 2])
+        assert len(equivalence_check(i(2), 0)) == 2
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +316,7 @@ class TestKldCurve:
         with pytest.raises(InputError, match="method"):
             kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, methods=("mc",))
 
-    @pytest.mark.parametrize("snapshot_every", [0, -1, 101])
+    @pytest.mark.parametrize("snapshot_every", [0, -1, 101, 2.5, True])
     def test_snapshot_interval_within_iterations(self, small_setup, snapshot_every):
         # outside [1, iterations] no chain row would be logged
         model, matrix, queries = small_setup

@@ -329,6 +329,8 @@ class TestAssoParams:
             {"w_plus": -1.0},
             {"w_minus": -0.5},
             {"max_rank": -1},
+            {"max_rank": 2.5},
+            {"max_rank": True},
             {"tau": float("nan")},
             {"w_plus": float("nan")},
             {"w_plus": float("inf")},
@@ -364,10 +366,28 @@ class TestTruncate:
         with pytest.raises(InputError, match="truncate"):
             truncate(example_factorization, -1)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_rejects_a_rank_that_is_not_an_integer(self, example_factorization, n):
+        with pytest.raises(InputError, match="cannot truncate rank-3 factorization to"):
+            truncate(example_factorization, n)
+
+    def test_numpy_integer_rank(self, example_factorization):
+        assert truncate(example_factorization, np.int64(2)) == truncate(example_factorization, 2)
+
     def test_needs_target(self, example_factorization):
         detached = Factorization.from_text(example_factorization.to_text())
         with pytest.raises(InputError, match="target"):
             truncate(detached, 1)
+
+
+class TestOptimalErrorAtRank:
+    @pytest.mark.parametrize("rank", [-1, 1.5, 2.0, True])
+    def test_rank_must_be_a_non_negative_integer(self, example_matrix, rank):
+        with pytest.raises(InputError, match="rank must be an integer >= 0"):
+            optimal_error_at_rank(example_matrix, rank)
+
+    def test_numpy_integer_rank(self, example_matrix):
+        assert optimal_error_at_rank(example_matrix, np.int64(2)) == 1
 
 
 class TestFactorizationType:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from liftbmf.boolmat import BoolMatrix, boolean_product
-from liftbmf.errors import InputError
+from liftbmf.errors import InconsistencyError, InputError
 from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
 from liftbmf.factorize import Factorization, exact_boolean_rank, truncate
 from liftbmf.mln import (
@@ -395,6 +395,31 @@ class TestConstantSymmetryClasses:
                 assert _swapped(evidence, c, d) != evidence, (model, c, d)
                 separated += 1
         assert grouped > 500 and separated > 500
+
+    def test_class_swaps_keep_open_atoms_open_and_the_log_weight(self):
+        # The Gibbs chain relabels by class permutations without checking
+        # them: every swap (first member, c) must be accepted by `relabeled`
+        # and keep the log weight exactly, derived atoms included.
+        rng = np.random.default_rng(61)
+        swaps = derived_swaps = 0
+        for k in range(1000):
+            model, evidence = _random_class_instance(rng, CLASS_INSTANCE_KINDS[k % 5])
+            try:
+                cond = ground(model).condition(evidence)
+            except InconsistencyError:
+                continue
+            position = {c: i for i, c in enumerate(model.domain)}
+            for cls in constant_symmetry_classes(model, evidence):
+                for c in cls[1:]:
+                    perm = np.arange(len(model.domain))
+                    a, b = position[cls[0]], position[c]
+                    perm[[a, b]] = b, a
+                    values = rng.integers(0, 2, size=len(cond.atoms))
+                    moved = cond.relabeled(values, perm)
+                    assert cond.log_weight(moved) == cond.log_weight(values), (model, cls, c)
+                    swaps += 1
+                    derived_swaps += len(cond.known) > len(evidence)
+        assert swaps > 1000 and derived_swaps > 300
 
     @pytest.mark.parametrize("k", [16, 32])
     def test_planted_blocks_are_the_classes(self, k):
