@@ -321,9 +321,8 @@ def exact_boolean_rank(
     k, l = p.shape
     if k == 0 or l == 0:
         raise InputError("matrix must be nonempty")
-    for name, cap in (("max_search", max_search), ("size_cap", size_cap)):
-        if cap < 0:
-            raise InputError(f"{name} must be non-negative, got {cap}")
+    check_integer(max_search, "max_search", 0)
+    check_integer(size_cap, "size_cap", 0)
     if k * l > size_cap:
         raise CapacityError(
             f"{k}x{l} matrix exceeds the exact-rank cap of {size_cap} entries; "
@@ -485,6 +484,7 @@ def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) 
     """
     k, l = p.shape
     check_integer(rank, "rank", 0)
+    check_integer(work_cap, "work_cap", 0)
     if rank == 0:
         return p.ones()
     if k > 20:

@@ -1,13 +1,16 @@
 """Minimal Markov Logic engine: parsing, grounding, exact inference.
 
-Conditioning substitutes the evidence into the groundings and runs unit
-propagation over the hard ones: an atom it derives is substituted out
-exactly like evidence.  Worlds assign a truth value to every ground atom
-that evidence and unit propagation leave open; each satisfied grounding of
-a weighted formula multiplies the world weight by e^w, and hard formulas
-filter worlds outright (they never down-weight).  Exact queries enumerate
-those worlds in log space and serve as the correctness oracle for
-everything built on top.
+A grounding is a first-order formula plus one binding of its variables to
+constants; no ground copy of the formula is built.  Conditioning walks the
+formula under the binding, putting in the bound constants and the known
+atom values at the leaves, and keeps the residual over the atoms left
+open.  Unit propagation over the hard groundings comes first: an atom it
+derives becomes known exactly like evidence.  Worlds assign a truth value
+to every ground atom that evidence and unit propagation leave open; each
+satisfied grounding of a weighted formula multiplies the world weight by
+e^w, and hard formulas filter worlds outright (they never down-weight).
+Exact queries enumerate those worlds in log space and serve as the
+correctness oracle for everything built on top.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InconsistencyError, InputError
+from .errors import CapacityError, InconsistencyError, InputError, check_integer, is_integer
 
 __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "Iff", "Formula",
@@ -112,20 +115,6 @@ def free_variables(f: Formula) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def substitute(f: Formula, env: Mapping[str, str]) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(env.get(a, a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, env))
-    if isinstance(f, And):
-        return And(tuple(substitute(p, env) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(p, env) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.premise, env), substitute(f.conclusion, env))
-    return Iff(substitute(f.left, env), substitute(f.right, env))
-
-
 def evaluate(f: Formula, lookup: Mapping[Atom, bool]) -> bool:
     if isinstance(f, Atom):
         return lookup[f]
@@ -140,18 +129,22 @@ def evaluate(f: Formula, lookup: Mapping[Atom, bool]) -> bool:
     return evaluate(f.left, lookup) == evaluate(f.right, lookup)
 
 
-def partial_evaluate(f: Formula, known: Mapping[Atom, bool]) -> Formula | bool:
-    """Fold in known atom values; returns a bool when fully determined."""
+def partial_evaluate(
+    f: Formula, known: Mapping[Atom, bool], binding: Mapping[str, str]
+) -> Formula | bool:
+    """`f` under `binding`, with known atom values folded in at the leaves:
+    a bool when fully determined, else the residual over the open atoms."""
     if isinstance(f, Atom):
-        return known.get(f, f)
+        atom = Atom(f.pred, tuple(binding.get(a, a) for a in f.args))
+        return known.get(atom, atom)
     if isinstance(f, Not):
-        sub = partial_evaluate(f.sub, known)
+        sub = partial_evaluate(f.sub, known, binding)
         return (not sub) if isinstance(sub, bool) else Not(sub)
     if isinstance(f, (And, Or)):
         short = isinstance(f, Or)
         parts = []
         for p in f.parts:
-            v = partial_evaluate(p, known)
+            v = partial_evaluate(p, known, binding)
             if isinstance(v, bool):
                 if v == short:
                     return short
@@ -163,8 +156,8 @@ def partial_evaluate(f: Formula, known: Mapping[Atom, bool]) -> Formula | bool:
             return parts[0]
         return Or(tuple(parts)) if short else And(tuple(parts))
     if isinstance(f, Implies):
-        prem = partial_evaluate(f.premise, known)
-        conc = partial_evaluate(f.conclusion, known)
+        prem = partial_evaluate(f.premise, known, binding)
+        conc = partial_evaluate(f.conclusion, known, binding)
         if prem is False or conc is True:
             return True
         if prem is True:
@@ -172,8 +165,8 @@ def partial_evaluate(f: Formula, known: Mapping[Atom, bool]) -> Formula | bool:
         if conc is False:
             return Not(prem) if not isinstance(prem, bool) else not prem
         return Implies(prem, conc)
-    left = partial_evaluate(f.left, known)
-    right = partial_evaluate(f.right, known)
+    left = partial_evaluate(f.left, known, binding)
+    right = partial_evaluate(f.right, known, binding)
     if isinstance(left, bool) and isinstance(right, bool):
         return left == right
     if left is True:
@@ -385,8 +378,7 @@ class Model:
                 raise InputError(f"invalid predicate name {name!r}")
             if name == "v":
                 raise InputError("'v' is reserved for disjunction")
-            if arity < 0:
-                raise InputError(f"negative arity for {name}")
+            check_integer(arity, f"arity of {name}", 0)
         for w, f in self.weighted_formulas:
             if not math.isfinite(w):
                 raise InputError(f"weight {w} of {format_formula(f)} is not finite")
@@ -463,6 +455,8 @@ class EvidenceSet:
             self.assign(atom, value)
 
     def assign(self, atom: Atom, value: bool) -> None:
+        if not isinstance(value, (bool, np.bool_)):
+            raise InputError(f"value of {format_atom(atom)} must be a bool, got {value!r}")
         if atom in self._assignments:
             raise InputError(f"atom {format_atom(atom)} assigned twice")
         for arg in atom.args:
@@ -590,41 +584,38 @@ def parse_evidence(text: str, model: Model) -> EvidenceSet:
 
 @dataclass(frozen=True)
 class Grounding:
-    """All groundings of the model's formulas, before evidence."""
+    """All groundings of the model's formulas, before evidence: each is a
+    first-order formula with one binding of its free variables to
+    constants, and stands for the formula with those constants put in."""
 
     model: Model
-    weighted: tuple[tuple[float, Formula], ...]
-    hard: tuple[Formula, ...]
+    weighted: tuple[tuple[float, Formula, Mapping[str, str]], ...]
+    hard: tuple[tuple[Formula, Mapping[str, str]], ...]
 
     def condition(self, evidence: EvidenceSet) -> "Conditioned":
         return _condition(self, evidence)
 
 
-def _ground_formula(f: Formula, domain: Sequence[str]) -> Iterator[Formula]:
+def _bindings(f: Formula, domain: Sequence[str]) -> Iterator[dict[str, str]]:
     variables = free_variables(f)
-    if not variables:
-        yield f
-        return
     for combo in itertools.product(domain, repeat=len(variables)):
-        yield substitute(f, dict(zip(variables, combo)))
+        yield dict(zip(variables, combo))
 
 
 def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
-    """Expand every formula over the domain; one grounding per variable binding."""
+    """One grounding per formula and binding of its variables over the domain."""
+    check_integer(ground_cap, "ground_cap", 0)
     m = len(model.domain)
     if m == 0:
         raise InputError("cannot ground a model with an empty domain")
-    total = 0
-    for _, f in model.weighted_formulas:
-        total += m ** len(free_variables(f))
-    for f in model.hard_formulas:
-        total += m ** len(free_variables(f))
+    formulas = [f for _, f in model.weighted_formulas] + list(model.hard_formulas)
+    total = sum(m ** len(free_variables(f)) for f in formulas)
     if total > ground_cap:
         raise CapacityError(f"{total} groundings exceed the cap of {ground_cap}")
     weighted = tuple(
-        (w, g) for w, f in model.weighted_formulas for g in _ground_formula(f, model.domain)
+        (w, f, b) for w, f in model.weighted_formulas for b in _bindings(f, model.domain)
     )
-    hard = tuple(g for f in model.hard_formulas for g in _ground_formula(f, model.domain))
+    hard = tuple((f, b) for f in model.hard_formulas for b in _bindings(f, model.domain))
     return Grounding(model, weighted, hard)
 
 
@@ -674,7 +665,7 @@ def permute_axes(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Conditioned:
-    """A grounding with its known atoms substituted out, compiled once.
+    """The groundings with their known atoms folded out, compiled once.
 
     `known` is the given evidence plus every atom that unit propagation
     over the hard groundings derives from it: a hard grounding left with
@@ -759,6 +750,8 @@ class Conditioned:
         the hard formulas there: the given world is infeasible, which
         proves nothing about the model."""
         column = self._column(values)
+        if not is_integer(i):
+            raise InputError(f"atom index must be an integer, got {i!r}")
         if not 0 <= i < len(column):
             raise InputError(f"atom index {i} outside [0, {len(column)})")
         return self._conditional(column, i)
@@ -838,8 +831,8 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     index = {a: i for i, a in enumerate(atoms)}
     const_log_weight = 0.0
     weighted = []
-    for w, g in grounding.weighted:
-        simp = partial_evaluate(g, known)
+    for w, f, binding in grounding.weighted:
+        simp = partial_evaluate(f, known, binding)
         if simp is True:
             const_log_weight += w
         elif simp is not False:
@@ -864,30 +857,37 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     )
 
 
-def _propagate_units(hard: Sequence[Formula], known: dict[Atom, bool]) -> list[Formula | bool]:
+def _propagate_units(
+    hard: Sequence[tuple[Formula, Mapping[str, str]]], known: dict[Atom, bool]
+) -> list[Formula | bool]:
     """Unit propagation to a fixed point: a hard grounding left with one
     open atom and one allowed value for it adds that atom to `known`, just
     as evidence does.  Returns every grounding partially evaluated under
     the final `known`.  Raises when a grounding admits no value: then no
-    world satisfies the evidence and the hard formulas."""
+    world satisfies the evidence and the hard formulas.  A grounding
+    watches the atoms of its first residual, a superset of every later one."""
     watchers: dict[Atom, list[int]] = {}
-    for k, g in enumerate(hard):
-        for atom in set(atoms_of(g)):
-            watchers.setdefault(atom, []).append(k)
-    residual: list[Formula | bool] = list(hard)
+    residual: list[Formula | bool | None] = [None] * len(hard)
     pending = list(range(len(hard)))
     while pending:
         k = pending.pop()
-        simp = residual[k] = partial_evaluate(hard[k], known)
+        f, binding = hard[k]
+        first = residual[k] is None
+        simp = residual[k] = partial_evaluate(f, known, binding)
         if simp is True:
             continue
         open_atoms = () if simp is False else set(atoms_of(simp))
+        if first:
+            for atom in open_atoms:
+                watchers.setdefault(atom, []).append(k)
         if len(open_atoms) > 1:
             continue
         allowed = [(a, v) for a in open_atoms for v in (False, True) if evaluate(simp, {a: v})]
         if not allowed:
+            # with nothing known, partial evaluation is plain substitution
+            ground_text = format_formula(partial_evaluate(f, {}, binding))
             raise InconsistencyError(
-                f"unit propagation refutes hard formula {format_formula(hard[k])}; "
+                f"unit propagation refutes hard formula {ground_text}; "
                 "evidence and hard formulas are inconsistent"
             )
         if len(allowed) == 1:
@@ -945,12 +945,6 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
     return float(np.log(z) + top), qtotals / z
 
 
-def _check_caps(atom_cap: int, ground_cap: int) -> None:
-    for name, cap in (("atom_cap", atom_cap), ("ground_cap", ground_cap)):
-        if cap < 0:
-            raise InputError(f"{name} must be non-negative, got {cap}")
-
-
 def exact_marginals(
     model: Model,
     evidence: EvidenceSet,
@@ -959,7 +953,7 @@ def exact_marginals(
     ground_cap: int = DEFAULT_GROUND_CAP,
 ) -> dict[Atom, float]:
     """P(atom = true | evidence) for each query atom, by enumeration."""
-    _check_caps(atom_cap, ground_cap)
+    check_integer(atom_cap, "atom_cap", 0)
     cond = ground(model, ground_cap).condition(evidence)
     result, open_queries = cond.split_queries(queries)
     if open_queries or cond.hard:
@@ -994,7 +988,7 @@ def enumerate_world_distribution(
     Index w sets atoms[i] to bit i of w.  Only sensible for
     small models; guarded by `atom_cap`.
     """
-    _check_caps(atom_cap, ground_cap)
+    check_integer(atom_cap, "atom_cap", 0)
     cond = ground(model, ground_cap).condition(evidence)
     n = len(cond.atoms)
     if n > atom_cap:

@@ -49,7 +49,7 @@ class TestRank:
     @pytest.mark.parametrize("flag", ["--max-search", "--size-cap"])
     def test_negative_cap_exits_one(self, example_file, flag, capsys):
         assert run("rank", example_file, flag, "-1") == 1
-        assert "must be non-negative" in capsys.readouterr().err
+        assert "must be an integer >= 0" in capsys.readouterr().err
 
     def test_witness_file(self, example_file, tmp_path, capsys):
         out = tmp_path / "w.fct"
@@ -134,7 +134,7 @@ class TestInfer:
         ev = tmp_path / "e.ev"
         ev.write_text("")
         assert run("infer", str(model), str(ev), "--query", "q(a)", "--atom-cap", "-1") == 1
-        assert "atom_cap must be non-negative" in capsys.readouterr().err
+        assert "atom_cap must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_formula_weight_exits_one(self, tmp_path, weight, capsys):

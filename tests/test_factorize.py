@@ -69,8 +69,15 @@ class TestExactBooleanRank:
 
     @pytest.mark.parametrize("caps", [{"max_search": -1}, {"size_cap": -1}])
     def test_negative_caps_are_input_errors(self, caps):
-        with pytest.raises(InputError, match=f"{next(iter(caps))} must be non-negative"):
+        with pytest.raises(InputError, match=f"{next(iter(caps))} must be an integer >= 0"):
             exact_boolean_rank(BoolMatrix(np.eye(3, dtype=np.uint8)), **caps)
+
+    @pytest.mark.parametrize("cap", [2.5, True, -1])
+    @pytest.mark.parametrize("name", ["max_search", "size_cap"])
+    def test_caps_must_be_non_negative_integers(self, name, cap):
+        # max_search=2.5 once ran and reported "exceeded 2.5 nodes"
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
+            exact_boolean_rank(BoolMatrix(np.eye(3, dtype=np.uint8)), **{name: cap})
 
     def test_budget_upper_bound_never_above_min_dimension(self):
         # the greedy cover of this matrix uses 15 rectangles; 14 always suffice
@@ -388,6 +395,12 @@ class TestOptimalErrorAtRank:
 
     def test_numpy_integer_rank(self, example_matrix):
         assert optimal_error_at_rank(example_matrix, np.int64(2)) == 1
+
+    @pytest.mark.parametrize("cap", [2.5, True, -1])
+    def test_work_cap_must_be_a_non_negative_integer(self, example_matrix, cap):
+        # 2.5 and True were compared as numbers and refused as capacity
+        with pytest.raises(InputError, match="work_cap must be an integer >= 0"):
+            optimal_error_at_rank(example_matrix, 2, work_cap=cap)
 
 
 class TestFactorizationType:

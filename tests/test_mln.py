@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,12 +16,14 @@ from liftbmf.mln import (
     Iff,
     Implies,
     Model,
+    Not,
     Or,
     enumerate_world_distribution,
     evaluate,
     exact_marginals,
     exact_query,
     format_formula,
+    free_variables,
     ground,
     parse_evidence,
     parse_formula,
@@ -35,12 +38,40 @@ from liftbmf.reduction import (
 )
 from liftbmf.sampler import _class_permutation, _class_positions
 
+from test_reduction import CLASS_INSTANCE_KINDS, _random_class_instance
+
 PEER_MODEL = """
 domain = a, b, c, d
 pred studentpage/1
 pred linkto/2
 1.5 studentpage(X) ^ linkto(X,Y) => studentpage(Y)
 """
+
+
+def _substituted(f, env):
+    """`f` with every variable that `env` names replaced by its constant."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(env.get(a, a) for a in f.args))
+    if isinstance(f, Not):
+        return Not(_substituted(f.sub, env))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_substituted(p, env) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(_substituted(f.premise, env), _substituted(f.conclusion, env))
+    return Iff(_substituted(f.left, env), _substituted(f.right, env))
+
+
+def _ground_trees(model):
+    """Every grounding of the model as a ground formula tree, for oracles
+    that `evaluate` whole worlds: (weight, tree) pairs, then hard trees."""
+    def trees(f):
+        variables = free_variables(f)
+        for combo in itertools.product(model.domain, repeat=len(variables)):
+            yield _substituted(f, dict(zip(variables, combo)))
+
+    weighted = [(w, g) for w, f in model.weighted_formulas for g in trees(f)]
+    hard = [g for f in model.hard_formulas for g in trees(f)]
+    return weighted, hard
 
 
 class TestParseModel:
@@ -97,6 +128,13 @@ class TestParseModel:
     def test_errors_carry_line_numbers(self, text, message):
         with pytest.raises(InputError, match=message):
             parse_model(text)
+
+    @pytest.mark.parametrize("arity", [2.5, True, -1, "1", None])
+    def test_arity_must_be_a_non_negative_integer(self, arity):
+        # 2.5 once failed later in grounding, and True was read as arity 1
+        with pytest.raises(InputError, match="arity of p must be an integer >= 0"):
+            Model(("a",), {"p": arity})
+        assert Model(("a",), {"p": np.int64(2)}).all_atoms() == (Atom("p", ("a", "a")),)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "+inf", "1e999"])
     def test_non_finite_formula_weight_is_refused(self, weight):
@@ -272,12 +310,26 @@ class TestExactQuery:
     def test_negative_caps_are_input_errors(self, caps):
         model = parse_model("domain = a\npred q/1\n")
         name = next(iter(caps))
-        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
             exact_query(model, EvidenceSet(), Atom("q", ("a",)), **caps)
-        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
             exact_marginals(model, EvidenceSet(), [], **caps)
-        with pytest.raises(InputError, match=f"{name} must be non-negative"):
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
             enumerate_world_distribution(model, EvidenceSet(), **caps)
+
+    @pytest.mark.parametrize("cap", [2.5, True, -1])
+    @pytest.mark.parametrize("name", ["atom_cap", "ground_cap"])
+    def test_caps_must_be_non_negative_integers(self, name, cap):
+        # atom_cap=2.5 once answered, and ground_cap=-1 raised CapacityError
+        model = parse_model("domain = a\npred q/1\n")
+        message = f"{name} must be an integer >= 0"
+        with pytest.raises(InputError, match=message):
+            exact_query(model, EvidenceSet(), Atom("q", ("a",)), **{name: cap})
+        with pytest.raises(InputError, match=message):
+            enumerate_world_distribution(model, EvidenceSet(), **{name: cap})
+        if name == "ground_cap":
+            with pytest.raises(InputError, match=message):
+                ground(model, ground_cap=cap)
 
     def test_renaming_invariance(self):
         # permuting two constants with identical evidence leaves the
@@ -329,7 +381,7 @@ class TestWorldWeights:
         )
         ev = parse_evidence("p(a,b)\n", model)
         cond = ground(model).condition(ev)
-        g = ground(model)
+        weighted, hard = _ground_trees(model)
         for _ in range(40):
             values = rng.integers(0, 2, size=len(cond.atoms)).astype(np.uint8)
             lookup = {a: bool(v) for a, v in zip(cond.atoms, values)}
@@ -337,10 +389,10 @@ class TestWorldWeights:
                 lookup[atom] = value
             expected = 0.0
             dead = False
-            for w, f in g.weighted:
+            for w, f in weighted:
                 if evaluate(f, lookup):
                     expected += w
-            for f in g.hard:
+            for f in hard:
                 if not evaluate(f, lookup):
                     dead = True
             got = cond.log_weight(values)
@@ -387,6 +439,15 @@ class TestWorldWeights:
         assert cond.log_weight(flags) == cond.log_weight(ints) == 0.5
         assert cond.conditional(flags, 1) == cond.conditional(ints, 1)
         assert cond.relabeled(flags, np.array([1, 0])).tolist() == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1", None])
+    def test_conditional_atom_index_must_be_an_integer(self, i):
+        # True once answered for atom 1, and 1.0 raised a bare TypeError
+        model = parse_model("domain = a, b\npred q/1\npred s/1\n0.5 q(X) ^ s(X)\n")
+        cond = ground(model).condition(EvidenceSet())
+        with pytest.raises(InputError, match="atom index must be an integer"):
+            cond.conditional([1, 0, 1, 1], i)
+        assert cond.conditional([1, 0, 1, 1], np.int64(1)) == cond.conditional([1, 0, 1, 1], 1)
 
     @pytest.mark.parametrize("i", [-1, 4, 100])
     def test_conditional_of_an_atom_outside_the_world_is_refused(self, i):
@@ -570,14 +631,14 @@ PROPAGATION_HARD_POOL = (
 def _brute_force_worlds(model, evidence):
     """Every full world that agrees with the evidence and satisfies every
     hard grounding, with its weight, by `evaluate` on the ground formulas."""
-    g = ground(model)
+    weighted, hard = _ground_trees(model)
     free = [a for a in model.all_atoms() if a not in evidence]
     worlds = []
     for bits in range(1 << len(free)):
         lookup = dict(evidence.items())
         lookup.update({a: bool(bits >> i & 1) for i, a in enumerate(free)})
-        if all(evaluate(f, lookup) for f in g.hard):
-            log_weight = sum(w for w, f in g.weighted if evaluate(f, lookup))
+        if all(evaluate(f, lookup) for f in hard):
+            log_weight = sum(w for w, f in weighted if evaluate(f, lookup))
             worlds.append((lookup, math.exp(log_weight)))
     return free, worlds
 
@@ -801,12 +862,113 @@ class TestPinnedExactValues:
         assert _digest([p.hex() for p in probs.tolist()]) == "4126ed3b12a6d17c"
 
 
+def _compiled_record(model, evidence):
+    """Every field of the compiled model that inference reads, floats as
+    float.hex; a marker when conditioning refutes the model."""
+    try:
+        cond = ground(model).condition(evidence)
+    except InconsistencyError:
+        return "refuted"
+    return (
+        cond.atoms,
+        sorted((repr(a), v) for a, v in cond.known.items()),
+        cond.const_log_weight.hex(),
+        len(cond.hard),
+        cond.blanket,
+        [(comp.atom_ids, [x.hex() for x in comp.log_table.tolist()]) for comp in cond.formulas],
+        [lookup.tolist() for lookup in cond.relabeling],
+    )
+
+
+def _reduction_sides(model, matrix):
+    _, witness = exact_boolean_rank(matrix)
+    result = encode_evidence("p", witness, model.predicates)
+    return [
+        (model, matrix_to_evidence("p", matrix)),
+        (extend_model(model, result), result.unary_evidence),
+    ]
+
+
+def _equivalence_pool():
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        model, matrix, _ = random_equivalence_instance(rng, max_m=4)
+        yield from _reduction_sides(model, matrix)
+
+
+def _propagation_pool():
+    rng = np.random.default_rng(89)
+    base = parse_model(
+        "domain = a, b, c\npred r/0\npred s/1\npred t/1\npred u/1\n"
+        "0.7 s(X) ^ t(X)\n-1.1 u(X) v r\n0.4 t(X) => s(X)\n"
+    )
+    for trial in range(300):
+        picks = rng.random(len(PROPAGATION_HARD_POOL)) < 0.35
+        model = base.extended(hard=[
+            parse_formula(text, base) for text, pick in zip(PROPAGATION_HARD_POOL, picks)
+            if pick
+        ])
+        evidence = EvidenceSet()
+        if trial % 2:
+            for atom in model.all_atoms():
+                if rng.random() < 0.2:
+                    evidence.assign(atom, bool(rng.random() < 0.5))
+        yield model, evidence
+
+
+def _class_pool():
+    rng = np.random.default_rng(97)
+    for k in range(1000):
+        yield _random_class_instance(rng, CLASS_INSTANCE_KINDS[k % 5])
+
+
+def _small_pools():
+    model = parse_model(
+        "domain = a, b\npred s/1\npred p/2\n"
+        "1.4 s(X) ^ p(X,Y) => s(Y)\n-0.8 p(X,X)\n0.3 s(X) v p(X,X)\n"
+        "hard s(a) v s(b)\n"
+    )
+    yield model, parse_evidence("p(a,b)\n", model)
+    model, matrix, _ = planted_symmetry_instance((8, 8))
+    yield from _reduction_sides(model, matrix)
+
+
+class TestPinnedCompiledModel:
+    """The compiled model of every instance in four pools, recorded when
+    conditioning still built one substituted formula tree per grounding."""
+
+    @pytest.mark.parametrize(
+        "pool, count, refuted, digest",
+        [
+            (_equivalence_pool, 600, 0, "f1765fdd428b1c6c"),
+            (_propagation_pool, 300, 68, "7e0d072f47aacb23"),
+            (_class_pool, 1000, 12, "5ad94b1f233f0514"),
+            (_small_pools, 3, 0, "8e815c7967969683"),
+        ],
+    )
+    def test_compiled_fields(self, pool, count, refuted, digest):
+        records = [_compiled_record(model, evidence) for model, evidence in pool()]
+        assert len(records) == count
+        assert records.count("refuted") == refuted
+        assert _digest(records) == digest
+
+
 class TestEvidenceSet:
     def test_double_assignment_rejected_even_if_consistent(self):
         ev = EvidenceSet()
         ev.assign(Atom("q", ("a",)), True)
         with pytest.raises(InputError, match="twice"):
             ev.assign(Atom("q", ("a",)), True)
+
+    @pytest.mark.parametrize("value", ["false", 2, 1, 0.0, None])
+    def test_values_must_be_bools(self, value):
+        # "false" and 2 were once both stored as True
+        with pytest.raises(InputError, match=r"value of q\(a\) must be a bool"):
+            EvidenceSet().assign(Atom("q", ("a",)), value)
+        with pytest.raises(InputError, match="must be a bool"):
+            EvidenceSet({Atom("q", ("a",)): value})
+        ev = EvidenceSet({Atom("q", ("a",)): np.bool_(False)})
+        assert ev[Atom("q", ("a",))] is False
 
     def test_merged(self):
         left = EvidenceSet({Atom("q", ("a",)): True})
