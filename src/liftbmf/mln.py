@@ -1,19 +1,27 @@
 """Minimal Markov Logic engine: parsing, grounding, exact inference.
 
-A grounding is a first-order formula plus one binding of its variables to
-constants; no ground copy of the formula is built.  Conditioning walks the
-formula under the binding, putting in the bound constants and the known
-atom values at the leaves, and keeps the residual over the atoms left
-open.  Unit propagation over the hard groundings comes first: an atom it
-derives becomes known exactly like evidence.  Worlds assign a truth value
-to every ground atom that evidence and unit propagation leave open; each
-satisfied grounding of a weighted formula multiplies the world weight by
-e^w, and hard formulas filter worlds outright (they never down-weight).
-Exact queries enumerate those worlds in log space and serve as the
-correctness oracle for everything built on top.
+Every ground atom has an integer id, its position in `Model.all_atoms()`.
+Grounding turns each first-order formula into one template, whose leaves
+compute an atom id from a binding given as domain positions; a grounding
+is a template plus one such binding, and no ground copy of the formula is
+built.  Conditioning walks a template under a binding with the known atom
+values in one flat list indexed by id, and keeps the residual over the
+atoms left open, whose leaves are ids.  Unit propagation over the hard
+groundings comes first: an atom it derives becomes known exactly like
+evidence.  Each residual is compiled to a table of log factors; within one
+conditioning, residuals of the same shape (the same formula once their
+atoms are renamed in id order) and the same weight share one table.
+`Atom` objects are built only for the atoms left open and the atoms unit
+propagation derives.  Worlds assign a truth value to every ground atom
+that evidence and unit propagation leave open; each satisfied grounding of
+a weighted formula multiplies the world weight by e^w, and hard formulas
+filter worlds outright (they never down-weight).  Exact queries enumerate
+those worlds in log space and serve as the correctness oracle for
+everything built on top.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -39,6 +47,12 @@ DEFAULT_ATOM_CAP = 24
 DEFAULT_GROUND_CAP = 1_000_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ARITY_RE = re.compile(r"[0-9]+")
+# ASCII decimal or exponent notation; the non-finite spellings are read so
+# that Model can refuse them by name
+_WEIGHT_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
+)
 
 
 # --- formulas ------------------------------------------------------------
@@ -127,57 +141,6 @@ def evaluate(f: Formula, lookup: Mapping[Atom, bool]) -> bool:
     if isinstance(f, Implies):
         return (not evaluate(f.premise, lookup)) or evaluate(f.conclusion, lookup)
     return evaluate(f.left, lookup) == evaluate(f.right, lookup)
-
-
-def partial_evaluate(
-    f: Formula, known: Mapping[Atom, bool], binding: Mapping[str, str]
-) -> Formula | bool:
-    """`f` under `binding`, with known atom values folded in at the leaves:
-    a bool when fully determined, else the residual over the open atoms."""
-    if isinstance(f, Atom):
-        atom = Atom(f.pred, tuple(binding.get(a, a) for a in f.args))
-        return known.get(atom, atom)
-    if isinstance(f, Not):
-        sub = partial_evaluate(f.sub, known, binding)
-        return (not sub) if isinstance(sub, bool) else Not(sub)
-    if isinstance(f, (And, Or)):
-        short = isinstance(f, Or)
-        parts = []
-        for p in f.parts:
-            v = partial_evaluate(p, known, binding)
-            if isinstance(v, bool):
-                if v == short:
-                    return short
-                continue
-            parts.append(v)
-        if not parts:
-            return not short
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts)) if short else And(tuple(parts))
-    if isinstance(f, Implies):
-        prem = partial_evaluate(f.premise, known, binding)
-        conc = partial_evaluate(f.conclusion, known, binding)
-        if prem is False or conc is True:
-            return True
-        if prem is True:
-            return conc
-        if conc is False:
-            return Not(prem) if not isinstance(prem, bool) else not prem
-        return Implies(prem, conc)
-    left = partial_evaluate(f.left, known, binding)
-    right = partial_evaluate(f.right, known, binding)
-    if isinstance(left, bool) and isinstance(right, bool):
-        return left == right
-    if left is True:
-        return right
-    if right is True:
-        return left
-    if left is False:
-        return Not(right)
-    if right is False:
-        return Not(left)
-    return Iff(left, right)
 
 
 _PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4, "not": 5}
@@ -531,10 +494,9 @@ def parse_model(text: str) -> Model:
                 raise InputError(f"line {lineno}: expected 'pred name/arity'")
             name, _, arity_text = rest.partition("/")
             name = name.strip()
-            try:
-                arity = int(arity_text.strip())
-            except ValueError:
-                raise InputError(f"line {lineno}: bad arity {arity_text!r}") from None
+            if not _ARITY_RE.fullmatch(arity_text.strip()):
+                raise InputError(f"line {lineno}: bad arity {arity_text!r}")
+            arity = int(arity_text)
             if name in predicates:
                 raise InputError(f"line {lineno}: predicate {name!r} already declared")
             predicates[name] = arity
@@ -543,12 +505,11 @@ def parse_model(text: str) -> Model:
             pending.append((lineno, line[len("hard"):].strip(), None))
             continue
         head, _, rest = line.partition(" ")
-        try:
-            weight = float(head)
-        except ValueError:
+        if not _WEIGHT_RE.fullmatch(head):
             raise InputError(
                 f"line {lineno}: expected 'domain', 'pred', 'hard' or a weight, got {head!r}"
-            ) from None
+            )
+        weight = float(head)
         if not rest.strip():
             raise InputError(f"line {lineno}: weight {head} without a formula")
         pending.append((lineno, rest.strip(), weight))
@@ -581,29 +542,185 @@ def parse_evidence(text: str, model: Model) -> EvidenceSet:
 
 # --- grounding and conditioning -------------------------------------------
 
+# Templates and residuals are nested tuples.  A leaf is an int, the id of an
+# atom, or, in a template only, (_ATOM, offset, ((slot, stride), ...)): the
+# atom whose id is offset plus, per variable slot, the domain position bound
+# to it times its stride.  Every other node is a connective tag followed by
+# its operands: (_NOT, sub), (_AND, *parts), (_OR, *parts),
+# (_IMPLIES, premise, conclusion) and (_IFF, left, right).
+_ATOM, _NOT, _AND, _OR, _IMPLIES, _IFF = range(6)
+
+
+class _AtomIds:
+    """Integer ids of a model's ground atoms.  An atom's id is its position
+    in `Model.all_atoms()`: its predicate's offset (predicates in name
+    order, m^arity ids each) plus the mixed-radix value of its arguments'
+    domain positions, the first argument most significant."""
+
+    def __init__(self, model: Model):
+        self.domain = model.domain
+        self.position = {c: k for k, c in enumerate(model.domain)}
+        self.layout: dict[str, tuple[int, int]] = {}  # predicate -> (offset, arity)
+        self.count = 0
+        for name in sorted(model.predicates):
+            arity = int(model.predicates[name])
+            self.layout[name] = (self.count, arity)
+            self.count += len(self.domain) ** arity
+        self._names = list(self.layout)
+        self._offsets = [offset for offset, _ in self.layout.values()]
+        self._arguments: dict[int, list[tuple[str, ...]]] = {}  # arity -> in id order
+
+    def id_of(self, atom: Atom) -> int | None:
+        """The id of `atom`, or None unless it is a ground atom of the signature."""
+        offset, arity = self.layout.get(atom.pred, (0, -1))
+        if arity != len(atom.args):
+            return None
+        value = 0
+        for arg in atom.args:
+            k = self.position.get(arg)
+            if k is None:
+                return None
+            value = value * len(self.domain) + k
+        return offset + value
+
+    def atom(self, atom_id: int) -> Atom:
+        name = self._names[bisect.bisect_right(self._offsets, atom_id) - 1]
+        offset, arity = self.layout[name]
+        arguments = self._arguments.get(arity)
+        if arguments is None:
+            arguments = self._arguments[arity] = list(
+                itertools.product(self.domain, repeat=arity)
+            )
+        return Atom(name, arguments[atom_id - offset])
+
+    def template(self, f: Formula, variables: Sequence[str]):
+        """`f` as a template whose slot k holds variables[k]."""
+        if isinstance(f, Atom):
+            offset, arity = self.layout[f.pred]
+            strides: dict[int, int] = {}
+            for j, arg in enumerate(f.args):
+                stride = len(self.domain) ** (arity - 1 - j)
+                if is_variable(arg):
+                    slot = variables.index(arg)
+                    strides[slot] = strides.get(slot, 0) + stride
+                else:
+                    offset += self.position[arg] * stride
+            return (_ATOM, offset, tuple(strides.items())) if strides else offset
+        if isinstance(f, Not):
+            return (_NOT, self.template(f.sub, variables))
+        if isinstance(f, (And, Or)):
+            tag = _OR if isinstance(f, Or) else _AND
+            return (tag, *(self.template(p, variables) for p in f.parts))
+        if isinstance(f, Implies):
+            return (_IMPLIES, self.template(f.premise, variables),
+                    self.template(f.conclusion, variables))
+        return (_IFF, self.template(f.left, variables), self.template(f.right, variables))
+
+    def formula(self, residual) -> Formula:
+        """A residual as a formula over ground atoms."""
+        if type(residual) is int:
+            return self.atom(residual)
+        tag, *subs = residual
+        subs = [self.formula(sub) for sub in subs]
+        if tag == _NOT:
+            return Not(subs[0])
+        if tag == _AND or tag == _OR:
+            return (Or if tag == _OR else And)(tuple(subs))
+        return (Implies if tag == _IMPLIES else Iff)(*subs)
+
+
+def _partial(node, positions: Sequence[int], known: Sequence[bool | None]):
+    """`node`, a template or a residual, under `positions` (the domain
+    position bound to each variable slot), with the values of `known`
+    (indexed by atom id, None for an open atom) folded in at the leaves:
+    a bool when fully determined, else the residual over the open atoms."""
+    if type(node) is int:
+        value = known[node]
+        return node if value is None else value
+    tag = node[0]
+    if tag == _ATOM:
+        atom_id = node[1]
+        for slot, stride in node[2]:
+            atom_id += positions[slot] * stride
+        value = known[atom_id]
+        return atom_id if value is None else value
+    if tag == _NOT:
+        sub = _partial(node[1], positions, known)
+        return (not sub) if type(sub) is bool else (_NOT, sub)
+    if tag == _AND or tag == _OR:
+        short = tag == _OR
+        parts = []
+        for part in node[1:]:
+            value = _partial(part, positions, known)
+            if type(value) is bool:
+                if value is short:
+                    return short
+                continue
+            parts.append(value)
+        if not parts:
+            return not short
+        if len(parts) == 1:
+            return parts[0]
+        return (tag, *parts)
+    left = _partial(node[1], positions, known)
+    right = _partial(node[2], positions, known)
+    if tag == _IMPLIES:
+        if left is False or right is True:
+            return True
+        if left is True:
+            return right
+        if right is False:
+            return (_NOT, left)
+        return (_IMPLIES, left, right)
+    if type(left) is bool and type(right) is bool:
+        return left == right
+    if left is True:
+        return right
+    if right is True:
+        return left
+    if left is False:
+        return (_NOT, right)
+    if right is False:
+        return (_NOT, left)
+    return (_IFF, left, right)
+
+
+def _leaf_ids(residual, out: list[int]) -> list[int]:
+    """`out` with the atom ids at the leaves of `residual` appended."""
+    if type(residual) is int:
+        out.append(residual)
+    else:
+        for sub in residual[1:]:
+            _leaf_ids(sub, out)
+    return out
+
+
+def _renamed(residual, rank: Mapping[int, int]):
+    """`residual` with each leaf id replaced by rank[id]."""
+    if type(residual) is int:
+        return rank[residual]
+    return (residual[0], *(_renamed(sub, rank) for sub in residual[1:]))
+
 
 @dataclass(frozen=True)
 class Grounding:
     """All groundings of the model's formulas, before evidence: each is a
-    first-order formula with one binding of its free variables to
-    constants, and stands for the formula with those constants put in."""
+    formula's template (see `_AtomIds.template`) with one binding of its
+    variables, a tuple holding the domain position of each variable's
+    constant, and stands for the formula with those constants put in."""
 
     model: Model
-    weighted: tuple[tuple[float, Formula, Mapping[str, str]], ...]
-    hard: tuple[tuple[Formula, Mapping[str, str]], ...]
+    weighted: tuple[tuple[float, object, tuple[int, ...]], ...]
+    hard: tuple[tuple[object, tuple[int, ...]], ...]
 
     def condition(self, evidence: EvidenceSet) -> "Conditioned":
         return _condition(self, evidence)
 
 
-def _bindings(f: Formula, domain: Sequence[str]) -> Iterator[dict[str, str]]:
-    variables = free_variables(f)
-    for combo in itertools.product(domain, repeat=len(variables)):
-        yield dict(zip(variables, combo))
-
-
 def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
-    """One grounding per formula and binding of its variables over the domain."""
+    """One grounding per formula and binding of its variables over the
+    domain, bindings in `itertools.product` order; each formula's template
+    is built once."""
     check_integer(ground_cap, "ground_cap", 0)
     m = len(model.domain)
     if m == 0:
@@ -612,10 +729,15 @@ def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
     total = sum(m ** len(free_variables(f)) for f in formulas)
     if total > ground_cap:
         raise CapacityError(f"{total} groundings exceed the cap of {ground_cap}")
-    weighted = tuple(
-        (w, f, b) for w, f in model.weighted_formulas for b in _bindings(f, model.domain)
-    )
-    hard = tuple((f, b) for f in model.hard_formulas for b in _bindings(f, model.domain))
+    ids = _AtomIds(model)
+
+    def groundings(f: Formula):
+        variables = free_variables(f)
+        template = ids.template(f, variables)
+        return ((template, b) for b in itertools.product(range(m), repeat=len(variables)))
+
+    weighted = tuple((w, t, b) for w, f in model.weighted_formulas for t, b in groundings(f))
+    hard = tuple(g for f in model.hard_formulas for g in groundings(f))
     return Grounding(model, weighted, hard)
 
 
@@ -640,21 +762,6 @@ class _CompiledFormula:
         return self.log_table[self.packed(column)]
 
 
-def _compile_formula(f: Formula, weight, index: Mapping[Atom, int]) -> _CompiledFormula:
-    """`weight` None compiles a hard formula."""
-    atoms = sorted(set(atoms_of(f)), key=lambda a: index[a])
-    ids = tuple(index[a] for a in atoms)
-    if len(ids) > 20:
-        raise CapacityError(f"ground formula touches {len(ids)} atoms; table too large")
-    holds, fails = (0.0, -np.inf) if weight is None else (weight, 0.0)
-    log_table = np.empty(1 << len(ids))
-    for packed in range(1 << len(ids)):
-        lookup = {a: bool(packed >> pos & 1) for pos, a in enumerate(atoms)}
-        log_table[packed] = holds if evaluate(f, lookup) else fails
-    log_table.setflags(write=False)
-    return _CompiledFormula(ids, log_table)
-
-
 def permute_axes(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """`table` with every axis reindexed by `perm`: entry (c1, ..., ck) of
     the result is entry (perm[c1], ..., perm[ck]) of `table`."""
@@ -672,12 +779,12 @@ class Conditioned:
     one open atom and one allowed value for it fixes that atom, exactly as
     evidence does, and every world of positive weight agrees with it.
     `atoms` is every other ground atom of the signature, the atoms left
-    open, in a fixed order; compiled formulas index into it.  `formulas` is
-    `hard` then `weighted`, and `blanket[i]` lists the positions in
+    open, in atom id order; compiled formulas index into it.  `formulas`
+    is `hard` then `weighted`, and `blanket[i]` lists the positions in
     `formulas` of those touching atom i, ascending, so hard ones come
     first.  `relabeling` holds one array per predicate of nonzero arity
-    with an open atom; it maps the domain positions of an atom's constants
-    to its atom id (-1 for a known atom).
+    with an open atom, in declaration order; it maps the domain positions
+    of an atom's constants to its index in `atoms` (-1 for a known atom).
     """
 
     model: Model
@@ -820,82 +927,125 @@ class Conditioned:
         return fixed, open_queries
 
 
+def _log_table(shape, n: int, weight: float | None) -> np.ndarray:
+    """Read-only log factors of a residual whose leaves are 0 to n-1, one
+    per assignment: entry `packed` sets leaf r to bit r of `packed`.
+    `weight` None compiles a hard residual."""
+    if n > 20:
+        raise CapacityError(f"ground formula touches {n} atoms; table too large")
+    holds, fails = (0.0, -np.inf) if weight is None else (weight, 0.0)
+    table = np.empty(1 << n)
+    for packed in range(1 << n):
+        bits = [packed >> r & 1 == 1 for r in range(n)]
+        table[packed] = holds if _partial(shape, (), bits) else fails
+    table.setflags(write=False)
+    return table
+
+
 def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     model = grounding.model
-    known: dict[Atom, bool] = {}
+    ids = _AtomIds(model)
+    known: list[bool | None] = [None] * ids.count
     for atom, value in evidence.items():
-        model.check_formula(atom, "evidence")
-        known[atom] = value
-    residual_hard = _propagate_units(grounding.hard, known)
-    atoms = tuple(a for a in model.all_atoms() if a not in known)
-    index = {a: i for i, a in enumerate(atoms)}
+        atom_id = ids.id_of(atom)
+        if atom_id is None:
+            model.check_formula(atom, "evidence")  # raises, naming what is wrong
+        known[atom_id] = value
+    residual_hard, derived = _unit_propagate(grounding.hard, known, ids)
+    open_ids = [i for i, value in enumerate(known) if value is None]
+    dense = np.full(ids.count, -1)  # atom id -> index in `atoms`, -1 if known
+    dense[open_ids] = np.arange(len(open_ids))
+    index_of = dense.tolist()
+    atoms = tuple(map(ids.atom, open_ids))
+    # Groundings whose residuals agree up to renaming their atoms in id
+    # order share one table.  The key holds the weight's hex so that -0.0
+    # and 0.0, whose tables differ, are told apart.
+    tables: dict[tuple, np.ndarray] = {}
+
+    def compiled(residual, weight: float | None) -> _CompiledFormula:
+        leaves = sorted(set(_leaf_ids(residual, [])))
+        shape = _renamed(residual, {atom_id: r for r, atom_id in enumerate(leaves)})
+        key = (shape, None if weight is None else weight.hex())
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _log_table(shape, len(leaves), weight)
+        return _CompiledFormula(tuple(index_of[i] for i in leaves), table)
+
     const_log_weight = 0.0
     weighted = []
-    for w, f, binding in grounding.weighted:
-        simp = partial_evaluate(f, known, binding)
+    for w, template, positions in grounding.weighted:
+        simp = _partial(template, positions, known)
         if simp is True:
             const_log_weight += w
         elif simp is not False:
-            weighted.append(_compile_formula(simp, w, index))
-    hard = [_compile_formula(simp, None, index) for simp in residual_hard if simp is not True]
+            weighted.append(compiled(simp, w))
+    hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
+    m = len(model.domain)
     lookups = (
-        np.array([
-            index.get(Atom(name, args), -1)
-            for args in itertools.product(model.domain, repeat=arity)
-        ]).reshape((len(model.domain),) * arity)
-        for name, arity in model.predicates.items() if arity
+        dense[offset:offset + m ** arity].reshape((m,) * arity)
+        for offset, arity in map(ids.layout.get, model.predicates) if arity
     )
     relabeling = tuple(lookup for lookup in lookups if (lookup >= 0).any())
     blanket: list[list[int]] = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
+    known_atoms = dict(evidence.items())
+    known_atoms.update((ids.atom(i), known[i]) for i in derived)
     return Conditioned(
-        model, known, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
-        formulas, tuple(map(tuple, blanket)), relabeling,
+        model, known_atoms, atoms, dict(zip(atoms, range(len(atoms)))), tuple(weighted),
+        tuple(hard), const_log_weight, formulas, tuple(map(tuple, blanket)), relabeling,
     )
 
 
-def _propagate_units(
-    hard: Sequence[tuple[Formula, Mapping[str, str]]], known: dict[Atom, bool]
-) -> list[Formula | bool]:
+def _unit_propagate(
+    hard: Sequence[tuple[object, tuple[int, ...]]], known: list[bool | None], ids: _AtomIds
+) -> tuple[list, list[int]]:
     """Unit propagation to a fixed point: a hard grounding left with one
-    open atom and one allowed value for it adds that atom to `known`, just
-    as evidence does.  Returns every grounding partially evaluated under
-    the final `known`.  Raises when a grounding admits no value: then no
-    world satisfies the evidence and the hard formulas.  A grounding
-    watches the atoms of its first residual, a superset of every later one."""
-    watchers: dict[Atom, list[int]] = {}
-    residual: list[Formula | bool | None] = [None] * len(hard)
+    open atom and one allowed value for it sets that atom in `known`, just
+    as evidence does.  Returns every grounding's residual under the final
+    `known` and the ids of the atoms set, in the order they were derived.
+    Raises when a grounding admits no value: then no world satisfies the
+    evidence and the hard formulas.  A grounding watches the atoms of its
+    first residual, a superset of every later one."""
+    watchers: dict[int, list[int]] = {}
+    residual: list = [None] * len(hard)
+    derived: list[int] = []
     pending = list(range(len(hard)))
     while pending:
         k = pending.pop()
-        f, binding = hard[k]
+        template, positions = hard[k]
         first = residual[k] is None
-        simp = residual[k] = partial_evaluate(f, known, binding)
+        simp = residual[k] = _partial(template, positions, known)
         if simp is True:
             continue
-        open_atoms = () if simp is False else set(atoms_of(simp))
+        open_ids = () if simp is False else set(_leaf_ids(simp, []))
         if first:
-            for atom in open_atoms:
-                watchers.setdefault(atom, []).append(k)
-        if len(open_atoms) > 1:
+            for atom_id in open_ids:
+                watchers.setdefault(atom_id, []).append(k)
+        if len(open_ids) > 1:
             continue
-        allowed = [(a, v) for a in open_atoms for v in (False, True) if evaluate(simp, {a: v})]
+        allowed = []
+        for atom_id in open_ids:
+            for value in (False, True):
+                known[atom_id] = value
+                if _partial(simp, (), known):
+                    allowed.append((atom_id, value))
+            known[atom_id] = None
         if not allowed:
-            # with nothing known, partial evaluation is plain substitution
-            ground_text = format_formula(partial_evaluate(f, {}, binding))
+            # with nothing known, the residual is the ground formula
+            substituted = _partial(template, positions, [None] * ids.count)
             raise InconsistencyError(
-                f"unit propagation refutes hard formula {ground_text}; "
+                f"unit propagation refutes hard formula {format_formula(ids.formula(substituted))}; "
                 "evidence and hard formulas are inconsistent"
             )
         if len(allowed) == 1:
-            atom, value = allowed[0]
-            known[atom] = value
+            atom_id, known[atom_id] = allowed[0]
+            derived.append(atom_id)
             residual[k] = True
-            pending.extend(j for j in watchers[atom] if j != k)
-    return residual
+            pending.extend(j for j in watchers[atom_id] if j != k)
+    return residual, derived
 
 
 # --- exact inference by enumeration ---------------------------------------

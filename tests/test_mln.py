@@ -18,6 +18,8 @@ from liftbmf.mln import (
     Model,
     Not,
     Or,
+    _CompiledFormula,
+    atoms_of,
     enumerate_world_distribution,
     evaluate,
     exact_marginals,
@@ -135,6 +137,31 @@ class TestParseModel:
         with pytest.raises(InputError, match="arity of p must be an integer >= 0"):
             Model(("a",), {"p": arity})
         assert Model(("a",), {"p": np.int64(2)}).all_atoms() == (Atom("p", ("a", "a")),)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pred q/1_0", "line 3: bad arity '1_0'"),
+            ("pred q/\u0661", "line 3: bad arity"),
+            ("pred q/\uff12", "line 3: bad arity"),
+            ("pred q/+1", "line 3: bad arity"),
+            ("1_0 s(a)", "line 3: expected .* got '1_0'"),
+            ("1_000.5 s(a)", "line 3: expected .* got '1_000.5'"),
+            ("\u0661 s(a)", "line 3: expected .* or a weight"),
+            ("\u0663.5 s(a)", "line 3: expected .* or a weight"),
+            ("\uff11e1 s(a)", "line 3: expected .* or a weight"),
+        ],
+    )
+    def test_numbers_are_ascii_decimal(self, line, message):
+        # int() and float() once read 1_0 as 10 and Arabic-Indic or
+        # full-width digits as their values
+        with pytest.raises(InputError, match=message):
+            parse_model(f"domain = a\npred s/1\n{line}\n")
+
+    @pytest.mark.parametrize("weight", ["1.5", "-2e-3", ".5", "5.", "+1E+2", "007"])
+    def test_ascii_weights_parse(self, weight):
+        model = parse_model(f"domain = a\npred s/1\n{weight} s(a)\n")
+        assert model.weighted_formulas[0][0] == float(weight)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "+inf", "1e999"])
     def test_non_finite_formula_weight_is_refused(self, weight):
@@ -869,6 +896,10 @@ def _compiled_record(model, evidence):
         cond = ground(model).condition(evidence)
     except InconsistencyError:
         return "refuted"
+    return _compiled_fields(cond)
+
+
+def _compiled_fields(cond):
     return (
         cond.atoms,
         sorted((repr(a), v) for a, v in cond.known.items()),
@@ -951,6 +982,264 @@ class TestPinnedCompiledModel:
         assert len(records) == count
         assert records.count("refuted") == refuted
         assert _digest(records) == digest
+
+
+# --- the Atom-tree conditioning that integer atom ids replaced --------------
+#
+# Kept as a differential oracle: each grounding is a formula and a binding
+# dict, evaluated with Atom objects at the leaves and compiled by
+# evaluating its residual under every assignment.
+
+
+def _tree_partial_evaluate(f, known, binding):
+    if isinstance(f, Atom):
+        atom = Atom(f.pred, tuple(binding.get(a, a) for a in f.args))
+        return known.get(atom, atom)
+    if isinstance(f, Not):
+        sub = _tree_partial_evaluate(f.sub, known, binding)
+        return (not sub) if isinstance(sub, bool) else Not(sub)
+    if isinstance(f, (And, Or)):
+        short = isinstance(f, Or)
+        parts = []
+        for p in f.parts:
+            v = _tree_partial_evaluate(p, known, binding)
+            if isinstance(v, bool):
+                if v == short:
+                    return short
+                continue
+            parts.append(v)
+        if not parts:
+            return not short
+        if len(parts) == 1:
+            return parts[0]
+        return Or(tuple(parts)) if short else And(tuple(parts))
+    if isinstance(f, Implies):
+        prem = _tree_partial_evaluate(f.premise, known, binding)
+        conc = _tree_partial_evaluate(f.conclusion, known, binding)
+        if prem is False or conc is True:
+            return True
+        if prem is True:
+            return conc
+        if conc is False:
+            return Not(prem) if not isinstance(prem, bool) else not prem
+        return Implies(prem, conc)
+    left = _tree_partial_evaluate(f.left, known, binding)
+    right = _tree_partial_evaluate(f.right, known, binding)
+    if isinstance(left, bool) and isinstance(right, bool):
+        return left == right
+    if left is True:
+        return right
+    if right is True:
+        return left
+    if left is False:
+        return Not(right)
+    if right is False:
+        return Not(left)
+    return Iff(left, right)
+
+
+def _tree_compile_formula(f, weight, index):
+    atoms = sorted(set(atoms_of(f)), key=lambda a: index[a])
+    ids = tuple(index[a] for a in atoms)
+    if len(ids) > 20:
+        raise CapacityError(f"ground formula touches {len(ids)} atoms; table too large")
+    holds, fails = (0.0, -np.inf) if weight is None else (weight, 0.0)
+    log_table = np.empty(1 << len(ids))
+    for packed in range(1 << len(ids)):
+        lookup = {a: bool(packed >> pos & 1) for pos, a in enumerate(atoms)}
+        log_table[packed] = holds if evaluate(f, lookup) else fails
+    log_table.setflags(write=False)
+    return _CompiledFormula(ids, log_table)
+
+
+def _tree_propagate_units(hard, known):
+    watchers = {}
+    residual = [None] * len(hard)
+    pending = list(range(len(hard)))
+    while pending:
+        k = pending.pop()
+        f, binding = hard[k]
+        first = residual[k] is None
+        simp = residual[k] = _tree_partial_evaluate(f, known, binding)
+        if simp is True:
+            continue
+        open_atoms = () if simp is False else set(atoms_of(simp))
+        if first:
+            for atom in open_atoms:
+                watchers.setdefault(atom, []).append(k)
+        if len(open_atoms) > 1:
+            continue
+        allowed = [(a, v) for a in open_atoms for v in (False, True) if evaluate(simp, {a: v})]
+        if not allowed:
+            ground_text = format_formula(_tree_partial_evaluate(f, {}, binding))
+            raise InconsistencyError(
+                f"unit propagation refutes hard formula {ground_text}; "
+                "evidence and hard formulas are inconsistent"
+            )
+        if len(allowed) == 1:
+            atom, value = allowed[0]
+            known[atom] = value
+            residual[k] = True
+            pending.extend(j for j in watchers[atom] if j != k)
+    return residual
+
+
+def _tree_condition(model, evidence):
+    def bindings(f):
+        variables = free_variables(f)
+        for combo in itertools.product(model.domain, repeat=len(variables)):
+            yield dict(zip(variables, combo))
+
+    known = {}
+    for atom, value in evidence.items():
+        model.check_formula(atom, "evidence")
+        known[atom] = value
+    hard_groundings = [(f, b) for f in model.hard_formulas for b in bindings(f)]
+    residual_hard = _tree_propagate_units(hard_groundings, known)
+    atoms = tuple(a for a in model.all_atoms() if a not in known)
+    index = {a: i for i, a in enumerate(atoms)}
+    const_log_weight = 0.0
+    weighted = []
+    for w, f in model.weighted_formulas:
+        for binding in bindings(f):
+            simp = _tree_partial_evaluate(f, known, binding)
+            if simp is True:
+                const_log_weight += w
+            elif simp is not False:
+                weighted.append(_tree_compile_formula(simp, w, index))
+    hard = [_tree_compile_formula(simp, None, index) for simp in residual_hard if simp is not True]
+    formulas = tuple(hard + weighted)
+    lookups = (
+        np.array([
+            index.get(Atom(name, args), -1)
+            for args in itertools.product(model.domain, repeat=arity)
+        ]).reshape((len(model.domain),) * arity)
+        for name, arity in model.predicates.items() if arity
+    )
+    relabeling = tuple(lookup for lookup in lookups if (lookup >= 0).any())
+    blanket = [[] for _ in atoms]
+    for k, comp in enumerate(formulas):
+        for atom_id in comp.atom_ids:
+            blanket[atom_id].append(k)
+    return Conditioned(
+        model, known, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
+        formulas, tuple(map(tuple, blanket)), relabeling,
+    )
+
+
+# 0-ary to 3-ary, declared out of name order so that declaration order and
+# atom id order differ
+ORACLE_PREDICATES = {"t": 3, "s": 1, "r": 0, "p": 2}
+ORACLE_TERMS = ("X", "Y", "Z", "X", "Y", "a", "b")  # X and Y drawn twice as often
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        pred = list(ORACLE_PREDICATES)[int(rng.integers(len(ORACLE_PREDICATES)))]
+        terms = rng.integers(len(ORACLE_TERMS), size=ORACLE_PREDICATES[pred])
+        return Atom(pred, tuple(ORACLE_TERMS[k] for k in terms))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return Not(_random_formula(rng, depth - 1))
+    if kind in (1, 2):
+        parts = tuple(_random_formula(rng, depth - 1) for _ in range(int(rng.integers(2, 4))))
+        return And(parts) if kind == 1 else Or(parts)
+    left, right = _random_formula(rng, depth - 1), _random_formula(rng, depth - 1)
+    return Implies(left, right) if kind == 3 else Iff(left, right)
+
+
+def _random_oracle_instance(rng, trial):
+    """A random model over r/0, s/1, p/2 and t/3 with constants inside its
+    formulas, weights that include both zeros, short hard formulas that
+    unit propagation can refute, and partial evidence; every 20th instance
+    holds one evidence atom outside the model."""
+    domain = ("a", "b", "c")[:int(rng.integers(2, 4))]
+    weighted = [
+        (float(rng.choice([-0.0, 0.0])) if rng.random() < 0.1 else float(rng.uniform(-2, 2)),
+         _random_formula(rng, 2))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    hard = [_random_formula(rng, int(rng.integers(0, 2))) for _ in range(int(rng.integers(0, 4)))]
+    model = Model(domain, ORACLE_PREDICATES, weighted, hard)
+    evidence = EvidenceSet()
+    for atom in model.all_atoms():
+        if rng.random() < 0.25:
+            evidence.assign(atom, bool(rng.random() < 0.5))
+    if trial % 20 == 19:
+        bad = [Atom("s", ("zz",)), Atom("p", ("a",)), Atom("q", ("a",)), Atom("r", ("a",))]
+        evidence.assign(bad[trial // 20 % len(bad)], True)
+    return model, evidence
+
+
+def _connectives(f):
+    """Names of the connectives in `f`."""
+    if isinstance(f, Atom):
+        return set()
+    if isinstance(f, Not):
+        subs = (f.sub,)
+    elif isinstance(f, (And, Or)):
+        subs = f.parts
+    elif isinstance(f, Implies):
+        subs = (f.premise, f.conclusion)
+    else:
+        subs = (f.left, f.right)
+    return {type(f).__name__}.union(*map(_connectives, subs))
+
+
+class TestConditionOracle:
+    """Conditioning on integer atom ids against the Atom-tree path it
+    replaced: the same compiled fields, or the same exception and message."""
+
+    @staticmethod
+    def _outcome(condition, model, evidence):
+        try:
+            return _compiled_fields(condition(model, evidence))
+        except (InconsistencyError, InputError, CapacityError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_random_models_match_the_atom_tree_path(self):
+        rng = np.random.default_rng(101)
+        kinds = {"compiled": 0, "InconsistencyError": 0, "InputError": 0}
+        connectives, arities, constants = set(), set(), False
+        for trial in range(600):
+            model, evidence = _random_oracle_instance(rng, trial)
+            new = self._outcome(lambda m, e: ground(m).condition(e), model, evidence)
+            old = self._outcome(_tree_condition, model, evidence)
+            assert new == old, (model.to_text(), evidence.to_text())
+            kinds[new[0] if isinstance(new[0], str) else "compiled"] += 1
+            formulas = [f for _, f in model.weighted_formulas] + list(model.hard_formulas)
+            for f in formulas:
+                connectives |= _connectives(f)
+                for atom in atoms_of(f):
+                    arities.add(len(atom.args))
+                    constants |= any(a in model.domain for a in atom.args)
+        assert kinds["compiled"] > 250 and kinds["InconsistencyError"] > 100
+        assert kinds["InputError"] == 30
+        assert connectives == {"Not", "And", "Or", "Implies", "Iff"}
+        assert arities == {0, 1, 2, 3} and constants
+
+    def test_refutation_prints_the_ground_formula(self):
+        model = parse_model("domain = a, b\npred p/2\npred s/1\nhard p(X,Y) => s(Y)\n")
+        evidence = parse_evidence("p(a,b)\n!s(b)\n", model)
+        with pytest.raises(InconsistencyError, match=r"refutes hard formula p\(a, b\) => s\(b\);"):
+            ground(model).condition(evidence)
+
+
+class TestTableMemo:
+    def test_planted_8_8_shares_four_tables_per_side(self):
+        model, matrix, _ = planted_symmetry_instance((8, 8))
+        for side_model, evidence in _reduction_sides(model, matrix):
+            cond = ground(side_model).condition(evidence)
+            assert len(cond.formulas) == 144
+            assert len({id(comp.log_table) for comp in cond.formulas}) <= 4
+            assert not any(comp.log_table.flags.writeable for comp in cond.formulas)
+
+    def test_weights_zero_and_minus_zero_keep_their_own_tables(self):
+        model = parse_model("domain = a, b\npred s/1\n0.0 s(X)\n-0.0 s(X)\n")
+        cond = ground(model).condition(EvidenceSet())
+        assert _compiled_fields(cond) == _compiled_fields(_tree_condition(model, EvidenceSet()))
+        tables = [comp.log_table[1].hex() for comp in cond.formulas]
+        assert tables == ["0x0.0p+0"] * 2 + ["-0x0.0p+0"] * 2
 
 
 class TestEvidenceSet:
