@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_integer
 
 __all__ = [
     "BoolMatrix",
@@ -55,6 +55,51 @@ def _read_label_header(line: str, lineno: int, labels: dict[str, tuple[str, ...]
                 raise InputError(f"line {lineno}: duplicate #{tag} header")
             names = line[len(tag) + 1:]
             labels[tag] = tuple(p.strip() for p in names.split(",")) if names.strip() else ()
+
+
+_COUNT_WORDS = ("no", "one", "two", "three", "four")
+
+
+def _read_records(text: str, fields: str):
+    """(labels by 'rows'/'cols', header integers, [(lineno, body line)]) of
+    a matrix or factorization file.  Blank lines and '#' comments may come
+    anywhere; the first other line holds one integer per name in `fields`."""
+    count = len(fields.split())
+    labels: dict[str, tuple[str, ...]] = {}
+    header = None
+    body: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _read_label_header(line, lineno, labels)
+        elif header is not None:
+            body.append((lineno, line))
+        else:
+            parts = line.split()
+            if len(parts) != count:
+                raise InputError(f"line {lineno}: expected '{fields}', got {line!r}")
+            message = f"line {lineno}: expected {_COUNT_WORDS[count]} integers, got {line!r}"
+            header = tuple(read_integer(p, message) for p in parts)
+    if header is None:
+        raise InputError(f"missing '{fields}' header line")
+    return labels, header, body
+
+
+def _label_lines(row_labels, col_labels) -> list[str]:
+    """The '#rows'/'#cols' header lines for the labels that are present."""
+    tagged = (("rows", row_labels), ("cols", col_labels))
+    return [f"#{tag} " + ",".join(names) for tag, names in tagged if names is not None]
+
+
+def _text_bits(line: str, n: int, where: str) -> np.ndarray:
+    """A body line of `n` '0'/'1' characters as a uint8 vector."""
+    if len(line) != n:
+        raise InputError(f"{where}: expected {n} characters, got {len(line)}")
+    if line.strip("01"):
+        raise InputError(f"{where}: entries must be 0 or 1, got {line!r}")
+    return np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
 
 
 def _bit_array(values, what: str) -> np.ndarray:
@@ -139,51 +184,22 @@ class BoolMatrix:
 
     def to_text(self, comments: Iterable[str] = ()) -> str:
         out = [f"# {c}" for c in comments]
-        if self.row_labels is not None:
-            out.append("#rows " + ",".join(self.row_labels))
-        if self.col_labels is not None:
-            out.append("#cols " + ",".join(self.col_labels))
+        out += _label_lines(self.row_labels, self.col_labels)
         out.append(f"{self.rows} {self.cols}")
         out.extend("".join(str(b) for b in row) for row in self.bits)
         return "\n".join(out) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BoolMatrix":
-        labels: dict[str, tuple[str, ...]] = {}
-        dims = None
-        data: list[np.ndarray] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _read_label_header(line, lineno, labels)
-                continue
-            if dims is None:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise InputError(f"line {lineno}: expected 'k l', got {line!r}")
-                try:
-                    dims = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    raise InputError(f"line {lineno}: expected two integers, got {line!r}") from None
-                if dims[0] < 0 or dims[1] < 0:
-                    raise InputError(f"line {lineno}: negative dimensions {dims}")
-                continue
-            if len(data) >= dims[0]:
-                raise InputError(f"line {lineno}: more than {dims[0]} data rows")
-            if len(line) != dims[1]:
-                raise InputError(
-                    f"line {lineno}: expected {dims[1]} characters, got {len(line)}"
-                )
-            if set(line) - {"0", "1"}:
-                raise InputError(f"line {lineno}: entries must be 0 or 1, got {line!r}")
-            data.append(np.frombuffer(line.encode(), dtype=np.uint8) - ord("0"))
-        if dims is None:
-            raise InputError("missing 'k l' dimension line")
-        if len(data) != dims[0]:
-            raise InputError(f"expected {dims[0]} data rows, got {len(data)}")
-        bits = np.array(data, dtype=np.uint8).reshape(dims)
+        labels, (k, l), body = _read_records(text, "k l")
+        if k < 0 or l < 0:
+            raise InputError(f"negative dimensions {(k, l)}")
+        if len(body) > k:
+            raise InputError(f"line {body[k][0]}: more than {k} data rows")
+        rows = [_text_bits(line, l, f"line {lineno}") for lineno, line in body]
+        if len(rows) < k and l:  # the empty rows of a k x 0 matrix are skipped as blank
+            raise InputError(f"expected {k} data rows, got {len(rows)}")
+        bits = np.array(rows, dtype=np.uint8).reshape(k, l)
         return cls(bits, labels.get("rows"), labels.get("cols"))
 
 

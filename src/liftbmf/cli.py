@@ -14,26 +14,49 @@ import sys
 
 from . import experiments, factorize, mln, reduction, sampler
 from .boolmat import flip_counts, read_matrix, write_matrix
-from .errors import CapacityError, InconsistencyError, InputError, LiftBmfError
+from .errors import (CapacityError, InconsistencyError, InputError, LiftBmfError, read_integer,
+                     read_real)
 
 ENV_PREFIX = "LIFTBMF_"
 
 
-def _env(name: str, default, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InputError(f"bad value for {ENV_PREFIX}{name}: {raw!r}") from None
+# argparse names the cast when it refuses a flag: "invalid integer value: '1_0'"
+def integer(text: str) -> int:
+    return read_integer(text, f"expected an integer, got {text!r}")
+
+
+def real(text: str) -> float:
+    return read_real(text, f"expected a real number, got {text!r}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
+    message = f"expected a comma-separated integer list, got {text!r}"
+    return tuple(read_integer(p.strip(), message) for p in text.split(",") if p.strip())
+
+
+def _planted_recipe(text: str) -> tuple[int, int, float]:
+    message = f"expected m,rank,noise, got {text!r}"
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3:
+        raise InputError(message)
+    m, rank, noise = parts
+    return read_integer(m, message), read_integer(rank, message), read_real(noise, message)
+
+
+def _option(p, *flags, cast=str, choices=None, env: str | None = None, default=None, **kwargs):
+    """Add an option read by `cast` and checked against `choices`; a set
+    LIFTBMF_<env> replaces `default` and is read and checked the same way."""
+    raw = os.environ.get(ENV_PREFIX + env) if env else None
+    if raw is not None:
+        try:
+            default = cast(raw)
+        except ValueError:
+            raise InputError(f"bad value for {ENV_PREFIX}{env}: {raw!r}") from None
+        if choices is not None and default not in choices:
+            raise InputError(
+                f"bad value for {ENV_PREFIX}{env}: {raw!r} (choose from {', '.join(choices)})"
+            )
+    p.add_argument(*flags, type=cast, choices=choices, default=default, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,32 +235,22 @@ def _cmd_experiment_equivalence(args) -> int:
 
 
 def _add_factorize_flags(p: _Parser) -> None:
-    p.add_argument("--tau", type=float, default=_env("TAU", 0.7, float))
-    p.add_argument("--w-plus", type=float, default=_env("W_PLUS", 1.0, float))
-    p.add_argument("--w-minus", type=float, default=_env("W_MINUS", 1.0, float))
+    _option(p, "--tau", env="TAU", default=0.7, cast=real)
+    _option(p, "--w-plus", env="W_PLUS", default=1.0, cast=real)
+    _option(p, "--w-minus", env="W_MINUS", default=1.0, cast=real)
 
 
 def _add_search_flags(p: _Parser) -> None:
-    p.add_argument(
-        "--size-cap", type=int, default=_env("SIZE_CAP", factorize.DEFAULT_SIZE_CAP, int)
-    )
-    p.add_argument(
-        "--max-search",
-        type=int,
-        default=_env("MAX_SEARCH", factorize.DEFAULT_MAX_SEARCH, int),
-    )
+    _option(p, "--size-cap", env="SIZE_CAP", default=factorize.DEFAULT_SIZE_CAP, cast=integer)
+    _option(p, "--max-search", env="MAX_SEARCH", default=factorize.DEFAULT_MAX_SEARCH,
+            cast=integer)
 
 
 def _add_chain_flags(p: _Parser) -> None:
-    p.add_argument("--iters", type=int, default=_env("ITERS", 20000, int))
-    p.add_argument(
-        "--orbital-prob", type=float, default=_env("ORBITAL_PROB", 0.1, float)
-    )
-    p.add_argument(
-        "--estimator",
-        choices=("frequency", "rao_blackwell"),
-        default=_env("ESTIMATOR", "rao_blackwell", str),
-    )
+    _option(p, "--iters", env="ITERS", default=20000, cast=integer)
+    _option(p, "--orbital-prob", env="ORBITAL_PROB", default=0.1, cast=real)
+    _option(p, "--estimator", env="ESTIMATOR", default="rao_blackwell",
+            choices=("frequency", "rao_blackwell"))
 
 
 def build_parser() -> _Parser:
@@ -253,7 +266,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("factorize", help="approximate (or exact) factorization")
     p.add_argument("matrix")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--rank", type=int, default=_env("MAX_RANK", None, int))
+    _option(p, "--rank", env="MAX_RANK", default=None, cast=integer)
     p.add_argument("--exact", action="store_true", help="use the exact solver")
     _add_factorize_flags(p)
     _add_search_flags(p)
@@ -269,23 +282,20 @@ def build_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("evidence")
     p.add_argument("--query", action="append", required=True)
-    p.add_argument(
-        "--method",
-        choices=("exact", "gibbs", "orbital-gibbs"),
-        default=_env("METHOD", "exact", str),
-    )
-    p.add_argument("--atom-cap", type=int, default=_env("ATOM_CAP", mln.DEFAULT_ATOM_CAP, int))
+    _option(p, "--method", env="METHOD", default="exact",
+            choices=("exact", "gibbs", "orbital-gibbs"))
+    _option(p, "--atom-cap", env="ATOM_CAP", default=mln.DEFAULT_ATOM_CAP, cast=integer)
     _add_chain_flags(p)
-    p.add_argument("--burnin", type=int, default=_env("BURNIN", None, int))
-    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
+    _option(p, "--burnin", env="BURNIN", default=None, cast=integer)
+    _option(p, "--seed", env="SEED", default=0, cast=integer)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("gen", help="synthetic planted-rank evidence matrix")
-    p.add_argument("-m", "--size", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
-    p.add_argument("--fill", type=float, default=0.35)
+    _option(p, "-m", "--size", cast=integer, required=True)
+    _option(p, "--rank", cast=integer, required=True)
+    _option(p, "--noise", cast=real, default=0.0)
+    _option(p, "--seed", env="SEED", default=0, cast=integer)
+    _option(p, "--fill", cast=real, default=0.35)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -294,13 +304,10 @@ def build_parser() -> _Parser:
 
     e = esub.add_parser("error-curve", help="reconstruction error vs rank")
     e.add_argument("--matrix", action="append", help="matrix file (repeatable)")
-    e.add_argument(
-        "--planted",
-        type=lambda s: _planted_recipe(s),
-        help="block-plant matrices instead of reading them: m,rank,noise",
-    )
-    e.add_argument("--ranks", type=_int_list, required=True)
-    e.add_argument("--seeds", type=_int_list, default=())
+    _option(e, "--planted", cast=_planted_recipe,
+            help="block-plant matrices instead of reading them: m,rank,noise")
+    _option(e, "--ranks", cast=_int_list, required=True)
+    _option(e, "--seeds", cast=_int_list, default=())
     e.add_argument("-o", "--output", required=True)
     _add_factorize_flags(e)
     e.set_defaults(func=_cmd_experiment_error_curve)
@@ -310,31 +317,21 @@ def build_parser() -> _Parser:
     e.add_argument("--matrix", required=True, help="binary evidence matrix file")
     e.add_argument("--predicate", required=True, help="evidence predicate name")
     e.add_argument("--query-pred", required=True)
-    e.add_argument("--ranks", type=_int_list, required=True)
-    e.add_argument("--seeds", type=_int_list, required=True)
-    e.add_argument("--snapshot-every", type=int, default=1000)
-    e.add_argument("--reference", choices=("exact", "self"), default="exact")
+    _option(e, "--ranks", cast=_int_list, required=True)
+    _option(e, "--seeds", cast=_int_list, required=True)
+    _option(e, "--snapshot-every", cast=integer, default=1000)
+    _option(e, "--reference", choices=("exact", "self"), default="exact")
     _add_chain_flags(e)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=_cmd_experiment_kld_curve)
 
     e = esub.add_parser("equivalence-check", help="reduction preserves conditionals")
-    e.add_argument("--instances", type=int, default=200)
-    e.add_argument("--seed", type=int, default=_env("SEED", 0, int))
+    _option(e, "--instances", cast=integer, default=200)
+    _option(e, "--seed", env="SEED", default=0, cast=integer)
     e.add_argument("-o", "--output", required=True)
     e.set_defaults(func=_cmd_experiment_equivalence)
 
     return parser
-
-
-def _planted_recipe(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"expected m,rank,noise, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1]), float(parts[2])
-    except ValueError:
-        raise InputError(f"expected m,rank,noise, got {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,12 @@
-"""Exception taxonomy shared across the package, and the integer check
-behind the InputErrors for seeds and counts.
+"""Exception taxonomy shared across the package, the integer check behind
+the InputErrors for seeds and counts, and the one number grammar for text:
+file headers, arities, weights, command-line flags and LIFTBMF_* values.
 
 The CLI maps these onto exit codes: InputError -> 1, CapacityError -> 2,
 InconsistencyError -> 3.
 """
 import numbers
+import re
 
 __all__ = [
     "LiftBmfError",
@@ -51,3 +53,26 @@ def check_integer(value, name: str, minimum: int) -> None:
     least `minimum`."""
     if not is_integer(value) or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+# ASCII digits only: int() and float() also read Unicode digits, '_' and
+# padding.  Integers keep their sign for the caller's range check; reals
+# read the non-finite spellings so that callers can refuse them by name.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_REAL_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
+)
+
+
+def read_integer(text: str, message: str) -> int:
+    """`text` as an int if it matches `_INTEGER_RE`, else InputError(`message`)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise InputError(message)
+    return int(text)
+
+
+def read_real(text: str, message: str) -> float:
+    """`text` as a float if it matches `_REAL_RE`, else InputError(`message`)."""
+    if not _REAL_RE.fullmatch(text):
+        raise InputError(message)
+    return float(text)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolmat import (BoolMatrix, _bit_array, _check_labels, _read_label_header,
-                      boolean_product, hamming_error)
+from .boolmat import (BoolMatrix, _bit_array, _check_labels, _label_lines,
+                      _read_records, _text_bits, boolean_product, hamming_error)
 from .errors import CapacityError, InputError, SearchBudgetError, check_integer, is_integer
 
 __all__ = [
@@ -178,11 +178,7 @@ class Factorization:
     def to_text(self) -> str:
         if self.error is None:
             raise InputError("cannot serialize a factorization with unknown error")
-        out = []
-        if self.row_labels is not None:
-            out.append("#rows " + ",".join(self.row_labels))
-        if self.col_labels is not None:
-            out.append("#cols " + ",".join(self.col_labels))
+        out = _label_lines(self.row_labels, self.col_labels)
         out.append(f"{self.rank()} {self.shape[0]} {self.shape[1]} {self.error}")
         for q, r in self.pairs:
             out.append("".join(str(b) for b in q))
@@ -191,43 +187,15 @@ class Factorization:
 
     @classmethod
     def from_text(cls, text: str) -> "Factorization":
-        labels: dict[str, tuple[str, ...]] = {}
-        header = None
-        body: list[str] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _read_label_header(line, lineno, labels)
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 4:
-                    raise InputError(f"line {lineno}: expected 'n k l error'")
-                try:
-                    header = tuple(int(p) for p in parts)
-                except ValueError:
-                    raise InputError(f"line {lineno}: expected four integers") from None
-                continue
-            body.append(line)
-        if header is None:
-            raise InputError("missing 'n k l error' header line")
-        n, k, l, error = header
+        labels, (n, k, l, error), body = _read_records(text, "n k l error")
         if len(body) != 2 * n:
             raise InputError(f"expected {2 * n} vector lines, got {len(body)}")
-        pairs = []
-        for i in range(n):
-            qline, rline = body[2 * i], body[2 * i + 1]
-            if len(qline) != k or set(qline) - {"0", "1"}:
-                raise InputError(f"pair {i + 1}: q vector must be {k} chars of 0/1")
-            if len(rline) != l or set(rline) - {"0", "1"}:
-                raise InputError(f"pair {i + 1}: r vector must be {l} chars of 0/1")
-            pairs.append(
-                (np.array([int(c) for c in qline], dtype=np.uint8),
-                 np.array([int(c) for c in rline], dtype=np.uint8))
-            )
-        return cls(tuple(pairs), (k, l), labels.get("rows"), labels.get("cols"), error)
+        pairs = tuple(
+            (_text_bits(q, k, f"line {qno}: q vector of pair {i + 1}"),
+             _text_bits(r, l, f"line {rno}: r vector of pair {i + 1}"))
+            for i, ((qno, q), (rno, r)) in enumerate(zip(body[::2], body[1::2]))
+        )
+        return cls(pairs, (k, l), labels.get("rows"), labels.get("cols"), error)
 
 
 def truncate(f: Factorization, n: int) -> Factorization:

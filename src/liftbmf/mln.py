@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InconsistencyError, InputError, check_integer, is_integer
+from .errors import (CapacityError, InconsistencyError, InputError, check_integer, is_integer,
+                     read_integer, read_real)
 
 __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "Iff", "Formula",
@@ -47,12 +48,6 @@ DEFAULT_ATOM_CAP = 24
 DEFAULT_GROUND_CAP = 1_000_000
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ARITY_RE = re.compile(r"[0-9]+")
-# ASCII decimal or exponent notation; the non-finite spellings are read so
-# that Model can refuse them by name
-_WEIGHT_RE = re.compile(
-    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE
-)
 
 
 # --- formulas ------------------------------------------------------------
@@ -433,9 +428,6 @@ class EvidenceSet:
     def items(self):
         return self._assignments.items()
 
-    def atoms(self):
-        return self._assignments.keys()
-
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._assignments
 
@@ -494,9 +486,7 @@ def parse_model(text: str) -> Model:
                 raise InputError(f"line {lineno}: expected 'pred name/arity'")
             name, _, arity_text = rest.partition("/")
             name = name.strip()
-            if not _ARITY_RE.fullmatch(arity_text.strip()):
-                raise InputError(f"line {lineno}: bad arity {arity_text!r}")
-            arity = int(arity_text)
+            arity = read_integer(arity_text.strip(), f"line {lineno}: bad arity {arity_text!r}")
             if name in predicates:
                 raise InputError(f"line {lineno}: predicate {name!r} already declared")
             predicates[name] = arity
@@ -505,11 +495,9 @@ def parse_model(text: str) -> Model:
             pending.append((lineno, line[len("hard"):].strip(), None))
             continue
         head, _, rest = line.partition(" ")
-        if not _WEIGHT_RE.fullmatch(head):
-            raise InputError(
-                f"line {lineno}: expected 'domain', 'pred', 'hard' or a weight, got {head!r}"
-            )
-        weight = float(head)
+        weight = read_real(
+            head, f"line {lineno}: expected 'domain', 'pred', 'hard' or a weight, got {head!r}"
+        )
         if not rest.strip():
             raise InputError(f"line {lineno}: weight {head} without a formula")
         pending.append((lineno, rest.strip(), weight))

@@ -197,6 +197,20 @@ class TestInfer:
                        "--method", method, "--iters", "500") == 0
             assert capsys.readouterr().out.strip() == "q(a) 1"
 
+    @pytest.mark.parametrize("name", ["LIFTBMF_METHOD", "LIFTBMF_ESTIMATOR"])
+    def test_env_value_outside_choices_refused(self, name, tmp_path, monkeypatch, capsys):
+        # argparse checks choices only on the command line; a bogus method
+        # once ran the Gibbs sampler instead of refusing
+        model = tmp_path / "m.mln"
+        model.write_text("domain = a, b\npred q/1\n0.4 q(X)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        monkeypatch.setenv(name, "bogus")
+        assert run("infer", str(model), str(ev), "--query", "q(a)", "--iters", "50") == 1
+        captured = capsys.readouterr()
+        assert f"bad value for {name}: 'bogus'" in captured.err
+        assert captured.out == ""
+
     def test_seed_env_variable(self, tmp_path, monkeypatch, capsys):
         model = tmp_path / "m.mln"
         model.write_text("domain = a, b\npred q/1\n0.4 q(X)\n")
