@@ -160,9 +160,6 @@ class BoolMatrix:
             raise InputError(f"index ({i},{j}) out of range for {k}x{l} matrix")
         return int(self.bits[i, j])
 
-    def with_labels(self, row_labels, col_labels) -> "BoolMatrix":
-        return BoolMatrix(self.bits, row_labels, col_labels)
-
     def __eq__(self, other):
         if not isinstance(other, BoolMatrix):
             return NotImplemented

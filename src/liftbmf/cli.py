@@ -128,13 +128,9 @@ def _cmd_infer(args) -> int:
     model = mln.parse_model(_read_text(args.model))
     evidence = mln.parse_evidence(_read_text(args.evidence), model)
     queries = [mln.parse_literal(q, model, where=f"query {q!r}") for q in args.query]
+    atoms = [atom for atom, _ in queries]
     if args.method == "exact":
-        probs = []
-        for atom, value in queries:
-            p = mln.exact_query(
-                model, evidence, (atom, value), atom_cap=args.atom_cap
-            )
-            probs.append(p)
+        marginals = mln.exact_marginals(model, evidence, atoms, atom_cap=args.atom_cap)
     else:
         orbital = args.orbital_prob if args.method == "orbital-gibbs" else 0.0
         config = sampler.ChainConfig(
@@ -144,14 +140,9 @@ def _cmd_infer(args) -> int:
             orbital_move_probability=orbital,
             estimator=args.estimator,
         )
-        estimate = sampler.estimate_marginals(
-            model, evidence, [atom for atom, _ in queries], config
-        )
-        probs = [
-            estimate.estimates[atom] if value else 1.0 - estimate.estimates[atom]
-            for atom, value in queries
-        ]
-    for (atom, value), p in zip(queries, probs):
+        marginals = sampler.estimate_marginals(model, evidence, atoms, config).estimates
+    for atom, value in queries:
+        p = marginals[atom] if value else 1.0 - marginals[atom]
         print(f"{mln.format_literal(atom, value)} {format(p, '.9g')}")
     return 0
 

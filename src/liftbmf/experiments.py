@@ -309,17 +309,15 @@ def kld_curve(
     for rank in ranks:
         approx = truncate(full, min(rank, full.rank())).reconstruct()
         levels.append((str(rank), matrix_to_evidence(pred, approx)))
-    exact_evidence = matrix_to_evidence(pred, evidence_matrix)
-    exact_reference = None
     if reference == "exact":
-        levels.append(("exact", exact_evidence))
-        exact_reference = exact_marginals(model, exact_evidence, queries)
+        levels.append(("exact", matrix_to_evidence(pred, evidence_matrix)))
+    # exact marginals of every level, computed once; the last one is the
+    # reference under reference='exact'
+    exact = [exact_marginals(model, evidence, queries) for _, evidence in levels]
 
     rows: list[tuple[int, str, str, float]] = []
-    for label, evidence in levels:
-        ref = exact_reference if reference == "exact" else exact_marginals(
-            model, evidence, queries
-        )
+    for (label, evidence), own in zip(levels, exact):
+        ref = exact[-1] if reference == "exact" else own
         for method in methods:
             prob = orbital_prob if method == "orbital-gibbs" else 0.0
             curves = []
@@ -340,9 +338,8 @@ def kld_curve(
                 mean = float(np.mean([c[point][1] for c in curves]))
                 rows.append((iteration, method, label, mean))
     if reference == "exact":
-        for rank, (label, evidence) in zip(ranks, levels):
-            approx_marg = exact_marginals(model, evidence, queries)
-            rows.append((iterations, "exact", label, kld(exact_reference, approx_marg)))
+        for (label, _), approx in zip(levels[:-1], exact):
+            rows.append((iterations, "exact", label, kld(exact[-1], approx)))
     return rows
 
 

@@ -188,6 +188,10 @@ class Factorization:
     @classmethod
     def from_text(cls, text: str) -> "Factorization":
         labels, (n, k, l, error), body = _read_records(text, "n k l error")
+        if n < 0:
+            raise InputError(f"negative pair count {n}")
+        if k < 0 or l < 0:
+            raise InputError(f"negative dimensions {(k, l)}")
         if len(body) != 2 * n:
             raise InputError(f"expected {2 * n} vector lines, got {len(body)}")
         pairs = tuple(
@@ -297,10 +301,9 @@ def exact_boolean_rank(
             "use approximate factorization (asso_factorize)"
         )
 
-    empty = Factorization((), (k, l), p.row_labels, p.col_labels).with_target(p)
     ones_mask = _pack(p.bits.ravel())
     if ones_mask == 0:
-        return 0, empty
+        return 0, Factorization((), (k, l), p.row_labels, p.col_labels, 0, p)
 
     def out_of_budget(what: str, lb: int, ub: int) -> SearchBudgetError:
         return SearchBudgetError(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -320,11 +321,15 @@ class Model:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "predicates", dict(self.predicates))
-        object.__setattr__(
-            self,
-            "weighted_formulas",
-            tuple((float(w), f) for w, f in self.weighted_formulas),
-        )
+        weighted = []
+        for w, f in self.weighted_formulas:
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise InputError(f"weight {w!r} of {format_formula(f)} is not a real number")
+            try:
+                weighted.append((float(w), f))
+            except OverflowError:  # an int beyond the float range
+                raise InputError(f"weight of {format_formula(f)} is not finite as a float") from None
+        object.__setattr__(self, "weighted_formulas", tuple(weighted))
         object.__setattr__(self, "hard_formulas", tuple(self.hard_formulas))
         if len(set(self.domain)) != len(self.domain):
             raise InputError("domain constants are not unique")
@@ -397,7 +402,7 @@ class Model:
         for name in sorted(self.predicates):
             out.append(f"pred {name}/{self.predicates[name]}")
         for w, f in self.weighted_formulas:
-            out.append(f"{w:g} {format_formula(f)}")
+            out.append(f"{w!r} {format_formula(f)}")
         for f in self.hard_formulas:
             out.append(f"hard {format_formula(f)}")
         return "\n".join(out) + "\n"
@@ -1051,9 +1056,13 @@ def _world_chunks(cond: Conditioned, atom_ids: Sequence[int]):
         yield columns, cond.log_weights(columns, idx.shape)
 
 
-def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
-    """Streaming world sum; returns (logZ, per-query marginals)."""
-    active = sorted({i for i, near in enumerate(cond.blanket) if near} | set(query_ids))
+def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int) -> np.ndarray:
+    """Streaming world sum over the open atoms some compiled formula
+    touches, the same atoms whatever is queried; returns the marginal of
+    each query.  A query outside every blanket is in no factor and no hard
+    constraint, so it is uniform and independent of the rest: its sum is
+    half the total, exactly."""
+    active = [i for i, near in enumerate(cond.blanket) if near]
     if len(active) > atom_cap:
         raise CapacityError(
             f"{len(active)} enumerated atoms exceed the cap of {atom_cap}"
@@ -1065,22 +1074,23 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int):
             logw = logw[mask]
             shift = float(logw.max())
             weights = np.exp(logw - shift)
-            qsums = np.array(
-                [weights[(columns[q][mask]).astype(bool)].sum() for q in query_ids]
-            )
-            pieces.append((shift, float(weights.sum()), qsums))
+            total = float(weights.sum())
+            qsums = np.array([
+                weights[columns[q][mask].astype(bool)].sum() if q in columns else 0.5 * total
+                for q in query_ids
+            ])
+            pieces.append((shift, total, qsums))
         del columns  # free this chunk's columns before the next chunk builds its own
     if not pieces:
         raise InconsistencyError("evidence and hard formulas admit no world")
+    # every kept chunk holds a world of weight exp(0) = 1, so z >= 1
     top = max(shift for shift, _, _ in pieces)
     z = sum(s * np.exp(shift - top) for shift, s, _ in pieces)
     qtotals = sum(
         (qs * np.exp(shift - top) for shift, _, qs in pieces),
         np.zeros(len(query_ids)),
     )
-    if z <= 0.0:
-        raise InconsistencyError("zero partition mass")
-    return float(np.log(z) + top), qtotals / z
+    return qtotals / z
 
 
 def exact_marginals(
@@ -1090,13 +1100,14 @@ def exact_marginals(
     atom_cap: int = DEFAULT_ATOM_CAP,
     ground_cap: int = DEFAULT_GROUND_CAP,
 ) -> dict[Atom, float]:
-    """P(atom = true | evidence) for each query atom, by enumeration."""
+    """P(atom = true | evidence) for each query atom, by enumeration of the
+    open atoms the compiled formulas touch; each answer is the same
+    whatever else is queried with it."""
     check_integer(atom_cap, "atom_cap", 0)
     cond = ground(model, ground_cap).condition(evidence)
     result, open_queries = cond.split_queries(queries)
     if open_queries or cond.hard:
-        ids = [cond.index[a] for a in open_queries]
-        _, probs = _enumerate(cond, ids, atom_cap)
+        probs = _enumerate(cond, [cond.index[a] for a in open_queries], atom_cap)
         result.update({a: float(p) for a, p in zip(open_queries, probs)})
     return result
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from liftbmf import mln
 from liftbmf.boolmat import BoolMatrix, read_matrix
 from liftbmf.cli import main
 from liftbmf.factorize import read_factorization
@@ -235,6 +236,59 @@ class TestInfer:
         ev.write_text("")
         assert run("infer", str(model), str(ev), "--query", "!q(a)") == 0
         assert capsys.readouterr().out.strip() == "!q(a) 0"
+
+
+    def test_exact_batch_prints_the_single_query_lines_and_conditions_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        model = tmp_path / "m.mln"
+        model.write_text(
+            "domain = c0, c1, c2, c3, c4, c5, c6, c7\npred p/2\npred s/1\npred t/1\n"
+            "2.0 s(X) ^ p(X, Y) => !s(Y)\n0.8 s(X)\n"
+        )
+        ev = tmp_path / "e.ev"
+        ev.write_text("".join(
+            f"{'' if (i < 4) == (j < 4) and i != j else '!'}p(c{i},c{j})\n"
+            for i in range(8) for j in range(8)
+        ))
+        # open, negated, known (true and false) and free literals
+        queries = [f"s(c{i})" for i in range(8)] + [
+            "!s(c0)", "!s(c5)", "p(c0,c1)", "!p(c0,c1)", "p(c0,c4)", "!p(c3,c3)",
+            "t(c0)", "!t(c1)", "t(c7)", "s(c2)",
+        ]
+        assert len(queries) == 18
+        calls = []
+        condition = mln._condition
+        monkeypatch.setattr(mln, "_condition", lambda *a: calls.append(1) or condition(*a))
+        single = []
+        for q in queries:
+            assert run("infer", str(model), str(ev), "--query", q) == 0
+            single.append(capsys.readouterr().out)
+        calls.clear()
+        argv = ["infer", str(model), str(ev), "--method", "exact"]
+        for q in queries:
+            argv += ["--query", q]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == "".join(single)
+        assert len(calls) == 1
+        lines = "".join(single).splitlines()
+        assert lines[10:16] == [
+            "p(c0, c1) 1", "!p(c0, c1) 0", "p(c0, c4) 0", "!p(c3, c3) 1",
+            "t(c0) 0.5", "!t(c1) 0.5",
+        ]
+
+    def test_hard_clauses_no_world_satisfies_exit_three(self, tmp_path, capsys):
+        # no unit clause, so only the enumeration proves the inconsistency
+        model = tmp_path / "m.mln"
+        model.write_text(
+            "domain = a, b\npred q/1\n"
+            "hard q(a) v q(b)\nhard q(a) v !q(b)\nhard !q(a) v q(b)\nhard !q(a) v !q(b)\n"
+        )
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        assert run("infer", str(model), str(ev), "--query", "q(a)", "--method", "exact") == 3
+        captured = capsys.readouterr()
+        assert "admit no world" in captured.err and captured.out == ""
 
 
 class TestFullPipeline:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liftbmf import experiments
 from liftbmf.boolmat import hamming_error
 from liftbmf.errors import InputError
 from liftbmf.experiments import (
@@ -18,6 +19,7 @@ from liftbmf.experiments import (
 from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import Atom, exact_marginals, parse_model
 from liftbmf.reduction import matrix_to_evidence
+from liftbmf.sampler import kld
 
 
 class TestGenSynthetic:
@@ -308,6 +310,30 @@ class TestKldCurve:
         assert rows1 == rows2
         labels = [label for _, _, label, _ in rows1]
         assert labels.index("1") < labels.index("2") < labels.index("exact")
+
+    @pytest.mark.parametrize("reference, levels", [("exact", 3), ("self", 2)])
+    def test_exact_marginals_once_per_evidence_level(
+        self, small_setup, monkeypatch, reference, levels
+    ):
+        # the chain reference and the terminal 'exact' rows read one list
+        model, matrix, queries = small_setup
+        calls = []
+        exact = experiments.exact_marginals
+        monkeypatch.setattr(
+            experiments, "exact_marginals", lambda *a: calls.append(a[1]) or exact(*a)
+        )
+        rows = kld_curve(
+            model, matrix, "p", queries, ranks=[1, 2], seeds=[1], iterations=100,
+            snapshot_every=50, reference=reference, methods=("gibbs", "orbital-gibbs"),
+        )
+        assert len(calls) == levels
+        terminal = [(label, v) for _, m, label, v in rows if m == "exact"]
+        if reference == "exact":
+            assert [label for label, _ in terminal] == ["1", "2"]
+            for (label, v), evidence in zip(terminal, calls):
+                assert v == kld(exact(model, calls[-1], queries), exact(model, evidence, queries))
+        else:
+            assert terminal == []
 
     def test_bad_arguments(self, small_setup):
         model, matrix, queries = small_setup

@@ -35,6 +35,13 @@ class TestExactBooleanRank:
         assert witness.error == 0
         assert witness.reconstruct().bits.sum() == 0
 
+    def test_zero_matrix_witness_carries_target_and_labels(self):
+        zero = BoolMatrix(np.zeros((2, 3), dtype=np.uint8), ("a", "b"), ("x", "y", "z"))
+        rank, witness = exact_boolean_rank(zero)
+        assert rank == 0 and witness.target is zero
+        assert witness == Factorization((), (2, 3), ("a", "b"), ("x", "y", "z"), 0)
+        assert witness.flip_cells() == []
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_identity_rank(self, d):
         rank, witness = exact_boolean_rank(BoolMatrix(np.eye(d, dtype=np.uint8)))
@@ -444,6 +451,19 @@ class TestFactorizationType:
     def test_error_outside_cell_count_refused(self, error):
         with pytest.raises(InputError, match=r"outside \[0, 4\]"):
             Factorization.from_text(f"0 2 2 {error}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("-1 2 2 0\n", "negative pair count -1"),
+            ("1 -2 2 0\n10\n10\n", r"negative dimensions \(-2, 2\)"),
+            ("0 2 -1 0\n", r"negative dimensions \(2, -1\)"),
+        ],
+    )
+    def test_negative_header_refused_by_name(self, text, message):
+        # these once reported "expected -2 vector lines" and "expected -2 characters"
+        with pytest.raises(InputError, match=message):
+            Factorization.from_text(text)
 
     def test_empty_label_refused(self):
         with pytest.raises(InputError, match="label"):

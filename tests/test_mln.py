@@ -110,6 +110,18 @@ class TestParseModel:
     def test_round_trip(self):
         model = parse_model(PEER_MODEL)
         assert parse_model(model.to_text()) == model
+        # `{w:g}` once wrote these as 1.23457 and 1.23457e+08
+        s_a, s_b = Atom("studentpage", ("a",)), Atom("studentpage", ("b",))
+        weights = [1.23456789, 123456789.0, -0.0, 5e-324, 0.1 + 0.2, 1e16, -2.5e-7]
+        exotic = model.extended(
+            weighted=[(w, s_a) for w in weights],
+            hard=[Or((s_a, Not(s_b))), Implies(s_b, Atom("linkto", ("b", "a")))],
+        )
+        twin = parse_model(exotic.to_text())
+        assert twin == exotic
+        assert [w.hex() for w, _ in twin.weighted_formulas] == [
+            w.hex() for w, _ in exotic.weighted_formulas
+        ]
 
     @pytest.mark.parametrize(
         "text,message",
@@ -163,12 +175,29 @@ class TestParseModel:
         model = parse_model(f"domain = a\npred s/1\n{weight} s(a)\n")
         assert model.weighted_formulas[0][0] == float(weight)
 
+    @pytest.mark.parametrize("weight", ["1_0", "1.5", True, np.bool_(False), None, 1j])
+    def test_weight_must_be_a_real_number(self, weight):
+        # float() once read '1_0' as 10.0 and True as 1.0
+        with pytest.raises(InputError, match=r"weight .* of q\(a\) is not a real number"):
+            Model(("a",), {"q": 1}, ((weight, Atom("q", ("a",))),))
+
+    @pytest.mark.parametrize("weight", [2, np.int64(-3), np.float32(0.5), np.float64(1.25)])
+    def test_integer_and_numpy_weights_are_real(self, weight):
+        model = Model(("a",), {"q": 1}, ((weight, Atom("q", ("a",))),))
+        assert type(model.weighted_formulas[0][0]) is float
+        assert model.weighted_formulas[0][0] == float(weight)
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "+inf", "1e999"])
     def test_non_finite_formula_weight_is_refused(self, weight):
         with pytest.raises(InputError, match="not finite"):
             parse_model(f"domain = a\npred q/1\n{weight} q(a)\n")
         with pytest.raises(InputError, match="not finite"):
             Model(("a",), {"q": 1}, ((float(weight), Atom("q", ("a",))),))
+
+    def test_integer_weight_beyond_the_float_range_is_refused(self):
+        # float() once raised a bare OverflowError
+        with pytest.raises(InputError, match=r"weight of q\(a\) is not finite as a float"):
+            Model(("a",), {"q": 1}, ((10**400, Atom("q", ("a",))),))
 
 
 class TestParseEvidence:
@@ -397,6 +426,78 @@ class TestExactQuery:
                 assert exact_query(model, ev, q) == pytest.approx(
                     exact_query(model, ev, mirror_q), abs=1e-12
                 )
+
+
+class TestQueryIndependentEnumeration:
+    """Exact enumeration ranges over the open atoms that some compiled
+    formula touches, whatever is queried: a batch answers each query with
+    the bits of the single query, and an open atom outside every blanket is
+    exactly uniform."""
+
+    @staticmethod
+    def _pool():
+        rng = np.random.default_rng(101)
+        base = parse_model(
+            "domain = a, b, c\npred r/0\npred s/1\npred t/1\npred u/1\npred f/1\n"
+            "0.7 s(X) ^ t(X)\n-1.1 u(X) v r\n0.4 t(X) => s(X)\n"
+        )
+        for trial in range(24):
+            picks = rng.random(len(PROPAGATION_HARD_POOL)) < 0.35
+            model = base.extended(hard=[
+                parse_formula(text, base) for text, pick in zip(PROPAGATION_HARD_POOL, picks)
+                if pick
+            ])
+            evidence = EvidenceSet()
+            for atom in model.all_atoms():
+                if rng.random() < 0.2:
+                    evidence.assign(atom, bool(rng.random() < 0.5))
+            yield model, evidence
+
+    def test_batch_equals_single_queries_bit_for_bit(self):
+        answered = free_seen = 0
+        for model, evidence in self._pool():
+            queries = model.all_atoms()
+            try:
+                batch = exact_marginals(model, evidence, queries)
+            except InconsistencyError:
+                with pytest.raises(InconsistencyError):
+                    exact_query(model, evidence, queries[0])
+                continue
+            answered += 1
+            cond = ground(model).condition(evidence)
+            for q in queries:
+                assert batch[q].hex() == exact_query(model, evidence, q).hex()
+                if q in cond.index and not cond.blanket[cond.index[q]]:
+                    assert batch[q] == 0.5
+                    free_seen += 1
+        # f/1 is in no formula, so each open f atom is outside every blanket
+        assert answered >= 12 and free_seen >= 30
+
+    def test_free_queries_do_not_count_toward_the_atom_cap(self):
+        # 18 touched atoms plus 7 free queries was once refused as
+        # "25 enumerated atoms exceed the cap of 24"
+        domain = ", ".join(f"c{i}" for i in range(18))
+        model = parse_model(f"domain = {domain}\npred s/1\npred t/1\n0.3 s(X)\n")
+        queries = [Atom("t", (f"c{i}",)) for i in range(7)] + [Atom("s", ("c0",))]
+        marg = exact_marginals(model, EvidenceSet(), queries)
+        assert [marg[q] for q in queries[:7]] == [0.5] * 7
+        assert marg[queries[-1]] == pytest.approx(1.0 / (1.0 + math.exp(-0.3)), abs=1e-12)
+        with pytest.raises(CapacityError, match="18 enumerated atoms exceed the cap of 17"):
+            exact_marginals(model, EvidenceSet(), queries[:1], atom_cap=17)
+
+    def test_hard_clauses_no_world_satisfies_are_refused(self):
+        # four 2-clauses: no unit clause, so unit propagation cannot refute
+        # them, and every world violates one
+        model = parse_model(
+            "domain = a, b\npred q/1\n"
+            "hard q(a) v q(b)\nhard q(a) v !q(b)\nhard !q(a) v q(b)\nhard !q(a) v !q(b)\n"
+        )
+        cond = ground(model).condition(EvidenceSet())
+        assert len(cond.atoms) == 2 and len(cond.hard) == 4
+        with pytest.raises(InconsistencyError, match="admit no world"):
+            exact_query(model, EvidenceSet(), Atom("q", ("a",)))
+        with pytest.raises(InconsistencyError, match="admit no world"):
+            enumerate_world_distribution(model, EvidenceSet())
 
 
 class TestWorldWeights:
