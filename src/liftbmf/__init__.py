@@ -29,7 +29,6 @@ from .factorize import (
     asso_factorize,
     exact_boolean_rank,
     optimal_error_at_rank,
-    real_rank,
     truncate,
 )
 from .mln import (
@@ -48,7 +47,6 @@ from .reduction import (
     encode_evidence,
     encode_partial_evidence,
     extend_model,
-    implied_relation,
     matrix_to_evidence,
     symmetry_signature_classes,
 )
@@ -60,11 +58,11 @@ __all__ = [
     "BoolMatrix", "FlipCounts", "boolean_product", "integer_product_entry",
     "hamming_error", "flip_counts",
     "AssoParams", "Factorization", "exact_boolean_rank", "asso_factorize",
-    "truncate", "optimal_error_at_rank", "real_rank",
+    "truncate", "optimal_error_at_rank",
     "Atom", "Model", "EvidenceSet", "parse_model", "parse_evidence",
     "ground", "exact_query", "exact_marginals",
     "ReductionResult", "encode_evidence", "encode_partial_evidence",
-    "symmetry_signature_classes", "implied_relation", "extend_model",
+    "symmetry_signature_classes", "extend_model",
     "matrix_to_evidence", "constant_symmetry_classes",
     "ChainConfig", "MarginalEstimate", "estimate_marginals", "kld",
     "LiftBmfError", "InputError", "CapacityError", "SearchBudgetError",

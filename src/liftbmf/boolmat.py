@@ -154,12 +154,6 @@ class BoolMatrix:
         """Number of 1-entries."""
         return int(self.bits.sum())
 
-    def entry(self, i: int, j: int) -> int:
-        k, l = self.shape
-        if not (0 <= i < k and 0 <= j < l):
-            raise InputError(f"index ({i},{j}) out of range for {k}x{l} matrix")
-        return int(self.bits[i, j])
-
     def __eq__(self, other):
         if not isinstance(other, BoolMatrix):
             return NotImplemented

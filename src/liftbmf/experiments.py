@@ -180,9 +180,6 @@ _TEMPLATE_BUILDERS = (
 def random_equivalence_instance(
     rng: np.random.Generator,
     max_m: int = 3,
-    max_rank: int = 2,
-    max_weighted: int = 2,
-    weight_range: tuple[float, float] = (-2.0, 2.0),
 ) -> tuple[Model, BoolMatrix, Atom]:
     """Small random model, planted low-rank binary evidence, and a query,
     all drawn from `rng`, over 2 to `max_m` constants, at most 10."""
@@ -191,19 +188,17 @@ def random_equivalence_instance(
     check_integer(max_m, "max_m", 2)
     if max_m > 10:
         raise InputError(f"max_m must be at most 10, got {max_m}")
-    check_integer(max_rank, "max_rank", 0)
-    check_integer(max_weighted, "max_weighted", 1)
     m = int(rng.integers(2, max_m + 1))
     domain = tuple("abcdefghij"[:m])
     s_x, s_y = Atom("s", ("X",)), Atom("s", ("Y",))
     p_xy, p_xx = Atom("p", ("X", "Y")), Atom("p", ("X", "X"))
     weighted = []
-    for _ in range(int(rng.integers(1, max_weighted + 1))):
+    for _ in range(int(rng.integers(1, 3))):
         build = _TEMPLATE_BUILDERS[int(rng.integers(len(_TEMPLATE_BUILDERS)))]
-        weight = float(rng.uniform(*weight_range))
+        weight = float(rng.uniform(-2.0, 2.0))
         weighted.append((weight, build(s_x, s_y, p_xy, p_xx)))
     model = Model(domain, {"p": 2, "s": 1}, tuple(weighted))
-    rank = int(rng.integers(0, max_rank + 1))
+    rank = int(rng.integers(0, 3))
     q = BoolMatrix(rng.integers(0, 2, size=(m, rank)).astype(np.uint8), domain, None)
     r = BoolMatrix(rng.integers(0, 2, size=(m, rank)).astype(np.uint8), domain, None)
     evidence_matrix = boolean_product(q, r)
@@ -211,11 +206,7 @@ def random_equivalence_instance(
     return model, evidence_matrix, query
 
 
-def equivalence_check(
-    instances: int,
-    seed: int,
-    tolerance: float = EQUIVALENCE_TOLERANCE,
-) -> list[tuple[int, float, bool]]:
+def equivalence_check(instances: int, seed: int) -> list[tuple[int, float, bool]]:
     """Compare exact inference before and after the unary reduction."""
     if not is_integer(instances) or instances < 1:
         raise InputError(f"instances must be at least 1 and an integer, got {instances!r}")
@@ -231,7 +222,7 @@ def equivalence_check(
         extended = extend_model(model, result)
         rhs = exact_query(extended, result.unary_evidence, query)
         diff = abs(lhs - rhs)
-        rows.append((i, diff, diff <= tolerance))
+        rows.append((i, diff, diff <= EQUIVALENCE_TOLERANCE))
     return rows
 
 
@@ -240,8 +231,6 @@ def equivalence_check(
 
 def planted_symmetry_instance(
     block_sizes: Sequence[int] = (4, 4),
-    w_link: float = 2.0,
-    w_bias: float = 0.8,
 ) -> tuple[Model, BoolMatrix, tuple[Atom, ...]]:
     """Model plus block-structured binary evidence with large symmetry classes.
 
@@ -257,8 +246,8 @@ def planted_symmetry_instance(
         domain,
         {"p": 2, "s": 1},
         (
-            (w_link, Implies(And((s_x, p_xy)), Not(s_y))),
-            (w_bias, s_x),
+            (2.0, Implies(And((s_x, p_xy)), Not(s_y))),
+            (0.8, s_x),
         ),
     )
     queries = tuple(Atom("s", (c,)) for c in domain)

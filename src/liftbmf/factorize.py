@@ -30,7 +30,6 @@ __all__ = [
     "asso_factorize",
     "truncate",
     "optimal_error_at_rank",
-    "real_rank",
     "read_factorization",
     "write_factorization",
 ]
@@ -441,7 +440,7 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     ).with_target(p)
 
 
-# --- exhaustive oracle and real rank -------------------------------------
+# --- exhaustive oracle ---------------------------------------------------
 
 
 def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) -> int:
@@ -473,10 +472,7 @@ def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) 
     pop = np.zeros(1 << k, dtype=np.int64)
     for i in range(1, 1 << k):
         pop[i] = pop[i >> 1] + (i & 1)
-    col_ints = np.array(
-        [int("".join(str(b) for b in reversed(p.bits[:, j])), 2) for j in range(l)],
-        dtype=np.int64,
-    )
+    col_ints = np.array([_pack(col) for col in p.bits.T], dtype=np.int64)
 
     best = p.ones()
     chunk = 200_000
@@ -498,28 +494,3 @@ def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) 
         if best == 0:
             break
     return best
-
-
-def real_rank(p: BoolMatrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in p.bits]
-    k = len(a)
-    l = len(a[0]) if k else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(l):
-        pivot = next((r for r in range(row, k) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for r in range(row + 1, k):
-            for c in range(col + 1, l):
-                a[r][c] = (a[row][col] * a[r][c] - a[r][col] * a[row][c]) // prev
-            a[r][col] = 0
-        prev = a[row][col]
-        row += 1
-        rank += 1
-        if row == k:
-            break
-    return rank

@@ -40,10 +40,8 @@ __all__ = [
     "encode_evidence",
     "encode_partial_evidence",
     "symmetry_signature_classes",
-    "implied_relation",
     "extend_model",
     "matrix_to_evidence",
-    "evidence_to_matrix",
     "constant_symmetry_classes",
 ]
 
@@ -186,19 +184,6 @@ def symmetry_signature_classes(result: ReductionResult) -> tuple[int, int]:
     return count(result.row_labels, q_names), count(result.col_labels, r_names)
 
 
-def implied_relation(result: ReductionResult) -> BoolMatrix:
-    """Decode the unary evidence back into the binary relation it encodes."""
-    q_names, r_names = fresh_predicate_names(result.predicate, result.rank_used)
-    ev = result.unary_evidence
-    k, l = len(result.row_labels), len(result.col_labels)
-    bits = np.zeros((k, l), dtype=np.uint8)
-    for i in range(result.rank_used):
-        q = np.array([ev[Atom(q_names[i], (c,))] for c in result.row_labels], dtype=np.uint8)
-        r = np.array([ev[Atom(r_names[i], (c,))] for c in result.col_labels], dtype=np.uint8)
-        bits |= np.outer(q, r)
-    return BoolMatrix(bits, result.row_labels, result.col_labels)
-
-
 def extend_model(model: Model, result: ReductionResult) -> Model:
     """Append the reduction fragment to a model, checking the signature."""
     arity = model.predicates.get(result.predicate)
@@ -223,24 +208,6 @@ def matrix_to_evidence(pred: str, matrix: BoolMatrix) -> EvidenceSet:
         for j, y in enumerate(matrix.col_labels):
             evidence.assign(Atom(pred, (x, y)), bool(matrix.bits[i, j]))
     return evidence
-
-
-def evidence_to_matrix(
-    pred: str,
-    evidence: EvidenceSet,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-) -> BoolMatrix:
-    """Inverse of matrix_to_evidence; every entry must be assigned."""
-    row_labels, col_labels = tuple(row_labels), tuple(col_labels)
-    bits = np.zeros((len(row_labels), len(col_labels)), dtype=np.uint8)
-    for i, x in enumerate(row_labels):
-        for j, y in enumerate(col_labels):
-            value = evidence.get(Atom(pred, (x, y)))
-            if value is None:
-                raise InputError(f"evidence does not assign {pred}({x}, {y})")
-            bits[i, j] = value
-    return BoolMatrix(bits, row_labels, col_labels)
 
 
 def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tuple[str, ...], ...]:

@@ -36,10 +36,8 @@ __all__ = [
     "MarginalEstimate",
     "estimate_marginals",
     "kld",
-    "RNG_ALGORITHM",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64/seedsequence"
 _BLOCK = 8192
 
 
@@ -80,15 +78,7 @@ class MarginalEstimate:
     estimates: dict[Atom, float]
     snapshots: tuple[tuple[int, dict[Atom, float]], ...]
     iterations: int
-    seed: int
-    estimator: str
-    rng_algorithm: str = RNG_ALGORITHM
     world_counts: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        for atom, p in self.estimates.items():
-            if not 0.0 <= p <= 1.0:
-                raise InputError(f"estimate for {atom} outside [0, 1]: {p}")
 
 
 # --- elementary chain moves ------------------------------------------------
@@ -246,8 +236,6 @@ def estimate_marginals(
         estimates=current_estimates(),
         snapshots=tuple(snapshots),
         iterations=config.iterations,
-        seed=config.seed,
-        estimator=config.estimator,
         world_counts=counts,
     )
 
@@ -255,11 +243,10 @@ def estimate_marginals(
 def kld(
     reference: Mapping[Atom, float],
     estimate: Mapping[Atom, float] | MarginalEstimate,
-    eps: float = 1e-6,
 ) -> float:
     """Mean Bernoulli KL divergence from reference marginals to estimates.
 
-    Estimates are clamped to [eps, 1-eps] so empty-count estimates stay
+    Estimates are clamped to [1e-6, 1 - 1e-6] so empty-count estimates stay
     finite; the reference is used as-is with the 0 log 0 = 0 convention.
     Raises InputError for a reference atom without an estimate and for any
     value outside [0, 1], NaN included.
@@ -275,7 +262,7 @@ def kld(
         for what, x in (("reference", p), ("estimate", q)):
             if not 0.0 <= x <= 1.0:
                 raise InputError(f"{what} of {format_atom(atom)} must be in [0, 1], got {x}")
-        q = min(max(q, eps), 1.0 - eps)
+        q = min(max(q, 1e-6), 1.0 - 1e-6)
         term = 0.0
         if p > 0.0:
             term += p * math.log(p / q)

@@ -179,11 +179,6 @@ class TestConstruction:
         bits.setflags(write=False)
         assert BoolMatrix(bits).bits is bits
 
-    def test_entry_bounds(self, example_matrix):
-        assert example_matrix.entry(1, 3) == 1
-        with pytest.raises(InputError):
-            example_matrix.entry(4, 0)
-
 
 class TestTextFormat:
     def test_round_trip_with_labels(self, example_matrix):

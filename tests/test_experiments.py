@@ -138,8 +138,6 @@ class TestEquivalenceCheck:
             ({"max_m": 1}, "max_m must be an integer >= 2"),
             ({"max_m": 11}, "max_m must be at most 10"),
             ({"max_m": 4.0}, "max_m must be an integer >= 2"),
-            ({"max_rank": -1}, "max_rank must be an integer >= 0"),
-            ({"max_weighted": 0}, "max_weighted must be an integer >= 1"),
         ],
     )
     def test_instance_ranges_are_checked(self, kwargs, message):

@@ -629,6 +629,21 @@ class TestEnumeration:
             direct /= direct.sum()
             np.testing.assert_allclose(probs, direct, atol=1e-12)
 
+    def test_enumeration_combines_chunks(self):
+        # 19 active atoms stream as two chunks of 2^18 worlds, split on
+        # s(c18), whose maxima lie about 30 apart in log weight
+        domain = ", ".join(f"c{i}" for i in range(19))
+        model = parse_model(
+            f"domain = {domain}\npred s/1\n0.4 s(X)\n30 s(c18)\nhard s(c0) => s(c1)\n"
+        )
+        queries = [Atom("s", (c,)) for c in ("c18", "c5", "c0", "c1")]
+        marg = exact_marginals(model, EvidenceSet(), queries)
+        z = 1 + math.exp(0.4) + math.exp(0.8)
+        expected = [1 / (1 + math.exp(-30.4)), 1 / (1 + math.exp(-0.4)),
+                    math.exp(0.8) / z, (math.exp(0.4) + math.exp(0.8)) / z]
+        for atom, p in zip(queries, expected):
+            assert marg[atom] == pytest.approx(p, abs=1e-12)
+
     def test_evidence_atoms_are_substituted_out(self):
         model = parse_model(PEER_MODEL)
         ev = parse_evidence("linkto(a,b)\n", model)

@@ -1,10 +1,13 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import liftbmf
-from liftbmf import mln
+from liftbmf import experiments, mln, sampler
+from liftbmf.boolmat import BoolMatrix
 
 MODULES = {"liftbmf": liftbmf} | {
     f"liftbmf.{m.name}": importlib.import_module(f"liftbmf.{m.name}")
@@ -16,6 +19,20 @@ EXPORTING = sorted(name for name, module in MODULES.items() if hasattr(module, "
 # own primitives.  Spelled in parts so a text search for the old names
 # finds only real leftovers.
 REMOVED = {f"{move}_step" for move in ("gibbs", "orbital")} | {"world".title()}
+# Helpers nothing in the library called, and the chain result fields
+# nothing read.
+REMOVED_FIELDS = {"seed", "estimator", "rng_" + "algorithm"}
+REMOVED |= {"implied_" + "relation", "evidence_to_" + "matrix", "real_" + "rank",
+            "en" + "try", "RNG_" + "ALGORITHM"} | REMOVED_FIELDS
+
+# The whole parameter list of each function that lost parameters every
+# caller left at their defaults.
+PARAMETERS = {
+    sampler.kld: ("reference", "estimate"),
+    experiments.equivalence_check: ("instances", "seed"),
+    experiments.planted_symmetry_instance: ("block_sizes",),
+    experiments.random_equivalence_instance: ("rng", "max_m"),
+}
 
 
 def test_the_modules_that_export_are_found():
@@ -39,3 +56,14 @@ def test_removed_wrappers_stay_removed(name):
 
 def test_conditioned_has_no_world_wrapper():
     assert not hasattr(mln.Conditioned, "world")
+
+
+def test_removed_members_stay_removed():
+    assert not hasattr(BoolMatrix, "en" + "try")
+    fields = {f.name for f in dataclasses.fields(sampler.MarginalEstimate)}
+    assert REMOVED_FIELDS.isdisjoint(fields)
+
+
+@pytest.mark.parametrize("function", PARAMETERS, ids=lambda f: f.__name__)
+def test_fixed_parameters_stay_removed(function):
+    assert tuple(inspect.signature(function).parameters) == PARAMETERS[function]

@@ -11,6 +11,7 @@ from liftbmf.factorize import Factorization, exact_boolean_rank, truncate
 from liftbmf.mln import (
     Atom,
     EvidenceSet,
+    Model,
     Not,
     atoms_of,
     format_formula,
@@ -23,9 +24,7 @@ from liftbmf.reduction import (
     constant_symmetry_classes,
     encode_evidence,
     encode_partial_evidence,
-    evidence_to_matrix,
     extend_model,
-    implied_relation,
     matrix_to_evidence,
     symmetry_signature_classes,
 )
@@ -113,7 +112,14 @@ class TestEncodeEvidence:
             pairs = tuple((q.bits[:, i].copy(), r.bits[:, i].copy()) for i in range(n))
             f = Factorization(pairs, (m, m), labels, labels)
             result = encode_evidence("p", f)
-            assert implied_relation(result) == boolean_product(q, r)
+            # conditioning on the unary evidence alone fixes p to Q R^T
+            extended = extend_model(Model(labels, {"p": 2}), result)
+            cond = ground(extended).condition(result.unary_evidence)
+            cells = list(itertools.product(labels, repeat=2))
+            fixed, open_atoms = cond.split_queries([Atom("p", xy) for xy in cells])
+            assert open_atoms == []
+            product = boolean_product(q, r).bits.ravel().tolist()
+            assert [fixed[Atom("p", xy)] for xy in cells] == product
 
 
 class TestPartialEvidence:
@@ -268,13 +274,8 @@ class TestMatrixEvidenceConversion:
     def test_round_trip(self, example_matrix):
         ev = matrix_to_evidence("p", example_matrix)
         assert len(ev) == 16
-        back = evidence_to_matrix("p", ev, LABELS, LABELS)
-        assert back == example_matrix
-
-    def test_missing_assignment(self):
-        ev = EvidenceSet({Atom("p", ("a", "a")): True})
-        with pytest.raises(InputError, match="does not assign"):
-            evidence_to_matrix("p", ev, ("a", "b"), ("a", "b"))
+        for (i, x), (j, y) in itertools.product(enumerate(LABELS), repeat=2):
+            assert ev[Atom("p", (x, y))] == bool(example_matrix.bits[i, j])
 
     def test_requires_labels(self):
         with pytest.raises(InputError, match="labels"):
