@@ -844,6 +844,19 @@ class Conditioned:
             for i, near in enumerate(self.blanket)
         )
 
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per open atom i, its Markov blanket neighbours: the other atoms
+        of the formulas of `blanket[i]`, ascending, each as (atom id, bit)
+        with bit 1 << its rank.  OR-ing the bits of the true ones packs the
+        only state `_conditional(column, i)` reads.  Built for the chain,
+        like `_plans`, so exact enumeration never pays for it."""
+        neighbours = []
+        for i, near in enumerate(self.blanket):
+            ids = sorted({a for k in near for a in self.formulas[k].atom_ids} - {i})
+            neighbours.append(tuple((a, 1 << rank) for rank, a in enumerate(ids)))
+        return tuple(neighbours)
+
     def conditional(self, values, i: int) -> float:
         """P(atom i = true | the other atoms as in `values`), read off atom
         i's Markov blanket.  Raises InputError if neither setting satisfies
@@ -1102,13 +1115,17 @@ def exact_marginals(
 ) -> dict[Atom, float]:
     """P(atom = true | evidence) for each query atom, by enumeration of the
     open atoms the compiled formulas touch; each answer is the same
-    whatever else is queried with it."""
+    whatever else is queried with it.  Without hard formulas every world
+    is feasible, so when no open query is in a blanket every answer is 1/2
+    and nothing is enumerated."""
     check_integer(atom_cap, "atom_cap", 0)
     cond = ground(model, ground_cap).condition(evidence)
     result, open_queries = cond.split_queries(queries)
-    if open_queries or cond.hard:
+    if cond.hard or any(cond.blanket[cond.index[a]] for a in open_queries):
         probs = _enumerate(cond, [cond.index[a] for a in open_queries], atom_cap)
         result.update({a: float(p) for a, p in zip(open_queries, probs)})
+    else:
+        result.update(dict.fromkeys(open_queries, 0.5))
     return result
 
 

@@ -9,6 +9,17 @@ relabeling of `Conditioned.relabeled` by a uniform random permutation
 within each class of `constant_symmetry_classes`.  Marginals come from
 either the sample frequency or Rao-Blackwellized conditional averaging.
 
+An atom's conditional depends only on its blanket neighbours
+(`Conditioned._neighbours`), so a step packs their values into an int
+and looks the conditional up in that atom's memo, local to the call; a
+miss asks `Conditioned._conditional`, the one code that sums log
+factors, so every probability is the float it computes and an infeasible
+state still raises there.  A memo holds at most one entry per step and
+per neighbour state.  The running sums add 1 only for the query atoms
+that are true, kept as a set that each flip updates and each orbital jump
+rebuilds, and the picked query's conditional under Rao-Blackwellization;
+adding 0 changes no float, so the sums are those of adding every query.
+
 A class permutation preserves the given evidence and fixes every constant
 a formula mentions, so it maps the groundings onto themselves; unit
 propagation reaches one fixed point whatever the order, so it preserves
@@ -179,8 +190,11 @@ def estimate_marginals(
     world = find_consistent_world(cond, init_rng)
     n = len(world)
 
-    query_ids = [(cond.index[a], k) for k, a in enumerate(open_queries)]
-    sums = [0.0] * len(open_queries)
+    # one running sum per open query atom: duplicate queries share it, as
+    # they share their key in the estimates
+    query_ids = [(a, cond.index[a]) for a in open_queries]
+    sums = {qi: 0.0 for _, qi in query_ids}
+    true_queries = {qi for qi in sums if world[qi]}
     samples = 0
 
     counts = None
@@ -188,7 +202,7 @@ def estimate_marginals(
     if collect_world_counts:
         if n > 16:
             raise InputError(f"world counting supports at most 16 atoms, got {n}")
-        counts = np.zeros(1 << n, dtype=np.int64)
+        counts = [0] * (1 << n)
         world_int = _packed(world)
 
     snapshots: list[tuple[int, dict[Atom, float]]] = []
@@ -196,11 +210,15 @@ def estimate_marginals(
     def current_estimates() -> dict[Atom, float]:
         # ChainConfig keeps burn_in below iterations, so samples > 0 here
         est = dict(fixed)
-        est.update({a: sums[k] / samples for k, a in enumerate(open_queries)})
+        est.update({a: sums[qi] / samples for a, qi in query_ids})
         return est
 
     conditional = cond._conditional
+    neighbours = cond._neighbours
+    # per atom, its conditional by packed neighbour state, filled on a miss
+    memos = [{} for _ in range(n)]
     rao_blackwell = config.estimator == "rao_blackwell"
+    i = -1  # no atom is picked when none is open
     t = 0
     while t < config.iterations:
         block = min(_BLOCK, config.iterations - t)
@@ -214,19 +232,36 @@ def estimate_marginals(
                 perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
                 if perm is not None:
                     world = [world[s] for s in cond._relabeling_sources(perm).tolist()]
+                    true_queries = {qi for qi in sums if world[qi]}
                     if counts is not None:
                         world_int = _packed(world)
             if n:
                 i = picks[b]
-                p = conditional(world, i)
+                key = 0
+                for atom_id, bit in neighbours[i]:
+                    if world[atom_id]:
+                        key |= bit
+                memo = memos[i]
+                p = memo.get(key)
+                if p is None:
+                    p = memo[key] = conditional(world, i)
                 new = 1 if unifs[b] < p else 0
                 if new != world[i]:
                     world[i] = new
                     world_int ^= 1 << i
+                    if i in sums:
+                        true_queries ^= {i}
             if t > burn_in:
                 samples += 1
-                for qi, k in query_ids:
-                    sums[k] += p if rao_blackwell and qi == i else world[qi]
+                # a false query adds 0, and x + 0 == x: only true ones are added
+                if rao_blackwell and i in sums:
+                    sums[i] += p
+                    for qi in true_queries:
+                        if qi != i:
+                            sums[qi] += 1.0
+                else:
+                    for qi in true_queries:
+                        sums[qi] += 1.0
                 if counts is not None:
                     counts[world_int] += 1
                 if snapshot_every and t % snapshot_every == 0:
@@ -236,7 +271,7 @@ def estimate_marginals(
         estimates=current_estimates(),
         snapshots=tuple(snapshots),
         iterations=config.iterations,
-        world_counts=counts,
+        world_counts=None if counts is None else np.array(counts, dtype=np.int64),
     )
 
 

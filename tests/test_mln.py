@@ -7,8 +7,10 @@ import pytest
 
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
 from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
+from liftbmf import mln
 from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import (
+    DEFAULT_ATOM_CAP,
     And,
     Atom,
     Conditioned,
@@ -38,7 +40,7 @@ from liftbmf.reduction import (
     extend_model,
     matrix_to_evidence,
 )
-from liftbmf.sampler import _class_permutation, _class_positions
+from liftbmf.sampler import ChainConfig, _class_permutation, _class_positions, estimate_marginals
 
 from test_reduction import CLASS_INSTANCE_KINDS, _random_class_instance
 
@@ -483,7 +485,32 @@ class TestQueryIndependentEnumeration:
         assert [marg[q] for q in queries[:7]] == [0.5] * 7
         assert marg[queries[-1]] == pytest.approx(1.0 / (1.0 + math.exp(-0.3)), abs=1e-12)
         with pytest.raises(CapacityError, match="18 enumerated atoms exceed the cap of 17"):
-            exact_marginals(model, EvidenceSet(), queries[:1], atom_cap=17)
+            exact_marginals(model, EvidenceSet(), queries, atom_cap=17)
+
+    @pytest.mark.parametrize("m", [22, 25])
+    def test_free_queries_alone_enumerate_nothing(self, monkeypatch, m):
+        # without hard formulas every world is feasible, so queries outside
+        # every blanket are answered without the enumeration (2^22 worlds at
+        # m = 22, over the atom cap at m = 25)
+        domain = ", ".join(f"c{i}" for i in range(m))
+        model = parse_model(f"domain = {domain}\npred s/1\npred t/1\n0.3 s(X)\n")
+        free, touched = Atom("t", ("c0",)), Atom("s", ("c0",))
+        with monkeypatch.context() as patch:
+            patch.setattr(mln, "_enumerate", lambda *_: pytest.fail("enumerated"))
+            assert exact_marginals(model, EvidenceSet(), [free, free]) == {free: 0.5}
+        if m > DEFAULT_ATOM_CAP:
+            with pytest.raises(CapacityError, match=f"{m} enumerated atoms exceed the cap of 24"):
+                exact_marginals(model, EvidenceSet(), [free, touched])
+
+    def test_free_query_under_unsatisfiable_hard_clauses_is_refused(self):
+        model = parse_model(
+            "domain = a, b\npred q/1\npred f/1\n"
+            "hard q(a) v q(b)\nhard q(a) v !q(b)\nhard !q(a) v q(b)\nhard !q(a) v !q(b)\n"
+        )
+        cond = ground(model).condition(EvidenceSet())
+        assert not cond.blanket[cond.index[Atom("f", ("a",))]]
+        with pytest.raises(InconsistencyError, match="admit no world"):
+            exact_marginals(model, EvidenceSet(), [Atom("f", ("a",))])
 
     def test_hard_clauses_no_world_satisfies_are_refused(self):
         # four 2-clauses: no unit clause, so unit propagation cannot refute
@@ -958,17 +985,23 @@ class TestPlanConditional:
         assert set(range(5, 9)) <= widths
 
     def test_exact_inference_never_builds_the_plans(self, monkeypatch):
-        def unbuildable(cond):
-            raise AssertionError("blanket plans built")
+        def unbuildable(what):
+            def build(cond):
+                raise AssertionError(f"blanket {what} built")
+            return property(build)
 
-        monkeypatch.setattr(Conditioned, "_plans", property(unbuildable))
+        monkeypatch.setattr(Conditioned, "_plans", unbuildable("plans"))
+        monkeypatch.setattr(Conditioned, "_neighbours", unbuildable("neighbours"))
         model = parse_model(COMPILED_MODEL)
         evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
         cond = ground(model).condition(evidence)
         exact_marginals(model, evidence, cond.atoms[:3])
+        exact_query(model, evidence, cond.atoms[-1])
         enumerate_world_distribution(model, parse_evidence("p(a,b)\np(a,a)\n", model))
         with pytest.raises(AssertionError, match="plans built"):
             cond.conditional(np.ones(len(cond.atoms), dtype=np.int64), 0)
+        with pytest.raises(AssertionError, match="neighbours built"):
+            estimate_marginals(model, evidence, cond.atoms[:3], ChainConfig(10))
 
 
 def _digest(obj) -> str:

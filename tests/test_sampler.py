@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from liftbmf import sampler
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
-from liftbmf.experiments import planted_symmetry_instance
+from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
 from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import (
     Atom,
@@ -543,3 +544,138 @@ class TestPinnedChainOutputs:
         est = estimate_marginals(*sides["binary"], [], config, collect_world_counts=True)
         assert est.world_counts.sum() == 3600
         assert _digest(est.world_counts.tolist()) == counts
+
+
+def _reference_chain(model, evidence, queries, config, snapshot_every=None,
+                     collect_world_counts=False):
+    """The chain loop as it was before the per-atom memo: `conditional`,
+    with its boundary checks, on every step, and every query slot added on
+    every sample.  Same streams, same draws, same order."""
+    cond = ground(model).condition(evidence)
+    fixed, open_queries = cond.split_queries(queries)
+    burn_in = config.resolved_burn_in()
+    use_orbital = config.orbital_move_probability > 0.0
+    classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
+    class_positions = _class_positions(model.domain, classes)
+    init_rng, atom_rng, unif_rng, orbit_decide_rng, orbit_perm_rng = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
+    ]
+    world = find_consistent_world(cond, init_rng)
+    n = len(world)
+    query_ids = [(cond.index[a], k) for k, a in enumerate(open_queries)]
+    sums = [0.0] * len(open_queries)
+    samples = 0
+    counts = np.zeros(1 << n, dtype=np.int64) if collect_world_counts else None
+    snapshots = []
+
+    def current_estimates():
+        est = dict(fixed)
+        est.update({a: sums[k] / samples for k, a in enumerate(open_queries)})
+        return est
+
+    t = 0
+    while t < config.iterations:
+        block = min(sampler._BLOCK, config.iterations - t)
+        picks = atom_rng.integers(0, n, size=block).tolist() if n else None
+        unifs = unif_rng.random(block).tolist()
+        if use_orbital:
+            jumps = (orbit_decide_rng.random(block) < config.orbital_move_probability).tolist()
+        for b in range(block):
+            t += 1
+            if use_orbital and jumps[b]:
+                perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
+                if perm is not None:
+                    world = cond.relabeled(world, perm).tolist()
+            if n:
+                i = picks[b]
+                p = cond.conditional(world, i)
+                world[i] = 1 if unifs[b] < p else 0
+            if t > burn_in:
+                samples += 1
+                for qi, k in query_ids:
+                    sums[k] += p if config.estimator == "rao_blackwell" and qi == i else world[qi]
+                if counts is not None:
+                    counts[sampler._packed(world)] += 1
+                if snapshot_every and t % snapshot_every == 0:
+                    snapshots.append((t, current_estimates()))
+    return current_estimates(), snapshots, counts
+
+
+def _hexed(values):
+    return [(a, v.hex()) for a, v in values.items()]
+
+
+CHAIN_SETTINGS = list(itertools.product(("rao_blackwell", "frequency"), (0.0, 0.3, 1.0), (0, None)))
+
+
+class TestChainAgainstReferenceLoop:
+    """The chain reads each conditional from a per-atom memo keyed by the
+    packed neighbour state and adds only the queries that are true; the
+    loop that called `conditional` on every step and added every query is
+    the oracle, and the two must agree bit for bit."""
+
+    def _check(self, model, evidence, queries, settings, iterations=400):
+        for estimator, prob, burn_in in settings:
+            config = ChainConfig(iterations, burn_in=burn_in, seed=len(queries) + iterations,
+                                 orbital_move_probability=prob, estimator=estimator)
+            est = estimate_marginals(model, evidence, queries, config, snapshot_every=50,
+                                     collect_world_counts=True)
+            estimates, snapshots, counts = _reference_chain(
+                model, evidence, queries, config, snapshot_every=50, collect_world_counts=True
+            )
+            assert _hexed(est.estimates) == _hexed(estimates)
+            assert [(t, _hexed(s)) for t, s in est.snapshots] == [
+                (t, _hexed(s)) for t, s in snapshots
+            ]
+            assert est.world_counts.tolist() == counts.tolist()
+
+    def test_random_equivalence_instances_on_both_sides(self):
+        rng = np.random.default_rng(73)
+        settings = itertools.cycle(CHAIN_SETTINGS)
+        isolated = 0
+        for _ in range(40):
+            model, matrix, query = random_equivalence_instance(rng, max_m=4)
+            # u is in no formula, so its open atoms are outside every blanket
+            model = model.extended(predicates={"u": 1})
+            _, witness = exact_boolean_rank(matrix)
+            result = encode_evidence("p", witness, model.predicates)
+            for side_model, evidence in (
+                (model, matrix_to_evidence("p", matrix)),
+                (extend_model(model, result), result.unary_evidence),
+            ):
+                cond = ground(side_model).condition(evidence)
+                # open, known and isolated atoms, the drawn query three times
+                queries = [query, *model.all_atoms(), query, query]
+                isolated += sum(not cond.blanket[cond.index[a]]
+                                for a in queries if a in cond.index)
+                self._check(side_model, evidence, queries, [next(settings)])
+        assert isolated > 0
+
+    def test_residual_hard_formulas_under_every_setting(self):
+        model, evidence, cond = _conditioned(RESIDUAL_HARD_MODEL, "t(a)\nt(b)\n")
+        assert len(cond.hard) == 2
+        queries = [Atom("s", (c,)) for c in "abcd"] + [Atom("t", (c,)) for c in "abcd"]
+        self._check(model, evidence, queries + queries[::3], CHAIN_SETTINGS)
+
+    def test_model_with_no_open_atom(self):
+        model = parse_model("domain = a\npred q/1\npred s/1\nhard q(a)\n")
+        evidence = parse_evidence("!s(a)\n", model)
+        assert not ground(model).condition(evidence).atoms
+        queries = [Atom("q", ("a",)), Atom("s", ("a",)), Atom("q", ("a",))]
+        self._check(model, evidence, queries, CHAIN_SETTINGS, iterations=60)
+
+    def test_memo_holds_one_conditional_per_visited_neighbour_state(self, monkeypatch):
+        model, matrix, queries = planted_symmetry_instance((3, 3))
+        evidence = matrix_to_evidence("p", matrix)
+        cond = ground(model).condition(evidence)
+        states = sum(1 << len(near) for near in cond._neighbours)
+        calls = []
+        real = Conditioned._conditional
+        monkeypatch.setattr(
+            Conditioned, "_conditional",
+            lambda self, column, i: calls.append(i) or real(self, column, i),
+        )
+        config = ChainConfig(20_000, seed=3, orbital_move_probability=0.3)
+        estimate_marginals(model, evidence, queries, config)
+        assert 0 < len(calls) <= min(config.iterations, states)
+        assert len(calls) < config.iterations // 4
