@@ -282,6 +282,8 @@ def kld_curve(
         raise InputError("at least one seed is required")
     for seed in seeds:
         check_integer(seed, "seed", 0)
+    # the settings every chain shares, checked before any work
+    ChainConfig(iterations, burn_in=0, orbital_move_probability=orbital_prob, estimator=estimator)
     check_integer(snapshot_every, "snapshot_every", 1)
     if snapshot_every > iterations:
         raise InputError(

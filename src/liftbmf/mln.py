@@ -893,12 +893,27 @@ class Conditioned:
         gap = min(max(log0 - log1, -700.0), 700.0)
         return 1.0 / (1.0 + math.exp(gap))
 
+    @cached_property
+    def _relabeling_plan(self) -> tuple[tuple[int, list[int], tuple[int, ...]], ...]:
+        """Per open atom of a predicate of nonzero arity, in `relabeling`
+        order: its id, its predicate's `relabeling` array flattened to a
+        list, and the domain positions of its constants.  Built on the
+        first relabeling, like `_plans`, so exact enumeration never pays
+        for it."""
+        plan = []
+        for lookup in self.relabeling:
+            flat = lookup.ravel().tolist()
+            is_open = lookup >= 0
+            for atom_id, places in zip(lookup[is_open].tolist(), np.argwhere(is_open).tolist()):
+                plan.append((atom_id, flat, tuple(places)))
+        return tuple(plan)
+
     def relabeled(self, values, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
         positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
         Raises InputError unless `perm` holds each domain position exactly
         once, and when an open atom would land on a known one."""
-        values = np.array(self._column(values), dtype=np.int64)
+        column = self._column(values)
         perm = np.asarray(perm)
         m = len(self.model.domain)
         if not (perm.shape == (m,) and perm.dtype.kind in "iu"
@@ -907,17 +922,21 @@ class Conditioned:
         for lookup in self.relabeling:
             if not (permute_axes(lookup, perm)[lookup >= 0] >= 0).all():
                 raise InputError("the permutation moves an open atom onto a known atom")
-        return values[self._relabeling_sources(perm)]
+        return np.array(self._relabeled(column, perm.tolist()), dtype=np.int64)
 
-    def _relabeling_sources(self, perm: np.ndarray) -> np.ndarray:
-        """For each open atom, the id of the atom whose value it takes when
-        constants are renamed by `perm`, a permutation that keeps open atoms
-        open: the relabeled world is `values[sources]`."""
-        sources = np.arange(len(self.atoms))
-        for lookup in self.relabeling:
-            is_open = lookup >= 0
-            sources[permute_axes(lookup, perm)[is_open]] = lookup[is_open]
-        return sources
+    def _relabeled(self, column: list[int], perm: Sequence[int]) -> list[int]:
+        """`relabeled` as a new list, on a world already checked by `_column`
+        and a permutation, as a list, that keeps open atoms open.  An atom's
+        new place is read off its predicate's flat lookup at the renamed
+        positions, taken as the digits of a base-m number."""
+        m = len(perm)
+        new = column[:]
+        for atom_id, flat, places in self._relabeling_plan:
+            at = 0
+            for c in places:
+                at = at * m + perm[c]
+            new[flat[at]] = column[atom_id]
+        return new
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:
         """Check query atoms; split off the known ones, given or derived,

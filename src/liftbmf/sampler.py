@@ -8,6 +8,9 @@ configured probability the step is preceded by an orbital jump, the
 relabeling of `Conditioned.relabeled` by a uniform random permutation
 within each class of `constant_symmetry_classes`.  Marginals come from
 either the sample frequency or Rao-Blackwellized conditional averaging.
+A jump shuffles each class's position list in place, which draws what
+`rng.permutation` draws on the positions, and moves each value through
+`Conditioned._relabeled`, the per-atom plan behind `relabeled`.
 
 An atom's conditional depends only on its blanket neighbours
 (`Conditioned._neighbours`), so a step packs their values into an int
@@ -27,12 +30,13 @@ the derived atoms too.  Every jump thus keeps open atoms open and
 `Conditioned.log_weight` unchanged, and the stationary distribution is
 preserved.  The chain therefore checks none of the worlds it builds: it
 holds WalkSAT's list of 0/1 ints, with running sums as Python floats,
-and gathers the list on each jump.  The checks stay at the boundary, in
+and copies the list on each jump.  The checks stay at the boundary, in
 `log_weight`, `conditional` and `relabeled`.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -67,10 +71,10 @@ class ChainConfig:
         if self.burn_in is not None:
             check_integer(self.burn_in, "burn_in", 0)
         check_integer(self.seed, "seed", 0)
-        if not 0.0 <= self.orbital_move_probability <= 1.0:
-            raise InputError(
-                f"orbital_move_probability must be in [0, 1], got {self.orbital_move_probability}"
-            )
+        prob = self.orbital_move_probability
+        if isinstance(prob, bool) or not isinstance(prob, numbers.Real) or not 0.0 <= prob <= 1.0:
+            raise InputError(f"orbital_move_probability must be a real in [0, 1], got {prob!r}")
+        object.__setattr__(self, "orbital_move_probability", float(prob))
         if self.estimator not in ("frequency", "rao_blackwell"):
             raise InputError(f"unknown estimator {self.estimator!r}")
         if self.resolved_burn_in() >= self.iterations:
@@ -95,21 +99,29 @@ class MarginalEstimate:
 # --- elementary chain moves ------------------------------------------------
 
 
-def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[np.ndarray]:
+def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[list[int]]:
     """The domain positions of each class of two or more constants."""
     position = {c: k for k, c in enumerate(domain)}
-    return [np.array([position[c] for c in cls]) for cls in classes if len(cls) > 1]
+    return [[position[c] for c in cls] for cls in classes if len(cls) > 1]
 
 
 def _class_permutation(
-    m: int, positions: Sequence[np.ndarray], rng: np.random.Generator
-) -> np.ndarray | None:
-    """A uniform random permutation within each class, as an array over the
-    m domain positions; None when every class draws the identity."""
-    perm = np.arange(m)
+    m: int, positions: Sequence[list[int]], rng: np.random.Generator
+) -> list[int] | None:
+    """A uniform random permutation within each class, as a list over the
+    m domain positions; None when every class draws the identity.  Each
+    class is shuffled as a list, which draws what `rng.permutation` would
+    draw on its positions and leaves `rng` in the same state."""
+    perm = None
     for at in positions:
-        perm[at] = rng.permutation(at)
-    return None if (perm == np.arange(m)).all() else perm
+        drawn = at[:]
+        rng.shuffle(drawn)
+        if drawn != at:
+            if perm is None:
+                perm = list(range(m))
+            for c, d in zip(at, drawn):
+                perm[c] = d
+    return perm
 
 
 def _packed(world: Sequence[int]) -> int:
@@ -215,6 +227,7 @@ def estimate_marginals(
 
     conditional = cond._conditional
     neighbours = cond._neighbours
+    relabeled = cond._relabeled
     # per atom, its conditional by packed neighbour state, filled on a miss
     memos = [{} for _ in range(n)]
     rao_blackwell = config.estimator == "rao_blackwell"
@@ -231,7 +244,7 @@ def estimate_marginals(
             if use_orbital and jumps[b]:
                 perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
                 if perm is not None:
-                    world = [world[s] for s in cond._relabeling_sources(perm).tolist()]
+                    world = relabeled(world, perm)
                     true_queries = {qi for qi in sums if world[qi]}
                     if counts is not None:
                         world_int = _packed(world)

@@ -340,6 +340,14 @@ class TestKldCurve:
         with pytest.raises(InputError, match="method"):
             kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, methods=("mc",))
 
+    @pytest.mark.parametrize("prob", ["0.5", None, 0.1 + 0j, True, 1.5])
+    def test_orbital_probability_is_refused_before_any_work(self, small_setup, monkeypatch, prob):
+        model, matrix, queries = small_setup
+        monkeypatch.setattr(experiments, "exact_marginals",
+                            lambda *args: pytest.fail("exact marginals computed"))
+        with pytest.raises(InputError, match="orbital_move_probability"):
+            kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, orbital_prob=prob)
+
     @pytest.mark.parametrize("snapshot_every", [0, -1, 101, 2.5, True])
     def test_snapshot_interval_within_iterations(self, small_setup, snapshot_every):
         # outside [1, iterations] no chain row would be logged

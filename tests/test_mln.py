@@ -33,6 +33,7 @@ from liftbmf.mln import (
     parse_formula,
     parse_literal,
     parse_model,
+    permute_axes,
 )
 from liftbmf.reduction import (
     constant_symmetry_classes,
@@ -702,6 +703,16 @@ def _relabeled_by_atoms(cond, values, perm):
     return out
 
 
+def _relabeled_by_gather(cond, values, perm):
+    """Reference relabeling by one index gather per `relabeling` array,
+    the way the chain relabeled before its per-atom plan."""
+    sources = np.arange(len(cond.atoms))
+    for lookup in cond.relabeling:
+        is_open = lookup >= 0
+        sources[permute_axes(lookup, np.asarray(perm))[is_open]] = lookup[is_open]
+    return np.asarray(values)[sources]
+
+
 class TestCompiledModel:
     def _conditioned(self, evidence_text=""):
         model = parse_model(COMPILED_MODEL)
@@ -747,9 +758,9 @@ class TestCompiledModel:
         for _ in range(20):
             values = rng.integers(0, 2, size=len(cond.atoms))
             perm = rng.permutation(len(cond.model.domain))
-            assert np.array_equal(
-                cond.relabeled(values, perm), _relabeled_by_atoms(cond, values, perm)
-            )
+            out = cond.relabeled(values, perm)
+            assert np.array_equal(out, _relabeled_by_atoms(cond, values, perm))
+            assert np.array_equal(out, _relabeled_by_gather(cond, values, perm))
 
     def test_relabeling_onto_a_known_atom_is_refused(self):
         # swapping a and b would move open q(b) onto the evidence atom q(a)
@@ -987,11 +998,12 @@ class TestPlanConditional:
     def test_exact_inference_never_builds_the_plans(self, monkeypatch):
         def unbuildable(what):
             def build(cond):
-                raise AssertionError(f"blanket {what} built")
+                raise AssertionError(f"{what} built")
             return property(build)
 
-        monkeypatch.setattr(Conditioned, "_plans", unbuildable("plans"))
-        monkeypatch.setattr(Conditioned, "_neighbours", unbuildable("neighbours"))
+        monkeypatch.setattr(Conditioned, "_plans", unbuildable("blanket plans"))
+        monkeypatch.setattr(Conditioned, "_neighbours", unbuildable("blanket neighbours"))
+        monkeypatch.setattr(Conditioned, "_relabeling_plan", unbuildable("relabeling plan"))
         model = parse_model(COMPILED_MODEL)
         evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
         cond = ground(model).condition(evidence)
@@ -1002,6 +1014,8 @@ class TestPlanConditional:
             cond.conditional(np.ones(len(cond.atoms), dtype=np.int64), 0)
         with pytest.raises(AssertionError, match="neighbours built"):
             estimate_marginals(model, evidence, cond.atoms[:3], ChainConfig(10))
+        with pytest.raises(AssertionError, match="relabeling plan built"):
+            cond.relabeled(np.ones(len(cond.atoms), dtype=np.int64), np.arange(3))
 
 
 def _digest(obj) -> str:

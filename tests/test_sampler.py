@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from liftbmf.sampler import (
     find_consistent_world,
     kld,
 )
+
+from test_mln import _relabeled_by_atoms, _relabeled_by_gather
 
 
 def _conditioned(model_text, evidence_text=""):
@@ -123,6 +126,31 @@ class TestOrbitalStep:
                 seen_identity = True
         assert seen_identity
 
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_list_shuffle_draws_what_permutation_draws(self, size):
+        # `_class_permutation` shuffles each class as a list; chains drawn
+        # with `rng.permutation` on a position array stay reproducible only
+        # while both give the same values and leave the same stream state
+        at = list(range(5, 5 + 3 * size, 3))
+        for seed in range(3):
+            by_array, by_list = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = at[:]
+            by_list.shuffle(drawn)
+            assert by_array.permutation(np.array(at)).tolist() == drawn
+            assert by_array.random().hex() == by_list.random().hex()
+
+    def test_class_permutation_moves_each_class_within_itself(self):
+        positions = [[0, 2, 5], [1, 4]]
+        rng = np.random.default_rng(12)
+        draws = [_class_permutation(7, positions, rng) for _ in range(200)]
+        moved = [perm for perm in draws if perm is not None]
+        assert 0 < len(moved) < len(draws)
+        for perm in moved:
+            assert sorted(perm[c] for c in positions[0]) == positions[0]
+            assert sorted(perm[c] for c in positions[1]) == positions[1]
+            assert perm[3] == 3 and perm[6] == 6
+            assert perm != list(range(7))
+
     def test_log_weight_invariant_under_class_permutations(self):
         model, evidence, cond = _conditioned(
             "domain = a, b, c, d\npred s/1\npred p/2\n1.2 s(X) ^ p(X,Y) => s(Y)\n",
@@ -189,6 +217,21 @@ class TestChainConfig:
     def test_numpy_integers_are_accepted(self):
         config = ChainConfig(np.int64(10), burn_in=np.int32(2), seed=np.uint8(3))
         assert config.resolved_burn_in() == 2
+
+    @pytest.mark.parametrize(
+        "prob", ["0.5", None, 0.1 + 0j, True, False, np.True_, [0.5], math.nan, -0.1, 1.0001]
+    )
+    def test_orbital_probability_must_be_a_real_in_the_unit_interval(self, prob):
+        # strings, None and complex numbers once escaped as a bare TypeError
+        # from the range check, and True ran as probability 1
+        with pytest.raises(InputError, match="orbital_move_probability must be a real"):
+            ChainConfig(10, orbital_move_probability=prob)
+
+    @pytest.mark.parametrize("prob", [0, 1, 0.25, np.float32(0.5), np.int64(1), Fraction(1, 4)])
+    def test_orbital_probability_is_kept_as_a_float(self, prob):
+        config = ChainConfig(10, orbital_move_probability=prob)
+        assert type(config.orbital_move_probability) is float
+        assert config.orbital_move_probability == prob
 
 
 class TestEstimateMarginals:
@@ -548,9 +591,11 @@ class TestPinnedChainOutputs:
 
 def _reference_chain(model, evidence, queries, config, snapshot_every=None,
                      collect_world_counts=False):
-    """The chain loop as it was before the per-atom memo: `conditional`,
-    with its boundary checks, on every step, and every query slot added on
-    every sample.  Same streams, same draws, same order."""
+    """The chain loop as it was before the per-atom memo and the relabeling
+    plan: `conditional`, with its boundary checks, on every step, every
+    query slot added on every sample, and each jump drawn by
+    `rng.permutation` per class and applied by one index gather per
+    predicate.  Same streams, same draws, same order."""
     cond = ground(model).condition(evidence)
     fixed, open_queries = cond.split_queries(queries)
     burn_in = config.resolved_burn_in()
@@ -583,9 +628,11 @@ def _reference_chain(model, evidence, queries, config, snapshot_every=None,
         for b in range(block):
             t += 1
             if use_orbital and jumps[b]:
-                perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
-                if perm is not None:
-                    world = cond.relabeled(world, perm).tolist()
+                perm = np.arange(len(model.domain))
+                for at in class_positions:
+                    perm[at] = orbit_perm_rng.permutation(at)
+                if (perm != np.arange(len(model.domain))).any():
+                    world = _relabeled_by_gather(cond, world, perm).tolist()
             if n:
                 i = picks[b]
                 p = cond.conditional(world, i)
@@ -679,3 +726,61 @@ class TestChainAgainstReferenceLoop:
         estimate_marginals(model, evidence, queries, config)
         assert 0 < len(calls) <= min(config.iterations, states)
         assert len(calls) < config.iterations // 4
+
+
+BINARY_OPEN_MODEL = """
+domain = a, b, c, d, e, f
+pred r/0
+pred s/1
+pred t/2
+pred p/2
+0.7 s(X) ^ t(X,Y) => s(Y)
+1.1 p(X,Y) => t(X,Y)
+-0.4 t(X,X)
+0.5 r => s(X)
+"""
+
+# p holds exactly within the blocks {a, b, c} and {d, e, f}
+BINARY_OPEN_EVIDENCE = "".join(
+    f"{'' if (x in 'abc') == (y in 'abc') else '!'}p({x},{y})\n" for x in "abcdef" for y in "abcdef"
+)
+
+
+class TestJumpOverBinaryAtoms:
+    """Planted instances leave only unary atoms open; here every t(x, y)
+    stays open, so jumps move binary atoms inside and across the two
+    classes, and the 0-arity r stays where it is."""
+
+    def _setup(self):
+        model, evidence, cond = _conditioned(BINARY_OPEN_MODEL, BINARY_OPEN_EVIDENCE)
+        assert sorted(map(len, constant_symmetry_classes(model, evidence))) == [3, 3]
+        assert len(cond.atoms) == 1 + 6 + 36
+        assert {len(places) for _, _, places in cond._relabeling_plan} == {1, 2}
+        return model, evidence, cond
+
+    @pytest.mark.parametrize("estimator", ["rao_blackwell", "frequency"])
+    @pytest.mark.parametrize("prob", [0.3, 1.0])
+    def test_chain_matches_the_reference_loop(self, estimator, prob):
+        model, evidence, _ = self._setup()
+        queries = [Atom("r", ()), *(Atom("s", (c,)) for c in "abcdef"),
+                   *(Atom("t", args) for args in (("a", "b"), ("a", "d"), ("d", "d"), ("f", "c")))]
+        config = ChainConfig(600, seed=31, orbital_move_probability=prob, estimator=estimator)
+        est = estimate_marginals(model, evidence, queries, config, snapshot_every=40)
+        estimates, snapshots, _ = _reference_chain(model, evidence, queries, config,
+                                                   snapshot_every=40)
+        assert _hexed(est.estimates) == _hexed(estimates)
+        assert [(t, _hexed(snap)) for t, snap in est.snapshots] == [
+            (t, _hexed(snap)) for t, snap in snapshots
+        ]
+        assert len(snapshots) == 14
+
+    def test_relabeled_matches_both_reference_relabelings(self):
+        _, _, cond = self._setup()
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            values = rng.integers(0, 2, size=len(cond.atoms))
+            perm = rng.permutation(len(cond.model.domain))
+            out = cond.relabeled(values, perm)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, _relabeled_by_atoms(cond, values, perm))
+            assert np.array_equal(out, _relabeled_by_gather(cond, values, perm))
