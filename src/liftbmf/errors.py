@@ -30,12 +30,15 @@ class CapacityError(LiftBmfError):
 
 
 class SearchBudgetError(CapacityError):
-    """Exact search ran out of nodes; carries the best bounds proven so far."""
+    """Exact search ran out of nodes; carries the best bounds proven so far,
+    the stage that ran out and the nodes it had spent by then."""
 
-    def __init__(self, message, lower_bound=None, upper_bound=None):
+    def __init__(self, message, lower_bound=None, upper_bound=None, stage=None, nodes=None):
         super().__init__(message)
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
+        self.stage = stage
+        self.nodes = nodes
 
 
 class InconsistencyError(LiftBmfError):

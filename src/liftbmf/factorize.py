@@ -6,7 +6,10 @@ construction no rectangle touches a 0-entry, so a minimum cover is a
 minimum exact factorization.  Concepts are enumerated breadth first from
 the empty column set; the search branches on the uncovered cell with the
 fewest covering rectangles, in a cell order fixed before it starts.  The
-greedy solver follows the ASSO scheme:
+cells are renumbered in that order, so a node's branching cell is the
+lowest bit of its uncovered mask, and a node charges, bounds and
+memo-checks its children in its own loop, entering only those that pass.
+The greedy solver follows the ASSO scheme:
 candidate column patterns come from thresholded association confidences,
 and each round keeps the candidate whose best per-row companion maximizes
 a weighted cover gain.
@@ -287,7 +290,8 @@ def exact_boolean_rank(
     Refuses matrices with more than `size_cap` entries; raises
     SearchBudgetError with the bounds proven so far if concept enumeration
     and the branch-and-bound cover search together take more than
-    `max_search` nodes.
+    `max_search` nodes.  The error's `stage` names the step that ran out
+    and its `nodes` is the `max_search` nodes spent.
     """
     k, l = p.shape
     if k == 0 or l == 0:
@@ -309,6 +313,8 @@ def exact_boolean_rank(
             f"{what} exceeded {max_search} nodes; best bounds so far: {lb} <= rank <= {ub}",
             lower_bound=lb,
             upper_bound=ub,
+            stage=what,
+            nodes=max_search,
         )
 
     budget = [max_search]
@@ -321,14 +327,7 @@ def exact_boolean_rank(
               for rows, cols in rects]
     # canonical order: biggest coverage first, then by masks, for determinism
     covers.sort(key=lambda t: (-t[0].bit_count(), t[1], t[2]))
-    covering: dict[int, list[int]] = {b: [] for b in _set_bits(ones_mask)}
-    for idx, (cells, _, _) in enumerate(covers):
-        for b in _set_bits(cells):
-            covering[b].append(idx)
-    # branch on the uncovered cell with the fewest covering rectangles, the
-    # lowest such cell on ties: a stable sort of the ascending cells
-    order = sorted(covering, key=lambda b: len(covering[b]))
-    max_cover = max(c[0].bit_count() for c in covers)
+    max_cover = covers[0][0].bit_count()
 
     # greedy cover gives the initial upper bound (and a feasible witness)
     best: list[int] = []
@@ -339,37 +338,67 @@ def exact_boolean_rank(
         uncovered &= ~covers[pick][0]
     best_len = len(best)
 
-    chosen: list[int] = []
-    memo: dict[int, int] = {}
+    n_ones = ones_mask.bit_count()
+    # need[c]: rectangles still needed for c uncovered cells, by the area bound
+    need = [-(-c // max_cover) for c in range(n_ones + 1)]
 
-    def search(uncovered: int, depth: int) -> None:
-        nonlocal best, best_len
-        budget[0] -= 1
-        if budget[0] < 0:
-            lb = math.ceil(ones_mask.bit_count() / max_cover)
-            raise out_of_budget("exact rank search", lb, min(best_len, k, l))
-        if not uncovered:
-            if depth < best_len:
-                best = list(chosen)
-                best_len = depth
-            return
-        if depth + math.ceil(uncovered.bit_count() / max_cover) >= best_len:
-            return
-        prev = memo.get(uncovered)
-        if prev is not None and prev <= depth:
-            return
-        memo[uncovered] = depth
-        pick_cell = next(b for b in order if uncovered >> b & 1)
-        options = sorted(
-            covering[pick_cell],
-            key=lambda i: -(covers[i][0] & uncovered).bit_count(),
-        )
-        for idx in options:
-            chosen.append(idx)
-            search(uncovered & ~covers[idx][0], depth + 1)
-            chosen.pop()
+    def search_exhausted() -> SearchBudgetError:
+        return out_of_budget("exact rank search", need[n_ones], min(best_len, k, l))
 
-    search(ones_mask, 0)
+    budget[0] -= 1  # the root node
+    if budget[0] < 0:
+        raise search_exhausted()
+    if need[n_ones] < best_len:
+        covering: dict[int, list[int]] = {b: [] for b in _set_bits(ones_mask)}
+        for idx, (cells, _, _) in enumerate(covers):
+            for b in _set_bits(cells):
+                covering[b].append(idx)
+        # branch on the uncovered cell with the fewest covering rectangles, the
+        # lowest such cell on ties: a stable sort of the ascending cells.
+        # Cells renumbered in that order make the branching cell of a node
+        # the lowest bit of its uncovered mask.
+        order = sorted(covering, key=lambda b: len(covering[b]))
+        masks = [0] * len(covers)
+        for pos, b in enumerate(order):
+            bit = 1 << pos
+            for idx in covering[b]:
+                masks[idx] |= bit
+        options_at = [covering[b] for b in order]
+        memo: dict[int, int] = {}
+        chosen: list[int] = []
+
+        def search(uncovered: int, depth: int) -> None:
+            # Expand a node that passed its checks.  Each child is charged,
+            # checked for a full cover, the bound and the memo here, and
+            # entered only if it passes them all.  Options come by ascending
+            # cells left uncovered and best_len never rises, so once a child
+            # fails the bound so do all later ones: the tail is charged at once.
+            nonlocal best, best_len
+            memo[uncovered] = depth
+            options = sorted([((uncovered & ~masks[i]).bit_count(), i)
+                              for i in options_at[(uncovered & -uncovered).bit_length() - 1]])
+            depth += 1
+            for n, (rest, idx) in enumerate(options):
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise search_exhausted()
+                if not rest:
+                    if depth < best_len:
+                        best, best_len = chosen + [idx], depth
+                    continue
+                if depth + need[rest] >= best_len:
+                    budget[0] -= len(options) - n - 1
+                    if budget[0] < 0:
+                        raise search_exhausted()
+                    return
+                child = uncovered & ~masks[idx]
+                # skip a child the memo holds at this depth or shallower
+                if memo.get(child, depth + 1) > depth:
+                    chosen.append(idx)
+                    search(child, depth)
+                    chosen.pop()
+
+        search((1 << n_ones) - 1, 0)
 
     picked = sorted(best, key=lambda i: (covers[i][1], covers[i][2]))
     pairs = []

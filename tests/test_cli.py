@@ -61,6 +61,23 @@ class TestRank:
     def test_missing_file_is_input_error(self, capsys):
         assert run("rank", "/nonexistent/m.txt") == 1
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_search_budget_refusal(self, tmp_path, monkeypatch, capsys, via_env):
+        # the first matrix of TestExactRankPinned.test_pinned_budget_errors
+        path = tmp_path / "m.txt"
+        bits = np.random.default_rng(910).random((10, 10)) < 0.5
+        path.write_text(BoolMatrix(bits.astype(np.uint8)).to_text())
+        if via_env:
+            monkeypatch.setenv("LIFTBMF_MAX_SEARCH", "500")
+            argv = ("rank", str(path))
+        else:
+            argv = ("rank", str(path), "--max-search", "500")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "liftbmf: refused: exact rank search exceeded 500 nodes; "
+            "best bounds so far: 3 <= rank <= 10\n"
+        )
+
 
 class TestFactorize:
     def test_prints_rank_and_flip_counts(self, example_file, tmp_path, capsys):

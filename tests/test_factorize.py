@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from liftbmf.boolmat import BoolMatrix, hamming_error
 from liftbmf.errors import CapacityError, InputError, SearchBudgetError
 from liftbmf.experiments import gen_synthetic
 from liftbmf.factorize import (
+    DEFAULT_MAX_SEARCH,
     AssoParams,
     Factorization,
     asso_factorize,
@@ -72,6 +74,13 @@ class TestExactBooleanRank:
         wide = BoolMatrix(np.ones((2, 9), dtype=np.uint8))
         with pytest.raises(SearchBudgetError, match="concept enumeration.*1 <= rank <= 2"):
             exact_boolean_rank(wide, max_search=0)
+
+    def test_budget_error_reports_stage_and_nodes(self):
+        m = BoolMatrix(np.random.default_rng(910).random((10, 10)) < 0.5)
+        for budget, stage in ((50, "concept enumeration"), (500, "exact rank search")):
+            with pytest.raises(SearchBudgetError, match=stage) as info:
+                exact_boolean_rank(m, max_search=budget)
+            assert (info.value.stage, info.value.nodes) == (stage, budget)
 
     @pytest.mark.parametrize("caps", [{"max_search": -1}, {"size_cap": -1}])
     def test_negative_caps_are_input_errors(self, caps):
@@ -319,6 +328,171 @@ class TestExactRankPinned:
                 assert str(info.value) == (
                     f"{stage} exceeded {budget} nodes; best bounds so far: {lb} <= rank <= {ub}"
                 )
+
+
+class _OutOfBudget(Exception):
+    """Carries `_reference_rank`'s error outcome out of its recursion."""
+
+
+def _reference_rank(bits: np.ndarray, max_search: int) -> tuple:
+    """`exact_boolean_rank` as it was before its cells were renumbered by
+    branching order: every child is its own call that charges the budget
+    and then checks for a full cover, the bound and the memo, and each node
+    walks `order` to its branching cell.  Returns ("rank", rank, witness
+    bytes, nodes spent) or ("error", message, lower bound, upper bound,
+    stage); the same nodes in the same order, so the same budget errors."""
+    k, l = bits.shape
+
+    def pack(v):
+        return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
+
+    def set_bits(mask):
+        return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+    ones_mask = pack(bits.ravel())
+    if ones_mask == 0:
+        return "rank", 0, b"", 0
+    budget = [max_search]
+
+    def out_of_budget(stage, lb, ub):
+        message = f"{stage} exceeded {max_search} nodes; best bounds so far: {lb} <= rank <= {ub}"
+        return _OutOfBudget(("error", message, lb, ub, stage))
+
+    # concepts: closures of column sets, breadth first from the empty set
+    row_cols = [pack(row) for row in bits]
+    col_rows = [pack(col) for col in bits.T]
+    seen = {0: (1 << k) - 1}
+    queue = [0]
+    try:
+        for b in queue:
+            for j in range(l):
+                if b >> j & 1:
+                    continue
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise out_of_budget("concept enumeration", 1, min(k, l))
+                rows2 = seen[b] & col_rows[j]
+                if not rows2:
+                    continue
+                closed = (1 << l) - 1
+                for i in set_bits(rows2):
+                    closed &= row_cols[i]
+                if closed not in seen:
+                    seen[closed] = rows2
+                    queue.append(closed)
+        covers = [(sum(cols << i * l for i in set_bits(rows)), rows, cols)
+                  for cols, rows in seen.items() if cols]
+        covers.sort(key=lambda t: (-t[0].bit_count(), t[1], t[2]))
+        covering = {b: [] for b in set_bits(ones_mask)}
+        for idx, (cells, _, _) in enumerate(covers):
+            for b in set_bits(cells):
+                covering[b].append(idx)
+        order = sorted(covering, key=lambda b: len(covering[b]))
+        max_cover = max(c[0].bit_count() for c in covers)
+
+        best = []
+        uncovered = ones_mask
+        while uncovered:
+            pick = max(range(len(covers)), key=lambda i: (covers[i][0] & uncovered).bit_count())
+            best.append(pick)
+            uncovered &= ~covers[pick][0]
+        chosen = []
+        memo = {}
+
+        def search(uncovered, depth):
+            nonlocal best
+            budget[0] -= 1
+            if budget[0] < 0:
+                lb = math.ceil(ones_mask.bit_count() / max_cover)
+                raise out_of_budget("exact rank search", lb, min(len(best), k, l))
+            if not uncovered:
+                if depth < len(best):
+                    best = list(chosen)
+                return
+            if depth + math.ceil(uncovered.bit_count() / max_cover) >= len(best):
+                return
+            prev = memo.get(uncovered)
+            if prev is not None and prev <= depth:
+                return
+            memo[uncovered] = depth
+            pick_cell = next(b for b in order if uncovered >> b & 1)
+            options = sorted(covering[pick_cell],
+                             key=lambda i: -(covers[i][0] & uncovered).bit_count())
+            for idx in options:
+                chosen.append(idx)
+                search(uncovered & ~covers[idx][0], depth + 1)
+                chosen.pop()
+
+        search(ones_mask, 0)
+    except _OutOfBudget as exc:
+        return exc.args[0]
+    witness = b"".join(
+        np.array([rows >> i & 1 for i in range(k)], dtype=np.uint8).tobytes()
+        + np.array([cols >> j & 1 for j in range(l)], dtype=np.uint8).tobytes()
+        for _, rows, cols in sorted((covers[i] for i in best), key=lambda c: (c[1], c[2]))
+    )
+    return "rank", len(best), witness, max_search - budget[0]
+
+
+def _outcome(m: BoolMatrix, max_search: int) -> tuple:
+    """`exact_boolean_rank`'s result in `_reference_rank`'s terms, without
+    the node count, which only the reference reports."""
+    try:
+        rank, witness = exact_boolean_rank(m, max_search=max_search)
+    except SearchBudgetError as exc:
+        assert exc.nodes == max_search
+        return "error", str(exc), exc.lower_bound, exc.upper_bound, exc.stage
+    pairs = b"".join(q.tobytes() + r.tobytes() for q, r in witness.pairs)
+    return "rank", rank, pairs
+
+
+def _differential_matrices() -> list[np.ndarray]:
+    rng = np.random.default_rng(1919)
+    mats = []
+    for _ in range(320):
+        k, l = rng.integers(1, 13, size=2)
+        mats.append((rng.random((k, l)) < rng.uniform(0.1, 0.9)).astype(np.uint8))
+    for side in (1, 5, 12):
+        mats += [np.ones((side, side), dtype=np.uint8), np.eye(side, dtype=np.uint8)]
+    mats += [np.ones((1, 12), dtype=np.uint8), np.ones((12, 1), dtype=np.uint8)]
+    mats += [(rng.random((1, 12)) < 0.5).astype(np.uint8), (rng.random((12, 1)) < 0.5).astype(np.uint8)]
+    return mats
+
+
+class TestSearchAgainstReference:
+    """The exact search against `_reference_rank`, node for node."""
+
+    BUDGETS = (0, 3, 17, 50, 200, 500, 1000, 3000, 5000, 20000, DEFAULT_MAX_SEARCH)
+
+    def test_same_outcome_at_every_budget(self):
+        for bits in _differential_matrices():
+            m = BoolMatrix(bits)
+            full = _reference_rank(bits, DEFAULT_MAX_SEARCH)
+            for budget in self.BUDGETS:
+                if full[0] == "rank" and budget >= full[3]:
+                    expected = full[:3]
+                else:
+                    expected = _reference_rank(bits, budget)
+                    expected = expected[:3] if expected[0] == "rank" else expected
+                assert _outcome(m, budget) == expected, (bits.shape, budget)
+
+    def test_smallest_solving_budget_is_the_reference_node_count(self):
+        rng = np.random.default_rng(1920)
+        for _ in range(40):
+            side = rng.integers(8, 12)
+            bits = (rng.random((side, side)) < 0.4).astype(np.uint8)
+            m = BoolMatrix(bits)
+            reference = _reference_rank(bits, DEFAULT_MAX_SEARCH)
+            assert reference[0] == "rank"
+            # the search fails at budget lo (-1 stands for "below 0") and solves at hi
+            lo, hi = -1, DEFAULT_MAX_SEARCH
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _outcome(m, mid)[0] == "rank":
+                    hi = mid
+                else:
+                    lo = mid
+            assert hi == reference[3]
 
 
 class TestAssoParams:
