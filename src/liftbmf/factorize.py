@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 400
 DEFAULT_MAX_SEARCH = 2_000_000
+_F32_ROWS = 1 << 23  # rows per float32 block of the ASSO column overlaps
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,15 @@ class AssoParams:
     def __post_init__(self):
         for name in ("tau", "w_plus", "w_minus"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"{name} must be a real number, got {value!r}")
+            try:
+                real = float(value)
+            except OverflowError:  # an int or Fraction beyond the float range
+                real = math.inf
+            if not math.isfinite(real):
                 raise InputError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, real)
         if not 0.0 < self.tau <= 1.0:
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
         if self.w_plus <= 0:
@@ -400,18 +409,17 @@ def exact_boolean_rank(
 
         search((1 << n_ones) - 1, 0)
 
-    picked = sorted(best, key=lambda i: (covers[i][1], covers[i][2]))
+    # the witness is exact when its rectangles cover exactly the 1-cells
     pairs = []
-    for idx in picked:
-        _, rows, cols = covers[idx]
+    cells = 0
+    for idx in sorted(best, key=lambda i: (covers[i][1], covers[i][2])):
+        mask, rows, cols = covers[idx]
+        cells |= mask
         q = np.array([(rows >> i) & 1 for i in range(k)], dtype=np.uint8)
         r = np.array([(cols >> j) & 1 for j in range(l)], dtype=np.uint8)
         pairs.append((q, r))
-    witness = Factorization(
-        tuple(pairs), (k, l), p.row_labels, p.col_labels
-    ).with_target(p)
-    assert witness.error == 0
-    return len(pairs), witness
+    assert cells == ones_mask
+    return len(pairs), Factorization(tuple(pairs), (k, l), p.row_labels, p.col_labels, 0, p)
 
 
 # --- greedy (ASSO-style) approximate factorization -----------------------
@@ -424,49 +432,71 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     between columns; the companion row pattern is chosen row by row so a
     row joins only if it strictly improves the weighted cover gain.  Ties
     among candidates break toward the lowest candidate index, so the output
-    is deterministic.
+    is deterministic; a repeated candidate is dropped, since its gain always
+    equals that of its first copy.
 
     The counts of still-open 1s and 0s each candidate would cover in each
-    row are computed once and then updated only on the rows of each kept
-    pair, from the cells that pair newly covers.  They are held as float64
-    so the matmuls run on BLAS; every term is 0 or 1 and every sum at most
-    l, far below 2**53, so each count is exact and the gains equal integer
-    arithmetic bit for bit.
+    row are computed once, the 0s as the candidate's size minus the 1s.  A
+    kept pair changes the counts only on its own rows, from the cells it
+    newly covers, which lie in its own columns; only those rows of the
+    weighted gains and of their clipped copy are refreshed, and the gains
+    stay one column sum over the same values as a full recompute.  The 0/1
+    matmuls run in float32 on BLAS, where a sum of integers below 2**24 is
+    exact in any order: a count is at most l (an l x l overlap array with
+    l near 2**24 could not be held), and the column overlaps are summed
+    over blocks of 2**23 rows.  The weights apply in float64.  The error is
+    read off the cover.
     """
     params = params or AssoParams()
     k, l = p.shape
     max_rank = min(k, l) if params.max_rank is None else min(params.max_rank, min(k, l))
-    bits = p.bits.astype(np.float64)
-    norms = bits.sum(axis=0)
+    b32 = p.bits.astype(np.float32)
+    overlap = b32[:_F32_ROWS].T @ b32[:_F32_ROWS]
+    for start in range(_F32_ROWS, k, _F32_ROWS):
+        block = b32[start:start + _F32_ROWS]
+        overlap = overlap + (block.T @ block).astype(np.float64)
+    norms = overlap.diagonal()
     keep = norms > 0
     if not keep.any() or max_rank == 0:
-        return Factorization((), (k, l), p.row_labels, p.col_labels).with_target(p)
-    overlap = bits.T @ bits
-    cand = (overlap[keep] / norms[keep, None] >= params.tau).astype(np.uint8)
-    cand_t = cand.T.astype(np.float64)
-    new_ones = bits @ cand_t
-    new_zeros = (1.0 - bits) @ cand_t
+        return Factorization((), (k, l), p.row_labels, p.col_labels, p.ones(), p)
+    cand = overlap[keep] / norms[keep, None].astype(np.float64) >= params.tau
+    # a repeated candidate always has its first copy's gain, and argmax takes
+    # the first of equal gains, so dropping repeats changes no pick
+    first = {}
+    for i, row in enumerate(cand):
+        first.setdefault(row.tobytes(), i)
+    cand = cand[list(first.values())].astype(np.uint8)
+    cand_t = np.ascontiguousarray(cand.T, dtype=np.float32)
+    new_ones = b32 @ cand_t
+    new_zeros = cand_t.sum(axis=0) - new_ones
+    # float64 scalars: a Python float would leave the float32 counts in float32
+    w_plus, w_minus = np.float64(params.w_plus), np.float64(params.w_minus)
+    delta = w_plus * new_ones - w_minus * new_zeros
+    clipped = np.maximum(delta, 0.0)
 
     covered = np.zeros((k, l), dtype=bool)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_rank):
-        delta = params.w_plus * new_ones - params.w_minus * new_zeros
-        gains = np.clip(delta, 0.0, None).sum(axis=0)
+        gains = clipped.sum(axis=0)
         pick = int(np.argmax(gains))
         if gains[pick] <= 0.0:
             break
         q = (delta[:, pick] > 0.0).astype(np.uint8)
         r = cand[pick].copy()
         pairs.append((q, r))
-        rows = np.flatnonzero(q)
-        newly = r.astype(bool) & ~covered[rows]
-        covered[rows] |= newly
-        row_bits = bits[rows]
-        new_ones[rows] -= (row_bits * newly) @ cand_t
-        new_zeros[rows] -= ((1.0 - row_bits) * newly) @ cand_t
-    return Factorization(
-        tuple(pairs), (k, l), p.row_labels, p.col_labels
-    ).with_target(p)
+        rows, cols = np.flatnonzero(q), np.flatnonzero(r)
+        cells = np.ix_(rows, cols)
+        newly = ~covered[cells]
+        covered[cells] = True
+        # per candidate: newly covered 1s on each row, then all newly covered cells
+        hit = np.concatenate((b32[cells] * newly, newly), dtype=np.float32) @ cand_t[cols]
+        n = len(rows)
+        new_ones[rows] -= hit[:n]
+        new_zeros[rows] -= hit[n:] - hit[:n]
+        delta[rows] = w_plus * new_ones[rows] - w_minus * new_zeros[rows]
+        clipped[rows] = np.maximum(delta[rows], 0.0)
+    error = int(np.count_nonzero(covered != p.bits))
+    return Factorization(tuple(pairs), (k, l), p.row_labels, p.col_labels, error, p)
 
 
 # --- exhaustive oracle ---------------------------------------------------

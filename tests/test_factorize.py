@@ -238,7 +238,7 @@ def _pairs_digest(f: Factorization) -> str:
 
 
 class TestAssoAgainstFullRecompute:
-    """The incremental float64 greedy against the full int64 recompute."""
+    """The incremental float32 greedy against the full int64 recompute."""
 
     def test_random_matrices(self):
         rng = np.random.default_rng(2026)
@@ -283,6 +283,86 @@ class TestAssoAgainstFullRecompute:
         assert _pairs_digest(f) == (
             "98061b28a827b7e600131006548b5b255f78ac30a979ef7a01270c062b756a96"
         )
+
+    @staticmethod
+    def _check_random(rng, params, shapes=lambda r: r.integers(2, 30, size=2), edit=None,
+                      runs=60):
+        """Compare on random matrices of the given shapes; `edit` may change
+        the bits first.  Returns the number of pairs emitted."""
+        pairs = 0
+        for _ in range(runs):
+            k, l = shapes(rng)
+            bits = (rng.random((k, l)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            if edit is not None:
+                bits = edit(rng, bits)
+            m = BoolMatrix(bits)
+            f = asso_factorize(m, params)
+            assert f == _asso_full_recompute(m, params), (bits.tolist(), params)
+            pairs += f.rank()
+        return pairs
+
+    @pytest.mark.parametrize("w_plus, w_minus", [(0.1, 0.3), (3.0, 0.7), (0.7, 0.1)])
+    def test_weights_whose_products_round(self, w_plus, w_minus):
+        rng = np.random.default_rng(int(10 * w_plus + w_minus))
+        for tau in (0.4, 0.7):
+            params = AssoParams(tau=tau, w_plus=w_plus, w_minus=w_minus)
+            assert self._check_random(rng, params) >= 60
+
+    def test_repeated_columns_tie_candidates(self):
+        rng = np.random.default_rng(7)
+
+        def repeat_columns(r, bits):
+            return bits[:, r.integers(bits.shape[1], size=bits.shape[1])]
+
+        for w_minus in (0.3, 1.0):
+            params = AssoParams(tau=0.6, w_plus=1.0, w_minus=w_minus)
+            assert self._check_random(rng, params, edit=repeat_columns) >= 60
+
+    def test_zero_rows(self):
+        rng = np.random.default_rng(11)
+
+        def zero_rows(r, bits):
+            bits[r.random(bits.shape[0]) < 0.4] = 0
+            return bits
+
+        params = AssoParams(tau=0.5, w_plus=1.3, w_minus=0.9)
+        assert self._check_random(rng, params, edit=zero_rows) >= 60
+
+    def test_thin_shapes(self):
+        """1 x l and k x 1 matrices (one round), and 2 x l and k x 2 (two)."""
+        rng = np.random.default_rng(1)
+        for thin in (1, 2):
+            for w_minus in (0.3, 1.0):
+                params = AssoParams(tau=0.5, w_plus=1.0, w_minus=w_minus)
+                wide = self._check_random(rng, params, lambda r: (thin, int(r.integers(1, 40))))
+                tall = self._check_random(rng, params, lambda r: (int(r.integers(1, 40)), thin))
+                assert min(wide, tall) >= 30
+
+    def test_overlaps_summed_in_row_blocks(self, monkeypatch):
+        """The column overlaps are summed over blocks of rows, so that the
+        float32 sums stay exact however tall the matrix; blocks of 3 rows
+        here take the path that matrices past 2**23 rows take."""
+        import liftbmf.factorize as factorize_module
+
+        monkeypatch.setattr(factorize_module, "_F32_ROWS", 3)
+        rng = np.random.default_rng(3)
+        params = AssoParams(tau=0.6, w_plus=1.0, w_minus=0.7)
+        assert self._check_random(rng, params) >= 60
+
+    @pytest.mark.parametrize("seed, error, digest", [
+        (0, 7112, "26675c68a36b7a7aae402fe06b01358de98628d73091daaf5fa14701dfbbf5f6"),
+        (1, 8800, "f0e26c371d6d9c3ea7a5a3ffe7661b4058ebda00714be32641b6e74736b51b98"),
+        (2, 7363, "6e325ad26ac0bc3ec61d52d65e680d67efa03eb01e94b0116f70374015908126"),
+        (3, 8030, "82b39ff62cd36db5f2f06dfd3e9e61c4dffb2da4415f2269a3f18291f1570786"),
+    ])
+    def test_pinned_m300_rank10(self, seed, error, digest):
+        """Error and pair digest of the benchmark's matrix shape, recorded
+        from the float64 greedy before the float32 one replaced it."""
+        m, _ = gen_synthetic(300, 10, 0.01, seed)
+        f = asso_factorize(m, AssoParams(max_rank=10))
+        assert f.rank() == 10
+        assert f.error == error
+        assert _pairs_digest(f) == digest
 
 
 class TestExactRankPinned:
@@ -512,6 +592,12 @@ class TestAssoParams:
             {"w_plus": float("inf")},
             {"w_minus": float("nan")},
             {"w_minus": float("inf")},
+            {"tau": "0.7"},
+            {"tau": None},
+            {"w_minus": 1 + 0j},
+            {"tau": True},
+            {"w_plus": True},
+            {"w_plus": 10**400},
         ],
     )
     def test_validation(self, kwargs):
