@@ -211,10 +211,12 @@ def boolean_product(q: BoolMatrix, r: BoolMatrix) -> BoolMatrix:
     """Boolean product Q R^T of a k x n and an l x n matrix.
 
     Entry (i, j) is OR over shared columns of Q[i][c] AND R[j][c], i.e. 1
-    exactly when the integer product entry is >= 1.
+    exactly when the integer product entry is >= 1.  The product is taken
+    in float32, which BLAS multiplies: a sum of 0/1 terms is zero only when
+    every term is, and rounding never takes a positive sum to zero.
     """
     _check_common_cols(q, r)
-    prod = (q.bits.astype(np.int64) @ r.bits.T.astype(np.int64)) >= 1
+    prod = (q.bits.astype(np.float32) @ r.bits.T.astype(np.float32)) > 0
     return BoolMatrix(prod.astype(np.uint8), q.row_labels, r.row_labels)
 
 

@@ -114,8 +114,13 @@ class Factorization:
             raise InputError(
                 f"rank {len(checked)} exceeds min{self.shape} = {min(k, l)}"
             )
-        object.__setattr__(self, "row_labels", _check_labels(self.row_labels, k, "row"))
-        object.__setattr__(self, "col_labels", _check_labels(self.col_labels, l, "col"))
+        # labels that are the very tuples of a target of this shape were
+        # checked when the target was built
+        target = self.target
+        if not (target is not None and target.shape == self.shape
+                and self.row_labels is target.row_labels and self.col_labels is target.col_labels):
+            object.__setattr__(self, "row_labels", _check_labels(self.row_labels, k, "row"))
+            object.__setattr__(self, "col_labels", _check_labels(self.col_labels, l, "col"))
         if self.error is not None and not 0 <= self.error <= k * l:
             raise InputError(f"error {self.error} outside [0, {k * l}] for shape {self.shape}")
         if self.target is not None and self.target.shape != self.shape:

@@ -285,7 +285,36 @@ def parse_formula(text: str, model: "Model | None" = None, where: str = "formula
     return f
 
 
+# The common form of a literal, `!?name(c1, ..., ck)` with spaces and tabs
+# around its tokens; the groups are the "!", the name and the arguments.
+_LITERAL_RE = re.compile(
+    r"[ \t]*(!?)[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]*"
+    r"(?:\([ \t]*([A-Za-z_][A-Za-z0-9_]*(?:[ \t]*,[ \t]*[A-Za-z_][A-Za-z0-9_]*)*)?[ \t]*\))?[ \t]*"
+)
+
+
 def parse_literal(text: str, model: "Model | None" = None, where: str = "literal") -> tuple[Atom, bool]:
+    """A ground atom, negated by a leading "!", and its truth value.
+
+    The common form is read with one regex and its constants checked
+    against the model's set of them; every other text, and every literal
+    that a check refuses, goes through `_Parser`, the one source of error
+    text, so both paths return the same literal or raise the same error."""
+    m = _LITERAL_RE.fullmatch(text)
+    if m is not None:
+        bang, name, listed = m.groups()
+        args = tuple(map(str.strip, listed.split(","))) if listed else ()
+        if model is None:
+            ok = not any(map(is_variable, args))
+        else:
+            ok = model.predicates.get(name) == len(args) and model._constants.issuperset(args)
+        if ok:
+            return Atom(name, args), not bang
+    return _parsed_literal(text, model, where)
+
+
+def _parsed_literal(text: str, model: "Model | None", where: str) -> tuple[Atom, bool]:
+    """`parse_literal` through `_Parser`, for any text."""
     stripped = text.strip()
     value = True
     if stripped.startswith("!"):
@@ -331,7 +360,9 @@ class Model:
                 raise InputError(f"weight of {format_formula(f)} is not finite as a float") from None
         object.__setattr__(self, "weighted_formulas", tuple(weighted))
         object.__setattr__(self, "hard_formulas", tuple(self.hard_formulas))
-        if len(set(self.domain)) != len(self.domain):
+        # the domain as a set, for membership tests
+        object.__setattr__(self, "_constants", frozenset(self.domain))
+        if len(self._constants) != len(self.domain):
             raise InputError("domain constants are not unique")
         for c in self.domain:
             if not _NAME_RE.fullmatch(c) or is_variable(c):
@@ -367,7 +398,7 @@ class Model:
                     f"{where}: {atom.pred} expects {arity} arguments, got {len(atom.args)}"
                 )
             for arg in atom.args:
-                if not is_variable(arg) and arg not in self.domain:
+                if not is_variable(arg) and arg not in self._constants:
                     raise InputError(f"{where}: unknown constant {arg!r}")
 
     def all_atoms(self) -> tuple[Atom, ...]:
@@ -829,31 +860,29 @@ class Conditioned:
         """Per open atom i, one entry per formula of `blanket[i]`, in order:
         the formula's log table as a memoryview of its array (indexing it
         gives a Python float), atom i's bit in the packed index, and the
-        (atom id, bit position) pairs of its other atoms.  Built on the
+        (bit position, atom id) pairs of its other atoms.  Built on the
         first conditional, so exact enumeration never pays for it."""
-        tables = [memoryview(comp.log_table) for comp in self.formulas]
-        return tuple(
-            tuple(
-                (
-                    tables[k],
-                    1 << self.formulas[k].atom_ids.index(i),
-                    tuple((a, pos) for pos, a in enumerate(self.formulas[k].atom_ids) if a != i),
-                )
-                for k in near
-            )
-            for i, near in enumerate(self.blanket)
-        )
+        plans: list[list] = [[] for _ in self.atoms]
+        views: dict[int, memoryview] = {}  # formulas of one shape share a table
+        for comp in self.formulas:
+            table = views.get(id(comp.log_table))
+            if table is None:
+                table = views[id(comp.log_table)] = memoryview(comp.log_table)
+            pairs = tuple(enumerate(comp.atom_ids))
+            for pos, i in enumerate(comp.atom_ids):
+                plans[i].append((table, 1 << pos, pairs[:pos] + pairs[pos + 1:]))
+        return tuple(map(tuple, plans))
 
     @cached_property
     def _neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per open atom i, its Markov blanket neighbours: the other atoms
         of the formulas of `blanket[i]`, ascending, each as (atom id, bit)
         with bit 1 << its rank.  OR-ing the bits of the true ones packs the
-        only state `_conditional(column, i)` reads.  Built for the chain,
-        like `_plans`, so exact enumeration never pays for it."""
+        only state `_conditional(column, i)` reads.  Read off `_plans`, so
+        built for the chain only, and exact enumeration never pays for it."""
         neighbours = []
-        for i, near in enumerate(self.blanket):
-            ids = sorted({a for k in near for a in self.formulas[k].atom_ids} - {i})
+        for plan in self._plans:
+            ids = sorted({a for _, _, others in plan for _, a in others})
             neighbours.append(tuple((a, 1 << rank) for rank, a in enumerate(ids)))
         return tuple(neighbours)
 
@@ -876,7 +905,7 @@ class Conditioned:
         log0 = log1 = 0.0
         for table, bit, others in self._plans[i]:
             packed = 0
-            for atom_id, pos in others:
+            for pos, atom_id in others:
                 packed |= column[atom_id] << pos
             log0 += table[packed]
             log1 += table[packed | bit]
@@ -924,14 +953,28 @@ class Conditioned:
                 raise InputError("the permutation moves an open atom onto a known atom")
         return np.array(self._relabeled(column, perm.tolist()), dtype=np.int64)
 
+    @cached_property
+    def _relabeling_parts(self) -> tuple[tuple[tuple[int, list[int], int], ...],
+                                         tuple[tuple[int, list[int], tuple[int, ...]], ...]]:
+        """`_relabeling_plan` split into the atoms of unary predicates, each
+        as (id, flat lookup, its constant's position), and the rest."""
+        plan = self._relabeling_plan
+        return (tuple((atom_id, flat, places[0]) for atom_id, flat, places in plan
+                      if len(places) == 1),
+                tuple(entry for entry in plan if len(entry[2]) > 1))
+
     def _relabeled(self, column: list[int], perm: Sequence[int]) -> list[int]:
         """`relabeled` as a new list, on a world already checked by `_column`
         and a permutation, as a list, that keeps open atoms open.  An atom's
         new place is read off its predicate's flat lookup at the renamed
-        positions, taken as the digits of a base-m number."""
+        positions, taken as the digits of a base-m number: one lookup for a
+        unary atom."""
         m = len(perm)
         new = column[:]
-        for atom_id, flat, places in self._relabeling_plan:
+        unary, rest = self._relabeling_parts
+        for atom_id, flat, c in unary:
+            new[flat[perm[c]]] = column[atom_id]
+        for atom_id, flat, places in rest:
             at = 0
             for c in places:
                 at = at * m + perm[c]

@@ -230,11 +230,19 @@ def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tupl
             model.check_formula(atom, "evidence")  # raises, naming what is wrong
         tables[atom.pred][at] = value
     assigned = [t for t in tables.values() if t.ndim and t.max() >= 0]
+    # a swap keeps a unary table iff the two entries it exchanges are equal
+    unary = [t.tolist() for t in assigned if t.ndim == 1]
+    signature = [tuple(values[k] for values in unary) for k in range(len(position))]
+    wider = [(t, t.tobytes()) for t in assigned if t.ndim > 1]
+    identity = np.arange(len(position))
 
     def swaps(a: str, b: str) -> bool:
-        perm = np.arange(len(position))
-        perm[[position[a], position[b]]] = position[b], position[a]
-        return all(np.array_equal(permute_axes(t, perm), t) for t in assigned)
+        a, b = position[a], position[b]
+        if signature[a] != signature[b]:
+            return False
+        perm = identity.copy()
+        perm[a], perm[b] = b, a
+        return all(permute_axes(t, perm).tobytes() == raw for t, raw in wider)
 
     classes: list[list[str]] = []
     for c in model.domain:

@@ -18,10 +18,11 @@ and looks the conditional up in that atom's memo, local to the call; a
 miss asks `Conditioned._conditional`, the one code that sums log
 factors, so every probability is the float it computes and an infeasible
 state still raises there.  A memo holds at most one entry per step and
-per neighbour state.  The running sums add 1 only for the query atoms
-that are true, kept as a set that each flip updates and each orbital jump
-rebuilds, and the picked query's conditional under Rao-Blackwellization;
-adding 0 changes no float, so the sums are those of adding every query.
+per neighbour state.  The running sums, a list indexed by atom id, add 1
+only for the query atoms that are true, kept as a set that each flip
+updates and each orbital jump rebuilds, and the picked query's
+conditional under Rao-Blackwellization; adding 0 changes no float, so
+the sums are those of adding every query.
 
 A class permutation preserves the given evidence and fixes every constant
 a formula mentions, so it maps the groundings onto themselves; unit
@@ -35,6 +36,8 @@ and copies the list on each jump.  The checks stay at the boundary, in
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -105,20 +108,26 @@ def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) ->
     return [[position[c] for c in cls] for cls in classes if len(cls) > 1]
 
 
+@functools.cache
+def _identity(m: int) -> tuple[int, ...]:
+    return tuple(range(m))
+
+
 def _class_permutation(
     m: int, positions: Sequence[list[int]], rng: np.random.Generator
 ) -> list[int] | None:
     """A uniform random permutation within each class, as a list over the
-    m domain positions; None when every class draws the identity.  Each
-    class is shuffled as a list, which draws what `rng.permutation` would
-    draw on its positions and leaves `rng` in the same state."""
+    m domain positions, a copy of the identity with the classes filled in;
+    None when every class draws the identity.  Each class is shuffled as a
+    list, which draws what `rng.permutation` would draw on its positions
+    and leaves `rng` in the same state."""
     perm = None
     for at in positions:
         drawn = at[:]
         rng.shuffle(drawn)
         if drawn != at:
             if perm is None:
-                perm = list(range(m))
+                perm = list(_identity(m))
             for c, d in zip(at, drawn):
                 perm[c] = d
     return perm
@@ -202,12 +211,15 @@ def estimate_marginals(
     world = find_consistent_world(cond, init_rng)
     n = len(world)
 
-    # one running sum per open query atom: duplicate queries share it, as
-    # they share their key in the estimates
+    # one running sum per open atom, read for the query atoms only:
+    # duplicate queries share it, as they share their key in the estimates
     query_ids = [(a, cond.index[a]) for a in open_queries]
-    sums = {qi: 0.0 for _, qi in query_ids}
-    true_queries = {qi for qi in sums if world[qi]}
-    samples = 0
+    is_query = [False] * n
+    for _, qi in query_ids:
+        is_query[qi] = True
+    distinct_queries = [qi for qi in range(n) if is_query[qi]]
+    sums = [0.0] * n
+    true_queries = {qi for qi in distinct_queries if world[qi]}
 
     counts = None
     world_int = 0
@@ -219,37 +231,43 @@ def estimate_marginals(
 
     snapshots: list[tuple[int, dict[Atom, float]]] = []
 
-    def current_estimates() -> dict[Atom, float]:
+    def current_estimates(samples: int) -> dict[Atom, float]:
         # ChainConfig keeps burn_in below iterations, so samples > 0 here
         est = dict(fixed)
-        est.update({a: sums[qi] / samples for a, qi in query_ids})
+        est.update([(a, sums[qi] / samples) for a, qi in query_ids])
         return est
 
     conditional = cond._conditional
     neighbours = cond._neighbours
     relabeled = cond._relabeled
+    m = len(model.domain)
     # per atom, its conditional by packed neighbour state, filled on a miss
     memos = [{} for _ in range(n)]
-    rao_blackwell = config.estimator == "rao_blackwell"
-    i = -1  # no atom is picked when none is open
+    # the picked query's conditional stands in for its 0/1 value in its
+    # sum; off with no open query, as no sum is then read, and with no open
+    # atom the pick is -1
+    rao_blackwell = config.estimator == "rao_blackwell" and bool(distinct_queries)
+    # the first multiple of snapshot_every past burn-in; 0 is never reached
+    next_snapshot = (burn_in // snapshot_every + 1) * snapshot_every if snapshot_every else 0
     t = 0
     while t < config.iterations:
         block = min(_BLOCK, config.iterations - t)
-        picks = atom_rng.integers(0, n, size=block).tolist() if n else None
+        picks = atom_rng.integers(0, n, size=block).tolist() if n else [-1] * block
         unifs = unif_rng.random(block).tolist()
         if use_orbital:
             jumps = (orbit_decide_rng.random(block) < config.orbital_move_probability).tolist()
-        for b in range(block):
+        else:
+            jumps = itertools.repeat(False, block)
+        for i, u, jump in zip(picks, unifs, jumps):
             t += 1
-            if use_orbital and jumps[b]:
-                perm = _class_permutation(len(model.domain), class_positions, orbit_perm_rng)
+            if jump:
+                perm = _class_permutation(m, class_positions, orbit_perm_rng)
                 if perm is not None:
                     world = relabeled(world, perm)
-                    true_queries = {qi for qi in sums if world[qi]}
+                    true_queries = {qi for qi in distinct_queries if world[qi]}
                     if counts is not None:
                         world_int = _packed(world)
             if n:
-                i = picks[b]
                 key = 0
                 for atom_id, bit in neighbours[i]:
                     if world[atom_id]:
@@ -258,16 +276,17 @@ def estimate_marginals(
                 p = memo.get(key)
                 if p is None:
                     p = memo[key] = conditional(world, i)
-                new = 1 if unifs[b] < p else 0
-                if new != world[i]:
-                    world[i] = new
+                if (u < p) != world[i]:  # the draw flips atom i
+                    world[i] ^= 1
                     world_int ^= 1 << i
-                    if i in sums:
-                        true_queries ^= {i}
+                    if is_query[i]:
+                        if world[i]:
+                            true_queries.add(i)
+                        else:
+                            true_queries.discard(i)
             if t > burn_in:
-                samples += 1
                 # a false query adds 0, and x + 0 == x: only true ones are added
-                if rao_blackwell and i in sums:
+                if rao_blackwell and is_query[i]:
                     sums[i] += p
                     for qi in true_queries:
                         if qi != i:
@@ -277,11 +296,12 @@ def estimate_marginals(
                         sums[qi] += 1.0
                 if counts is not None:
                     counts[world_int] += 1
-                if snapshot_every and t % snapshot_every == 0:
-                    snapshots.append((t, current_estimates()))
+                if t == next_snapshot:
+                    snapshots.append((t, current_estimates(t - burn_in)))
+                    next_snapshot += snapshot_every
 
     return MarginalEstimate(
-        estimates=current_estimates(),
+        estimates=current_estimates(config.iterations - burn_in),
         snapshots=tuple(snapshots),
         iterations=config.iterations,
         world_counts=None if counts is None else np.array(counts, dtype=np.int64),

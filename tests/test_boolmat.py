@@ -55,6 +55,23 @@ class TestBooleanProduct:
                     assert product.bits[i, j] == (1 if entry >= 1 else 0)
                     checked += 1
 
+    def test_float32_product_matches_the_int64_product(self):
+        # the product is taken in float32; the int64 product is the oracle,
+        # on 0-sized shapes, rank 0, dense and sparse factors
+        rng = np.random.default_rng(29)
+        shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (4, 5, 0), (0, 0, 3), (1, 1, 1)]
+        shapes += [tuple(rng.integers(0, 40, size=3)) for _ in range(300)]
+        shapes += [(2, 3, 300), (70, 65, 129)]
+        for k, l, n in shapes:
+            density = rng.choice([0.0, 0.02, 0.3, 0.9, 1.0])
+            q = BoolMatrix((rng.random((k, n)) < density).astype(np.uint8))
+            r = BoolMatrix((rng.random((l, n)) < density).astype(np.uint8))
+            expected = (q.bits.astype(np.int64) @ r.bits.T.astype(np.int64)) >= 1
+            product = boolean_product(q, r)
+            assert product.shape == (k, l)
+            assert product.bits.dtype == np.uint8
+            assert np.array_equal(product.bits, expected.astype(np.uint8))
+
     def test_monotone_in_added_pairs(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -691,6 +691,21 @@ class TestFactorizationType:
         with pytest.raises(InputError, match="expected 2"):
             Factorization.from_text("#rows a,b,c\n0 2 2 4\n")
 
+    def test_labels_checked_unless_they_are_the_targets(self):
+        target = BoolMatrix(np.zeros((2, 3), dtype=np.uint8), ("a", "b"), ("x", "y", "z"))
+        f = Factorization((), (2, 3), target.row_labels, target.col_labels, 0, target)
+        assert f.row_labels is target.row_labels and f.col_labels is target.col_labels
+        # a tuple of the wrong length is refused beside a target of this shape
+        with pytest.raises(InputError, match="row labels: expected 2 names, got 3"):
+            Factorization((), (2, 3), ("a", "b", "c"), target.col_labels, 0, target)
+        with pytest.raises(InputError, match="col labels: expected 3 names, got 2"):
+            Factorization((), (2, 3), target.row_labels, ("x", "y"), 0, target)
+        # and so are a target's own labels when its shape is not this one
+        with pytest.raises(InputError, match="col labels: expected 2 names, got 3"):
+            Factorization((), (2, 2), target.row_labels, target.col_labels, 0, target)
+        with pytest.raises(InputError, match="invalid row label"):
+            Factorization((), (2, 3), ("a", "b c"), target.col_labels, 0, target)
+
     def test_duplicate_label_header_refused(self):
         with pytest.raises(InputError, match="duplicate #rows"):
             Factorization.from_text("#rows a,b\n#rows c,d\n0 2 2 0\n")

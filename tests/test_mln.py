@@ -226,6 +226,105 @@ class TestParseEvidence:
             parse_evidence("other(a)\n", model)
 
 
+def _parser_literal(text, model=None, where="literal"):
+    """`parse_literal` as it was before the one-regex reader: every literal
+    through `_Parser`.  Kept as the oracle for results and error text."""
+    stripped = text.strip()
+    value = True
+    if stripped.startswith("!"):
+        value = False
+        stripped = stripped[1:]
+    parser = mln._Parser(stripped, where)
+    atom = parser.atom()
+    if parser.peek() is not None:
+        raise InputError(f"{where}: unexpected trailing {parser.peek()!r}")
+    for arg in atom.args:
+        if mln.is_variable(arg):
+            raise InputError(f"{where}: literal must be ground, found variable {arg}")
+    if model is not None:
+        model.check_formula(atom, where)
+    return atom, value
+
+
+LITERAL_MODEL = "domain = a, b, v, _u, c9\npred r/0\npred q/1\npred p/2\npred t/3\n"
+
+
+def _outcome(read, text, model):
+    try:
+        atom, value = read(text, model, where="line 3")
+    except InputError as exc:
+        return "refused", str(exc)
+    assert type(value) is bool
+    return atom, value
+
+
+def _literal_corpus():
+    """Literals of arity 0-3 in many spacings, and malformed ones."""
+    texts = [
+        "r", "r()", "!r", "! r", "q(a)", "!q(a)", "! q(a)", "p( a , b )", "p(a,b)", "p(a, b)",
+        "t(a,b,v)", "t( _u ,\tc9,a )", "\tp(a,\tb)\t", " !p(a, b) ", "p (a, b)", "q(v)",
+        "!!p(a,b)", "p(a,)", "p(,a)", "p(a b)", "p(X, a)", "q(X)", "q(Xa)", "q(_u)", "zz(a)",
+        "P(a)", "v(a)", "p(a)", "q(a, b)", "q()", "r(a)", "t(a, b)", "q(a) ^ q(b)", "q(a) x",
+        "q(a))", "q(a", "q a", "q(a)(b)", "p(٢, a)", "q(é)", "q(\u00a0a)", "\u00a0q(a)",
+        "q(a)\u2003", "q(a)\n", "\rq(a)", "", " ", "!", "!!", "()", "(q(a))", "q(zz)",
+        "p(a, zz)", "q(1a)", "1q(a)", "q(a,,b)", "t(a, b, v, a)", "q(a)!", "!\tq(a)", "q\t(a)",
+        "q(a)#", "p(a,\u00a0b)", "q(_)", "_(a)", "! p(a)", "p", "p()", "!!p(a)", "p(a,)",
+        "p(a b)", "p(X)", "p(٢)",
+    ]
+    rng = np.random.default_rng(97)
+
+    def pick(common, rare):
+        # one draw in eight is malformed or unknown
+        options = rare if rng.random() < 0.125 else common
+        return options[rng.integers(0, len(options))]
+
+    for _ in range(1500):
+        pad = [pick(["", " ", "\t", "  "], ["\u00a0", "\u2003", "\n"]) for _ in range(5)]
+        name = pick(["r", "q", "p", "t"], ["zz", "P", "v", "1q"])
+        arity = {"r": 0, "q": 1, "p": 2, "t": 3}.get(name, 1)
+        if rng.random() < 0.125:
+            arity = int(rng.integers(0, 4))
+        listed = (pad[2] + "," + pad[3]).join(
+            pick(["a", "b", "v", "_u", "c9"], ["X", "zz", "٢", "a b", ""]) for _ in range(arity)
+        )
+        body = "" if arity == 0 and rng.random() < 0.5 else f"{pad[1]}({pad[2]}{listed}{pad[3]})"
+        texts.append(pad[0] + pick(["", "!", "! "], ["!!", "!\t!"]) + name + body
+                     + pick([""], [" ^ q(a)", ",", ")", " x"]) + pad[4])
+    return texts
+
+
+class TestLiteralReader:
+    """`parse_literal` reads the common form with one regex and hands every
+    other text to `_Parser`; the parser-only reader is the oracle."""
+
+    def test_agrees_with_the_parser_only_reader(self):
+        model = parse_model(LITERAL_MODEL)
+        refused = {model: 0, None: 0}
+        corpus = _literal_corpus()
+        for text in corpus:
+            for against in (model, None):
+                want = _outcome(_parser_literal, text, against)
+                assert _outcome(parse_literal, text, against) == want, repr(text)
+                refused[against] += want[0] == "refused"
+        assert 0.2 < refused[model] / len(corpus) < 0.8
+        assert 0.1 < refused[None] / len(corpus) < refused[model] / len(corpus)
+
+    def test_common_forms_never_reach_the_parser(self, monkeypatch):
+        model = parse_model(LITERAL_MODEL)
+
+        def refuse(*_):
+            raise AssertionError("the parser read a common literal")
+
+        monkeypatch.setattr(mln, "_Parser", refuse)
+        for text, atom, value in [
+            ("r", Atom("r", ()), True), ("!r()", Atom("r", ()), False),
+            ("q(a)", Atom("q", ("a",)), True), ("! q( v )", Atom("q", ("v",)), False),
+            ("p(a, b)", Atom("p", ("a", "b")), True), ("\tt(a,\tb , c9) ", Atom("t", ("a", "b", "c9")), True),
+        ]:
+            assert parse_literal(text, model) == (atom, value)
+            assert parse_literal(text) == (atom, value)
+
+
 class TestFormulaSyntax:
     @pytest.mark.parametrize(
         "text",

@@ -711,6 +711,44 @@ class TestChainAgainstReferenceLoop:
         queries = [Atom("q", ("a",)), Atom("s", ("a",)), Atom("q", ("a",))]
         self._check(model, evidence, queries, CHAIN_SETTINGS, iterations=60)
 
+    @pytest.mark.parametrize("side", ["direct", "reduced"])
+    def test_benchmark_sides(self, side):
+        # the planted (8,8) instance as the gibbs benchmark runs it: both
+        # sides condition to the same 16 open atoms, and jumps permute two
+        # classes of 8 constants
+        model, matrix, queries = planted_symmetry_instance((8, 8))
+        evidence = matrix_to_evidence("p", matrix)
+        iterations, snapshot_every = 1200, 25
+        if side == "reduced":
+            _, witness = exact_boolean_rank(matrix)
+            result = encode_evidence("p", witness, model.predicates)
+            model, evidence = extend_model(model, result), result.unary_evidence
+            iterations, snapshot_every = 5000, 100
+        assert len(ground(model).condition(evidence).atoms) == 16
+        for seed in range(8):
+            config = ChainConfig(iterations, burn_in=0, seed=seed, orbital_move_probability=0.1)
+            est = estimate_marginals(model, evidence, queries, config,
+                                     snapshot_every=snapshot_every, collect_world_counts=True)
+            estimates, snapshots, counts = _reference_chain(
+                model, evidence, queries, config, snapshot_every=snapshot_every,
+                collect_world_counts=True,
+            )
+            assert _hexed(est.estimates) == _hexed(estimates)
+            assert [(t, _hexed(snap)) for t, snap in est.snapshots] == [
+                (t, _hexed(snap)) for t, snap in snapshots
+            ]
+            assert est.world_counts.tolist() == counts.tolist()
+
+    def test_queries_a_strict_subset_of_the_open_atoms(self):
+        model, matrix, _ = planted_symmetry_instance((4, 4))
+        evidence = matrix_to_evidence("p", matrix)
+        atoms = ground(model).condition(evidence).atoms
+        # open atoms left out, others asked twice, in no particular order
+        queries = [atoms[k] for k in (5, 0, 2, 5, 7, 0, 5)]
+        assert len(set(queries)) < len(atoms)
+        settings = itertools.product(("rao_blackwell", "frequency"), (0.0, 0.3, 1.0), (0, None))
+        self._check(model, evidence, queries, settings, iterations=1500)
+
     def test_memo_holds_one_conditional_per_visited_neighbour_state(self, monkeypatch):
         model, matrix, queries = planted_symmetry_instance((3, 3))
         evidence = matrix_to_evidence("p", matrix)
