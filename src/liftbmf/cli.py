@@ -163,6 +163,8 @@ def _invocation(argv) -> str:
 def _cmd_experiment_error_curve(args) -> int:
     if bool(args.matrix) == bool(args.planted):
         raise InputError("give either --matrix files or a --planted recipe")
+    if args.matrix and args.seeds:
+        raise InputError("--seeds draws --planted matrices; it does not apply to --matrix files")
     if args.matrix:
         matrices = [read_matrix(p) for p in args.matrix]
     else:

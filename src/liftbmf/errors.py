@@ -1,10 +1,12 @@
-"""Exception taxonomy shared across the package, the integer check behind
-the InputErrors for seeds and counts, and the one number grammar for text:
+"""Exception taxonomy shared across the package, the integer and real
+checks behind the InputErrors for seeds, counts and parameters, and the one
+number grammar for text:
 file headers, arities, weights, command-line flags and LIFTBMF_* values.
 
 The CLI maps these onto exit codes: InputError -> 1, CapacityError -> 2,
 InconsistencyError -> 3.
 """
+import math
 import numbers
 import re
 
@@ -56,6 +58,20 @@ def check_integer(value, name: str, minimum: int) -> None:
     least `minimum`."""
     if not is_integer(value) or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str) -> float:
+    """`value` as a float; InputError unless it is a real number, Python or
+    numpy, other than a bool, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise InputError(f"{name} must be finite, got {value}")
+    return real
 
 
 # ASCII digits only: int() and float() also read Unicode digits, '_' and

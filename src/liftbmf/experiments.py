@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, boolean_product
-from .errors import InputError, check_integer, is_integer
+from .errors import InputError, check_integer, check_real, is_integer
 from .factorize import AssoParams, asso_factorize, exact_boolean_rank, truncate
 from .mln import And, Atom, EvidenceSet, Iff, Implies, Model, Not, Or, exact_marginals, exact_query
 from .reduction import encode_evidence, extend_model, matrix_to_evidence
@@ -60,8 +60,10 @@ def gen_synthetic(
     check_integer(planted_rank, "planted rank", 0)
     if planted_rank > m:
         raise InputError(f"planted rank must be in [0, {m}], got {planted_rank}")
+    noise = check_real(noise, "noise")
     if not 0.0 <= noise < 0.5:
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
+    fill_target = check_real(fill_target, "fill target")
     if not 0.0 < fill_target < 1.0:
         raise InputError(f"fill target must be in (0, 1), got {fill_target}")
     check_integer(seed, "seed", 0)
@@ -117,6 +119,7 @@ def planted_block_matrix(
     check_integer(blocks, "blocks", 1)
     if m < 3 * blocks:
         raise InputError(f"need at least 3 constants per block: m={m}, blocks={blocks}")
+    noise = check_real(noise, "noise")
     if not 0.0 <= noise < 0.5:
         raise InputError(f"noise must be in [0, 0.5), got {noise}")
     check_integer(seed, "seed", 0)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boolmat import (BoolMatrix, _bit_array, _check_labels, _label_lines,
                       _read_records, _text_bits, boolean_product, hamming_error)
-from .errors import CapacityError, InputError, SearchBudgetError, check_integer, is_integer
+from .errors import (CapacityError, InputError, SearchBudgetError, check_integer, check_real,
+                     is_integer)
 
 __all__ = [
     "AssoParams",
@@ -58,16 +58,7 @@ class AssoParams:
 
     def __post_init__(self):
         for name in ("tau", "w_plus", "w_minus"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InputError(f"{name} must be a real number, got {value!r}")
-            try:
-                real = float(value)
-            except OverflowError:  # an int or Fraction beyond the float range
-                real = math.inf
-            if not math.isfinite(real):
-                raise InputError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, real)
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not 0.0 < self.tau <= 1.0:
             raise InputError(f"tau must be in (0, 1], got {self.tau}")
         if self.w_plus <= 0:

@@ -1,6 +1,6 @@
 """Minimal Markov Logic engine: parsing, grounding, exact inference.
 
-Every ground atom has an integer id, its position in `Model.all_atoms()`.
+Every ground atom has an integer id (`_AtomIds`), its place in `Model.all_atoms()`.
 Grounding turns each first-order formula into one template, whose leaves
 compute an atom id from a binding given as domain positions; a grounding
 is a template plus one such binding, and no ground copy of the formula is
@@ -95,6 +95,16 @@ Formula = Atom | Not | And | Or | Implies | Iff
 
 def is_variable(token: str) -> bool:
     return token[0].isupper()
+
+
+def _check_name(name: str, kind: str) -> None:
+    """InputError unless `name` can name a `kind`, "constant" or "predicate":
+    a string of letters, digits and "_", not a digit or an uppercase letter
+    (a variable) first, and for a predicate not "v", the disjunction."""
+    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)) or is_variable(name):
+        raise InputError(f"invalid {kind} name {name!r}")
+    if kind == "predicate" and name == "v":
+        raise InputError("'v' is reserved for disjunction")
 
 
 def atoms_of(f: Formula) -> Iterator[Atom]:
@@ -365,13 +375,9 @@ class Model:
         if len(self._constants) != len(self.domain):
             raise InputError("domain constants are not unique")
         for c in self.domain:
-            if not _NAME_RE.fullmatch(c) or is_variable(c):
-                raise InputError(f"invalid constant name {c!r}")
+            _check_name(c, "constant")
         for name, arity in self.predicates.items():
-            if not _NAME_RE.fullmatch(name) or is_variable(name):
-                raise InputError(f"invalid predicate name {name!r}")
-            if name == "v":
-                raise InputError("'v' is reserved for disjunction")
+            _check_name(name, "predicate")
             check_integer(arity, f"arity of {name}", 0)
         for w, f in self.weighted_formulas:
             if not math.isfinite(w):
@@ -402,12 +408,9 @@ class Model:
                     raise InputError(f"{where}: unknown constant {arg!r}")
 
     def all_atoms(self) -> tuple[Atom, ...]:
-        """Every ground atom of the signature, in deterministic order."""
-        out = []
-        for name in sorted(self.predicates):
-            for args in itertools.product(self.domain, repeat=self.predicates[name]):
-                out.append(Atom(name, args))
-        return tuple(out)
+        """Every ground atom of the signature, in atom id order (see `_AtomIds`)."""
+        ids = _AtomIds(self)
+        return tuple(map(ids.atom, range(ids.count)))
 
     def extended(
         self,
@@ -576,12 +579,13 @@ _ATOM, _NOT, _AND, _OR, _IMPLIES, _IFF = range(6)
 
 
 class _AtomIds:
-    """Integer ids of a model's ground atoms.  An atom's id is its position
-    in `Model.all_atoms()`: its predicate's offset (predicates in name
-    order, m^arity ids each) plus the mixed-radix value of its arguments'
-    domain positions, the first argument most significant."""
+    """The one atom layout, read by conditioning, `Model.all_atoms()` and the
+    symmetry classes.  An atom's id is its predicate's offset (predicates in
+    name order, m^arity ids each) plus the mixed-radix value of its
+    arguments' domain positions, the first argument most significant."""
 
     def __init__(self, model: Model):
+        self.model = model
         self.domain = model.domain
         self.position = {c: k for k, c in enumerate(model.domain)}
         self.layout: dict[str, tuple[int, int]] = {}  # predicate -> (offset, arity)
@@ -616,6 +620,25 @@ class _AtomIds:
                 itertools.product(self.domain, repeat=arity)
             )
         return Atom(name, arguments[atom_id - offset])
+
+    def known(self, evidence: EvidenceSet) -> list[bool | None]:
+        """The evidence as a list indexed by atom id, None where unassigned;
+        InputError, from `Model.check_formula`, for an atom outside the model."""
+        known: list[bool | None] = [None] * self.count
+        for atom, value in evidence.items():
+            atom_id = self.id_of(atom)
+            if atom_id is None:
+                self.model.check_formula(atom, "evidence")  # raises, naming what is wrong
+            known[atom_id] = value
+        return known
+
+    def arrays(self, flat: np.ndarray) -> Iterator[np.ndarray]:
+        """`flat`, indexed by atom id, cut into one m x ... x m view per predicate
+        of nonzero arity, in declaration order; entry (c1, ..., ck) is p(c1, ..., ck)'s."""
+        m = len(self.domain)
+        for offset, arity in map(self.layout.get, self.model.predicates):
+            if arity:
+                yield flat[offset:offset + m ** arity].reshape((m,) * arity)
 
     def template(self, f: Formula, variables: Sequence[str]):
         """`f` as a template whose slot k holds variables[k]."""
@@ -922,21 +945,6 @@ class Conditioned:
         gap = min(max(log0 - log1, -700.0), 700.0)
         return 1.0 / (1.0 + math.exp(gap))
 
-    @cached_property
-    def _relabeling_plan(self) -> tuple[tuple[int, list[int], tuple[int, ...]], ...]:
-        """Per open atom of a predicate of nonzero arity, in `relabeling`
-        order: its id, its predicate's `relabeling` array flattened to a
-        list, and the domain positions of its constants.  Built on the
-        first relabeling, like `_plans`, so exact enumeration never pays
-        for it."""
-        plan = []
-        for lookup in self.relabeling:
-            flat = lookup.ravel().tolist()
-            is_open = lookup >= 0
-            for atom_id, places in zip(lookup[is_open].tolist(), np.argwhere(is_open).tolist()):
-                plan.append((atom_id, flat, tuple(places)))
-        return tuple(plan)
-
     def relabeled(self, values, perm: np.ndarray) -> np.ndarray:
         """`values` with constants renamed by `perm`, a permutation of domain
         positions: atom p(c1, ..., ck)'s value moves to p(perm[c1], ..., perm[ck]).
@@ -956,12 +964,20 @@ class Conditioned:
     @cached_property
     def _relabeling_parts(self) -> tuple[tuple[tuple[int, list[int], int], ...],
                                          tuple[tuple[int, list[int], tuple[int, ...]], ...]]:
-        """`_relabeling_plan` split into the atoms of unary predicates, each
-        as (id, flat lookup, its constant's position), and the rest."""
-        plan = self._relabeling_plan
-        return (tuple((atom_id, flat, places[0]) for atom_id, flat, places in plan
-                      if len(places) == 1),
-                tuple(entry for entry in plan if len(entry[2]) > 1))
+        """Per open atom of a predicate of nonzero arity, in `relabeling` order:
+        its id, its predicate's `relabeling` array as a flat list and its
+        constants' domain positions, one int for a unary atom (the first
+        part), a tuple for the rest.  Built on the first relabeling."""
+        unary, rest = [], []
+        for lookup in self.relabeling:
+            flat = lookup.ravel().tolist()
+            is_open = lookup >= 0
+            for atom_id, places in zip(lookup[is_open].tolist(), np.argwhere(is_open).tolist()):
+                if lookup.ndim == 1:
+                    unary.append((atom_id, flat, places[0]))
+                else:
+                    rest.append((atom_id, flat, tuple(places)))
+        return tuple(unary), tuple(rest)
 
     def _relabeled(self, column: list[int], perm: Sequence[int]) -> list[int]:
         """`relabeled` as a new list, on a world already checked by `_column`
@@ -1013,12 +1029,7 @@ def _log_table(shape, n: int, weight: float | None) -> np.ndarray:
 def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     model = grounding.model
     ids = _AtomIds(model)
-    known: list[bool | None] = [None] * ids.count
-    for atom, value in evidence.items():
-        atom_id = ids.id_of(atom)
-        if atom_id is None:
-            model.check_formula(atom, "evidence")  # raises, naming what is wrong
-        known[atom_id] = value
+    known = ids.known(evidence)
     residual_hard, derived = _unit_propagate(grounding.hard, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]
     dense = np.full(ids.count, -1)  # atom id -> index in `atoms`, -1 if known
@@ -1049,12 +1060,7 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
             weighted.append(compiled(simp, w))
     hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
-    m = len(model.domain)
-    lookups = (
-        dense[offset:offset + m ** arity].reshape((m,) * arity)
-        for offset, arity in map(ids.layout.get, model.predicates) if arity
-    )
-    relabeling = tuple(lookup for lookup in lookups if (lookup >= 0).any())
+    relabeling = tuple(lookup for lookup in ids.arrays(dense) if (lookup >= 0).any())
     blanket: list[list[int]] = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:

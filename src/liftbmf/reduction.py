@@ -29,6 +29,8 @@ from .mln import (
     Model,
     Not,
     Or,
+    _AtomIds,
+    _check_name,
     atoms_of,
     format_atom,
     permute_axes,
@@ -77,10 +79,14 @@ def encode_evidence(
 
     Emits the hard equivalence tying p(X, Y) to the fresh q_i/r_i
     predicates and assigns every grounding of those predicates.  Rank 0
-    degenerates to the hard formula !p(X, Y).
+    degenerates to the hard formula !p(X, Y).  `pred` and the labels must
+    be names a `Model` accepts for a predicate and for constants.
     """
+    _check_name(pred, "predicate")
     if f.row_labels is None or f.col_labels is None:
         raise InputError("factorization must carry row and column labels")
+    for label in f.row_labels + f.col_labels:
+        _check_name(label, "constant")
     n = f.rank()
     q_names, r_names = fresh_predicate_names(pred, n)
     for name in q_names + r_names:
@@ -218,26 +224,23 @@ def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tupl
     equal with every axis permuted; constants mentioned in a formula stay
     singletons, so class permutations keep world weights.  Preserving swaps
     form a group, so a constant is tested against one member per class:
-    O(classes * m * m^arity).  Evidence outside the model raises InputError.
+    O(classes * m * m^arity).  The evidence is read as conditioning reads it
+    (`_AtomIds.known`), so evidence outside the model raises its InputError.
     """
-    position = {c: k for k, c in enumerate(model.domain)}
+    ids = _AtomIds(model)
     formulas = model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
-    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args if a in position}
-    tables = {p: np.full((len(position),) * k, -1, np.int8) for p, k in model.predicates.items()}
-    for atom, value in evidence.items():
-        at = tuple(map(position.get, atom.args))
-        if model.predicates.get(atom.pred) != len(at) or None in at:
-            model.check_formula(atom, "evidence")  # raises, naming what is wrong
-        tables[atom.pred][at] = value
-    assigned = [t for t in tables.values() if t.ndim and t.max() >= 0]
+    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args
+                 if a in ids.position}
+    flat = np.array([-1 if value is None else value for value in ids.known(evidence)], np.int8)
+    assigned = [t for t in ids.arrays(flat) if (t >= 0).any()]
     # a swap keeps a unary table iff the two entries it exchanges are equal
     unary = [t.tolist() for t in assigned if t.ndim == 1]
-    signature = [tuple(values[k] for values in unary) for k in range(len(position))]
+    signature = [tuple(values[k] for values in unary) for k in range(len(model.domain))]
     wider = [(t, t.tobytes()) for t in assigned if t.ndim > 1]
-    identity = np.arange(len(position))
+    identity = np.arange(len(model.domain))
 
     def swaps(a: str, b: str) -> bool:
-        a, b = position[a], position[b]
+        a, b = ids.position[a], ids.position[b]
         if signature[a] != signature[b]:
             return False
         perm = identity.copy()

@@ -10,7 +10,9 @@ within each class of `constant_symmetry_classes`.  Marginals come from
 either the sample frequency or Rao-Blackwellized conditional averaging.
 A jump shuffles each class's position list in place, which draws what
 `rng.permutation` draws on the positions, and moves each value through
-`Conditioned._relabeled`, the per-atom plan behind `relabeled`.
+`Conditioned._relabeled`, the code behind `relabeled`, which walks its
+two-part plan: the atoms of unary predicates, then the rest.  The classes
+read the evidence through the same atom layout as conditioning.
 
 An atom's conditional depends only on its blanket neighbours
 (`Conditioned._neighbours`), so a step packs their values into an int

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,12 @@ class TestHammingError:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_refuses_arrays_that_are_not_two_dimensional(self, shape):
+        message = f"matrix must be 2-dimensional, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            BoolMatrix(np.zeros(shape, dtype=np.uint8))
+
     def test_rejects_non_binary_entries(self):
         with pytest.raises(InputError, match="0 or 1"):
             BoolMatrix(np.array([[0, 2]]))

@@ -130,6 +130,24 @@ class TestReduce:
         model = parse_model(BASE_MODEL + fragment)
         parse_evidence(evidence, model)
 
+    @pytest.mark.parametrize("predicate", ["P", "a b", "v", "p(x)"])
+    def test_refuses_a_predicate_name_a_model_refuses(self, example_file, tmp_path, capsys,
+                                                      predicate):
+        fct = tmp_path / "f.fct"
+        assert run("factorize", example_file, "-o", str(fct), "--exact") == 0
+        capsys.readouterr()
+        assert run("reduce", str(fct), "--predicate", predicate, "-o", str(tmp_path / "red")) == 1
+        err = capsys.readouterr().err
+        assert "invalid predicate name" in err or "reserved" in err
+        assert not list(tmp_path.glob("red*"))
+
+    def test_refuses_a_label_a_model_refuses(self, tmp_path, capsys):
+        fct = tmp_path / "f.fct"
+        fct.write_text("#rows 1a,b\n#cols a,b\n1 2 2 0\n11\n11\n")
+        assert run("reduce", str(fct), "--predicate", "p", "-o", str(tmp_path / "red")) == 1
+        assert "invalid constant name '1a'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("red*"))
+
     def test_factorization_without_labels_fails(self, tmp_path, capsys):
         fct = tmp_path / "f.fct"
         fct.write_text("1 2 2 0\n11\n11\n")
@@ -415,6 +433,9 @@ class TestExperimentCommands:
         assert run("experiment", "error-curve", "--matrix", example_file,
                    "--planted", "5,2,0.0", "--ranks", "1",
                    "-o", str(tmp_path / "x.csv")) == 1
+        assert run("experiment", "error-curve", "--matrix", example_file,
+                   "--seeds", "1,2", "--ranks", "1",
+                   "-o", str(tmp_path / "x.csv")) == 1
 
     def test_ranks_must_increase(self, example_file, tmp_path):
         assert run("experiment", "error-curve", "--matrix", example_file,
@@ -434,6 +455,19 @@ class TestExperimentCommands:
         assert run("experiment", "equivalence-check", "--instances", instances,
                    "-o", str(out)) == 1
         assert "instances must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kld_curve_refuses_an_unknown_query_predicate(self, tmp_path, capsys):
+        model = tmp_path / "m.mln"
+        model.write_text("domain = c0, c1, c2, c3\npred p/2\npred s/1\n")
+        matrix = tmp_path / "p.txt"
+        run("gen", "-m", "4", "--rank", "2", "--seed", "2", "-o", str(matrix))
+        out = tmp_path / "kld.csv"
+        assert run("experiment", "kld-curve", "--model", str(model),
+                   "--matrix", str(matrix), "--predicate", "p",
+                   "--query-pred", "nope", "--ranks", "1", "--seeds", "1",
+                   "-o", str(out)) == 1
+        assert "unknown query predicate 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_kld_curve_csv(self, tmp_path):

@@ -46,6 +46,24 @@ class TestGenSynthetic:
         with pytest.raises(InputError, match="noise"):
             gen_synthetic(5, 2, noise, 0)
 
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(False), 1j])
+    def test_noise_and_fill_must_be_real_numbers(self, value):
+        with pytest.raises(InputError, match=f"noise must be a real number, got {value!r}"):
+            gen_synthetic(4, 1, value, 0)
+        with pytest.raises(InputError, match=f"fill target must be a real number, got {value!r}"):
+            gen_synthetic(4, 1, 0.1, 0, fill_target=value)
+        with pytest.raises(InputError, match=f"noise must be a real number, got {value!r}"):
+            planted_block_matrix(9, 3, value, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    def test_noise_and_fill_must_be_finite(self, value):
+        with pytest.raises(InputError, match="noise must be finite"):
+            gen_synthetic(4, 1, value, 0)
+        with pytest.raises(InputError, match="fill target must be finite"):
+            gen_synthetic(4, 1, 0.1, 0, fill_target=value)
+        with pytest.raises(InputError, match="noise must be finite"):
+            planted_block_matrix(9, 3, value, 0)
+
     def test_metadata_records_recipe(self):
         _, meta = gen_synthetic(6, 2, 0.1, 42)
         assert meta["m"] == 6 and meta["seed"] == 42 and meta["rng"] == "numpy-pcg64"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -643,6 +644,11 @@ class TestTruncate:
 
 
 class TestOptimalErrorAtRank:
+    def test_refuses_more_than_twenty_rows(self):
+        tall = BoolMatrix(np.ones((21, 1), dtype=np.uint8))
+        with pytest.raises(CapacityError, match="exhaustive oracle supports at most 20 rows, got 21"):
+            optimal_error_at_rank(tall, 1)
+
     @pytest.mark.parametrize("rank", [-1, 1.5, 2.0, True])
     def test_rank_must_be_a_non_negative_integer(self, example_matrix, rank):
         with pytest.raises(InputError, match="rank must be an integer >= 0"):
@@ -659,6 +665,32 @@ class TestOptimalErrorAtRank:
 
 
 class TestFactorizationType:
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1)])
+    def test_refuses_a_negative_shape(self, shape):
+        with pytest.raises(InputError, match=re.escape(f"invalid target shape {shape}")):
+            Factorization((), shape)
+
+    def test_refuses_a_target_of_another_shape(self):
+        target = BoolMatrix(np.zeros((3, 2), dtype=np.uint8))
+        message = re.escape("target shape (3, 2) does not match (2, 3)")
+        with pytest.raises(InputError, match=message):
+            Factorization((), (2, 3), target=target)
+        with pytest.raises(InputError, match=message):
+            Factorization((), (2, 3)).with_target(target)
+
+    @pytest.mark.parametrize("error", [-1, 7])
+    def test_refuses_an_error_outside_the_cells(self, error):
+        with pytest.raises(InputError, match=re.escape(f"error {error} outside [0, 6]")):
+            Factorization((), (2, 3), error=error)
+
+    def test_flip_cells_and_truncate_need_the_target(self, example_factorization):
+        bare = Factorization(example_factorization.pairs, (4, 4), LABELS, LABELS)
+        with pytest.raises(InputError, match="factorization has no target attached"):
+            bare.flip_cells()
+        with pytest.raises(InputError, match="truncation needs the target attached"):
+            truncate(bare, 1)
+        assert truncate(example_factorization, 1).rank() == 1
+
     @pytest.mark.parametrize("q", [[257, 1], [0.5, 1], [np.nan, 1]])
     def test_refuses_vector_entries_a_uint8_cast_would_change(self, q):
         with pytest.raises(InputError, match="q vector entries must be 0 or 1"):

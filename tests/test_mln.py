@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1102,7 +1103,7 @@ class TestPlanConditional:
 
         monkeypatch.setattr(Conditioned, "_plans", unbuildable("blanket plans"))
         monkeypatch.setattr(Conditioned, "_neighbours", unbuildable("blanket neighbours"))
-        monkeypatch.setattr(Conditioned, "_relabeling_plan", unbuildable("relabeling plan"))
+        monkeypatch.setattr(Conditioned, "_relabeling_parts", unbuildable("relabeling plan"))
         model = parse_model(COMPILED_MODEL)
         evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
         cond = ground(model).condition(evidence)
@@ -1504,6 +1505,129 @@ class TestTableMemo:
         assert tables == ["0x0.0p+0"] * 2 + ["-0x0.0p+0"] * 2
 
 
+
+# --- the atom layout's second copies that `_AtomIds` replaced ----------------
+#
+# Kept as differential oracles: `all_atoms` spelled out the atom order and
+# `constant_symmetry_classes` read the evidence through its own position
+# map into int8 tables built per predicate.
+
+
+def _listed_atoms(model):
+    out = []
+    for name in sorted(model.predicates):
+        for args in itertools.product(model.domain, repeat=model.predicates[name]):
+            out.append(Atom(name, args))
+    return tuple(out)
+
+
+def _table_classes(model, evidence):
+    position = {c: k for k, c in enumerate(model.domain)}
+    formulas = model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
+    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args if a in position}
+    tables = {p: np.full((len(position),) * k, -1, np.int8) for p, k in model.predicates.items()}
+    for atom, value in evidence.items():
+        at = tuple(map(position.get, atom.args))
+        if model.predicates.get(atom.pred) != len(at) or None in at:
+            model.check_formula(atom, "evidence")
+        tables[atom.pred][at] = value
+    assigned = [t for t in tables.values() if t.ndim and t.max() >= 0]
+    unary = [t.tolist() for t in assigned if t.ndim == 1]
+    signature = [tuple(values[k] for values in unary) for k in range(len(position))]
+    wider = [(t, t.tobytes()) for t in assigned if t.ndim > 1]
+    identity = np.arange(len(position))
+
+    def swaps(a, b):
+        a, b = position[a], position[b]
+        if signature[a] != signature[b]:
+            return False
+        perm = identity.copy()
+        perm[a], perm[b] = b, a
+        return all(permute_axes(t, perm).tobytes() == raw for t, raw in wider)
+
+    classes = []
+    for c in model.domain:
+        for cls in () if c in mentioned else classes:
+            if cls[0] not in mentioned and swaps(c, cls[0]):
+                cls.append(c)
+                break
+        else:
+            classes.append([c])
+    return tuple(tuple(cls) for cls in classes)
+
+
+BAD_EVIDENCE_MODEL = "domain = a, b, c\npred r/0\npred u/1\npred p/2\npred t/3\n0.3 r\n0.5 u(b)\n"
+BAD_EVIDENCE_ATOMS = (
+    Atom("r", ("a",)), Atom("u", ()), Atom("u", ("zz",)), Atom("p", ("a",)),
+    Atom("t", ("a", "b")), Atom("t", ("a", "b", "zz")), Atom("nope", ()), Atom("nope", ("a",)),
+)
+
+
+def _bad_evidence_pool():
+    """Random valid evidence on r/0, u/1, p/2 and t/3 with one or two atoms
+    outside the model put in at random places."""
+    rng = np.random.default_rng(103)
+    model = parse_model(BAD_EVIDENCE_MODEL)
+    atoms = model.all_atoms()
+    for _ in range(200):
+        chosen = [atoms[k] for k in rng.permutation(len(atoms))[:int(rng.integers(0, 12))]]
+        for _ in range(int(rng.integers(1, 3))):
+            bad = BAD_EVIDENCE_ATOMS[int(rng.integers(len(BAD_EVIDENCE_ATOMS)))]
+            if bad not in chosen:
+                chosen.insert(int(rng.integers(len(chosen) + 1)), bad)
+        yield model, EvidenceSet((atom, bool(rng.random() < 0.5)) for atom in chosen)
+
+
+class TestAtomLayoutAgainstTheCopiesItReplaced:
+    """`Model.all_atoms` and `constant_symmetry_classes` on `_AtomIds`
+    against the code that kept its own atom order and evidence tables:
+    the same atoms and classes, or the same InputError text."""
+
+    @staticmethod
+    def _outcome(classes, model, evidence):
+        try:
+            return classes(model, evidence)
+        except InputError as exc:
+            return "InputError", str(exc)
+
+    @pytest.mark.parametrize(
+        "pool, count, refused",
+        [
+            (_equivalence_pool, 600, 0),
+            (_small_pools, 3, 0),
+            (_class_pool, 1000, 0),
+            (_propagation_pool, 300, 0),
+            (lambda: (_random_oracle_instance(np.random.default_rng(107), k)
+                      for k in range(600)), 600, 30),
+            (_bad_evidence_pool, 200, 200),
+        ],
+    )
+    def test_pools(self, pool, count, refused):
+        seen = refusals = 0
+        for model, evidence in pool():
+            assert model.all_atoms() == _listed_atoms(model)
+            new = self._outcome(constant_symmetry_classes, model, evidence)
+            assert new == self._outcome(_table_classes, model, evidence), (
+                model.to_text(), evidence.to_text())
+            seen += 1
+            refusals += new[0] == "InputError"
+        assert (seen, refusals) == (count, refused)
+
+    def test_the_pools_cover_every_arity_and_multi_member_classes(self):
+        arities, grouped = set(), 0
+        for pool in (_equivalence_pool, _small_pools, _class_pool):
+            for model, evidence in pool():
+                arities |= {len(atom.args) for atom in evidence}
+                grouped += any(len(cls) > 1 for cls in constant_symmetry_classes(model, evidence))
+        assert arities == {0, 1, 2, 3} and grouped > 500
+
+    def test_an_empty_domain_has_no_classes(self):
+        # the per-predicate tables had no entries, and taking their max raised ValueError
+        model = Model((), {"r": 0, "s": 1, "p": 2})
+        assert model.all_atoms() == _listed_atoms(model) == (Atom("r", ()),)
+        assert constant_symmetry_classes(model, EvidenceSet({Atom("r", ()): True})) == ()
+
+
 class TestEvidenceSet:
     def test_double_assignment_rejected_even_if_consistent(self):
         ev = EvidenceSet()
@@ -1531,3 +1655,63 @@ class TestEvidenceSet:
         model = parse_model("domain = a, b\npred q/1\n")
         ev = parse_evidence("q(a)\n!q(b)\n", model)
         assert parse_evidence(ev.to_text(), model) == ev
+
+    def test_evidence_atoms_must_be_ground(self):
+        with pytest.raises(InputError, match=r"evidence atom p\(a, X\) is not ground"):
+            EvidenceSet().assign(Atom("p", ("a", "X")), True)
+        with pytest.raises(InputError, match=r"evidence atom q\(Y\) is not ground"):
+            EvidenceSet({Atom("q", ("Y",)): False})
+
+
+class TestModelRefusals:
+    def test_duplicate_constants(self):
+        with pytest.raises(InputError, match="domain constants are not unique"):
+            parse_model("domain = a, b, a\npred q/1\n")
+        with pytest.raises(InputError, match="domain constants are not unique"):
+            Model(("a", "a"), {})
+
+    @pytest.mark.parametrize("name", ["A", "Ab", "1a", "a b", "p(x)", "", "q-r", "\u00e9", 1, None])
+    def test_bad_constant_and_predicate_names(self, name):
+        with pytest.raises(InputError, match=re.escape(f"invalid constant name {name!r}")):
+            Model(("a", name), {})
+        with pytest.raises(InputError, match=re.escape(f"invalid predicate name {name!r}")):
+            Model(("a",), {"q": 1, name: 1})
+
+    def test_v_is_reserved_for_predicates_only(self):
+        with pytest.raises(InputError, match="'v' is reserved for disjunction"):
+            Model(("a",), {"v": 1})
+        assert Model(("v", "_b", "c9"), {"_p": 1, "p_2": 2}).domain == ("v", "_b", "c9")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("domain a, b\npred q/1\n", "line 1: expected 'domain = a, b, ...'"),
+            ("domain = a\npred q 1\n", "line 2: expected 'pred name/arity'"),
+        ],
+    )
+    def test_declarations_without_their_separator(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_model(text)
+
+
+class TestGroundingRefusals:
+    def test_empty_domain(self):
+        with pytest.raises(InputError, match="cannot ground a model with an empty domain"):
+            ground(Model((), {"q": 1, "r": 0}))
+
+    def test_a_ground_formula_over_twenty_atoms_gets_no_table(self):
+        names = [f"r{k}" for k in range(21)]
+        wide = Or(tuple(Atom(name, ()) for name in names))
+        model = Model(("a",), dict.fromkeys(names, 0), hard_formulas=(wide,))
+        with pytest.raises(CapacityError, match="ground formula touches 21 atoms; table too large"):
+            ground(model).condition(EvidenceSet())
+
+    def test_world_distribution_cap(self):
+        model = Model(tuple(f"c{k}" for k in range(17)), {"s": 1})
+        with pytest.raises(CapacityError,
+                           match="17 atoms exceed the world-distribution cap of 16"):
+            enumerate_world_distribution(model, EvidenceSet())
+        with pytest.raises(CapacityError, match="17 atoms exceed the world-distribution cap of 3"):
+            enumerate_world_distribution(model, EvidenceSet(), atom_cap=3)
+        atoms, probs = enumerate_world_distribution(model, EvidenceSet({Atom("s", ("c0",)): True}))
+        assert len(atoms) == 16 and probs.shape == (1 << 16,)

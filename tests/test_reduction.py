@@ -97,6 +97,39 @@ class TestEncodeEvidence:
         with pytest.raises(InputError, match="labels"):
             encode_evidence("p", f)
 
+    @pytest.mark.parametrize(
+        "pred, message",
+        [
+            ("P", "invalid predicate name 'P'"),
+            ("a b", "invalid predicate name 'a b'"),
+            ("p(x)", "invalid predicate name 'p(x)'"),
+            ("1p", "invalid predicate name '1p'"),
+            ("", "invalid predicate name ''"),
+            ("v", "'v' is reserved for disjunction"),
+        ],
+    )
+    def test_relation_names_follow_the_model_rule(self, example_factorization, pred, message):
+        # the fragment would name a predicate that parsing it then refuses
+        with pytest.raises(InputError, match=re.escape(message)):
+            encode_evidence(pred, example_factorization)
+        with pytest.raises(InputError, match=re.escape(message)):
+            Model(LABELS, {pred: 2})
+
+    @pytest.mark.parametrize("label", ["1a", "A", "Xy", "_"])
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    def test_labels_follow_the_constant_rule(self, label, axis):
+        labels = ("a", "b", "c", label)
+        rows, cols = (labels, LABELS) if axis == "row" else (LABELS, labels)
+        f = Factorization(((np.ones(4, np.uint8), np.ones(4, np.uint8)),), (4, 4), rows, cols)
+        if label == "_":
+            assert len(encode_evidence("p", f).unary_evidence) == 8
+            return
+        message = re.escape(f"invalid constant name {label!r}")
+        with pytest.raises(InputError, match=message):
+            encode_evidence("p", f)
+        with pytest.raises(InputError, match=message):
+            Model(labels, {"p": 2})
+
     def test_name_collision_is_an_error(self, example_factorization):
         with pytest.raises(InputError, match="collides"):
             encode_evidence("p", example_factorization, existing_predicates={"p__q2"})

@@ -14,6 +14,7 @@ from liftbmf.mln import (
     Atom,
     Conditioned,
     EvidenceSet,
+    Model,
     enumerate_world_distribution,
     exact_marginals,
     ground,
@@ -431,6 +432,23 @@ class TestKld:
         assert kld({Atom("q", ("a",)): 0.5}, est) >= 0.0
 
 
+class TestChainRefusals:
+    def test_world_counting_stops_at_sixteen_open_atoms(self):
+        model = Model(tuple(f"c{k}" for k in range(17)), {"s": 1})
+        query = [Atom("s", ("c0",))]
+        with pytest.raises(InputError, match="world counting supports at most 16 atoms, got 17"):
+            estimate_marginals(model, EvidenceSet(), query, ChainConfig(10),
+                               collect_world_counts=True)
+        evidence = EvidenceSet({Atom("s", ("c16",)): False})
+        counted = estimate_marginals(model, evidence, query, ChainConfig(10),
+                                     collect_world_counts=True)
+        assert counted.world_counts.shape == (1 << 16,) and counted.world_counts.sum() == 9
+
+    def test_kld_refuses_an_empty_reference(self):
+        with pytest.raises(InputError, match="reference marginals are empty"):
+            kld({}, {Atom("q", ("a",)): 0.5})
+
+
 class TestFindConsistentWorld:
     def test_satisfies_equivalence_constraints(self):
         model = parse_model(
@@ -793,7 +811,7 @@ class TestJumpOverBinaryAtoms:
         model, evidence, cond = _conditioned(BINARY_OPEN_MODEL, BINARY_OPEN_EVIDENCE)
         assert sorted(map(len, constant_symmetry_classes(model, evidence))) == [3, 3]
         assert len(cond.atoms) == 1 + 6 + 36
-        assert {len(places) for _, _, places in cond._relabeling_plan} == {1, 2}
+        assert cond._relabeling_parts[0] and {len(p) for _, _, p in cond._relabeling_parts[1]} == {2}
         return model, evidence, cond
 
     @pytest.mark.parametrize("estimator", ["rao_blackwell", "frequency"])
