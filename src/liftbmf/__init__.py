@@ -35,6 +35,7 @@ from .mln import (
     Atom,
     EvidenceSet,
     Model,
+    constant_symmetry_classes,
     exact_marginals,
     exact_query,
     ground,
@@ -43,7 +44,6 @@ from .mln import (
 )
 from .reduction import (
     ReductionResult,
-    constant_symmetry_classes,
     encode_evidence,
     encode_partial_evidence,
     extend_model,

@@ -43,6 +43,14 @@ def _check_ranks(ranks: Sequence[int]) -> None:
 # --- synthetic evidence -----------------------------------------------------
 
 
+def _checked_noise(noise: float) -> float:
+    """`noise`, a flip probability, as a float in [0, 0.5); InputError otherwise."""
+    noise = check_real(noise, "noise")
+    if not 0.0 <= noise < 0.5:
+        raise InputError(f"noise must be in [0, 0.5), got {noise}")
+    return noise
+
+
 def gen_synthetic(
     m: int,
     planted_rank: int,
@@ -60,9 +68,7 @@ def gen_synthetic(
     check_integer(planted_rank, "planted rank", 0)
     if planted_rank > m:
         raise InputError(f"planted rank must be in [0, {m}], got {planted_rank}")
-    noise = check_real(noise, "noise")
-    if not 0.0 <= noise < 0.5:
-        raise InputError(f"noise must be in [0, 0.5), got {noise}")
+    noise = _checked_noise(noise)
     fill_target = check_real(fill_target, "fill target")
     if not 0.0 < fill_target < 1.0:
         raise InputError(f"fill target must be in (0, 1), got {fill_target}")
@@ -119,9 +125,7 @@ def planted_block_matrix(
     check_integer(blocks, "blocks", 1)
     if m < 3 * blocks:
         raise InputError(f"need at least 3 constants per block: m={m}, blocks={blocks}")
-    noise = check_real(noise, "noise")
-    if not 0.0 <= noise < 0.5:
-        raise InputError(f"noise must be in [0, 0.5), got {noise}")
+    noise = _checked_noise(noise)
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     extra = rng.multinomial(m - 3 * blocks, np.full(blocks, 1.0 / blocks))

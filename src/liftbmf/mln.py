@@ -40,7 +40,7 @@ __all__ = [
     "Model", "EvidenceSet",
     "parse_model", "parse_evidence", "parse_formula", "parse_literal",
     "format_formula", "format_atom", "format_literal",
-    "ground", "Grounding", "Conditioned",
+    "ground", "Grounding", "Conditioned", "constant_symmetry_classes",
     "exact_query", "exact_marginals", "enumerate_world_distribution",
     "DEFAULT_ATOM_CAP", "DEFAULT_GROUND_CAP",
 ]
@@ -306,20 +306,20 @@ _LITERAL_RE = re.compile(
 def parse_literal(text: str, model: "Model | None" = None, where: str = "literal") -> tuple[Atom, bool]:
     """A ground atom, negated by a leading "!", and its truth value.
 
-    The common form is read with one regex and its constants checked
-    against the model's set of them; every other text, and every literal
-    that a check refuses, goes through `_Parser`, the one source of error
-    text, so both paths return the same literal or raise the same error."""
+    The common form is read with one regex and checked against the
+    model's atom layout; every other text, and every literal that a check
+    refuses, goes through `_Parser`, the one source of error text, so both
+    paths return the same literal or raise the same error."""
     m = _LITERAL_RE.fullmatch(text)
     if m is not None:
         bang, name, listed = m.groups()
-        args = tuple(map(str.strip, listed.split(","))) if listed else ()
+        atom = Atom(name, tuple(map(str.strip, listed.split(","))) if listed else ())
         if model is None:
-            ok = not any(map(is_variable, args))
+            ok = not any(map(is_variable, atom.args))
         else:
-            ok = model.predicates.get(name) == len(args) and model._constants.issuperset(args)
+            ok = model._ids.id_of(atom) is not None
         if ok:
-            return Atom(name, args), not bang
+            return atom, not bang
     return _parsed_literal(text, model, where)
 
 
@@ -349,8 +349,8 @@ def _parsed_literal(text: str, model: "Model | None", where: str) -> tuple[Atom,
 class Model:
     """Weighted first-order formulas plus hard formulas over a finite domain.
 
-    Free variables are implicitly universally quantified over the domain.
-    """
+    Free variables are implicitly universally quantified over the domain;
+    the model builds its one atom layout, `_AtomIds`, when it is made."""
 
     domain: tuple[str, ...]
     predicates: Mapping[str, int]
@@ -370,15 +370,14 @@ class Model:
                 raise InputError(f"weight of {format_formula(f)} is not finite as a float") from None
         object.__setattr__(self, "weighted_formulas", tuple(weighted))
         object.__setattr__(self, "hard_formulas", tuple(self.hard_formulas))
-        # the domain as a set, for membership tests
-        object.__setattr__(self, "_constants", frozenset(self.domain))
-        if len(self._constants) != len(self.domain):
-            raise InputError("domain constants are not unique")
         for c in self.domain:
             _check_name(c, "constant")
         for name, arity in self.predicates.items():
             _check_name(name, "predicate")
             check_integer(arity, f"arity of {name}", 0)
+        object.__setattr__(self, "_ids", _AtomIds(self.domain, self.predicates))
+        if len(self._ids.position) != len(self.domain):
+            raise InputError("domain constants are not unique")
         for w, f in self.weighted_formulas:
             if not math.isfinite(w):
                 raise InputError(f"weight {w} of {format_formula(f)} is not finite")
@@ -395,22 +394,11 @@ class Model:
         ))
 
     def check_formula(self, f: Formula, where: str) -> None:
-        for atom in atoms_of(f):
-            arity = self.predicates.get(atom.pred)
-            if arity is None:
-                raise InputError(f"{where}: unknown predicate {atom.pred!r}")
-            if arity != len(atom.args):
-                raise InputError(
-                    f"{where}: {atom.pred} expects {arity} arguments, got {len(atom.args)}"
-                )
-            for arg in atom.args:
-                if not is_variable(arg) and arg not in self._constants:
-                    raise InputError(f"{where}: unknown constant {arg!r}")
+        self._ids.check(f, where)
 
     def all_atoms(self) -> tuple[Atom, ...]:
         """Every ground atom of the signature, in atom id order (see `_AtomIds`)."""
-        ids = _AtomIds(self)
-        return tuple(map(ids.atom, range(ids.count)))
+        return tuple(map(self._ids.atom, range(self._ids.count)))
 
     def extended(
         self,
@@ -579,36 +567,49 @@ _ATOM, _NOT, _AND, _OR, _IMPLIES, _IFF = range(6)
 
 
 class _AtomIds:
-    """The one atom layout, read by conditioning, `Model.all_atoms()` and the
-    symmetry classes.  An atom's id is its predicate's offset (predicates in
-    name order, m^arity ids each) plus the mixed-radix value of its
-    arguments' domain positions, the first argument most significant."""
+    """A model's one atom layout, read by its formula checks, literal parsing,
+    conditioning, `all_atoms()` and symmetry classes.  An atom's id is its
+    predicate's offset (predicates in name order, m^arity ids each) plus the
+    mixed-radix value of its arguments' domain positions, the first most significant."""
 
-    def __init__(self, model: Model):
-        self.model = model
-        self.domain = model.domain
-        self.position = {c: k for k, c in enumerate(model.domain)}
-        self.layout: dict[str, tuple[int, int]] = {}  # predicate -> (offset, arity)
+    def __init__(self, domain: Sequence[str], predicates: Mapping[str, int]):
+        self.domain = domain
+        self.position = {c: k for k, c in enumerate(domain)}
+        self.layout = dict.fromkeys(predicates)  # name -> (offset, arity), in declared order
         self.count = 0
-        for name in sorted(model.predicates):
-            arity = int(model.predicates[name])
+        for name in sorted(predicates):  # offsets in name order
+            arity = int(predicates[name])
             self.layout[name] = (self.count, arity)
-            self.count += len(self.domain) ** arity
-        self._names = list(self.layout)
-        self._offsets = [offset for offset, _ in self.layout.values()]
+            self.count += len(domain) ** arity
+        self._names = sorted(self.layout)
+        self._offsets = [self.layout[name][0] for name in self._names]
         self._arguments: dict[int, list[tuple[str, ...]]] = {}  # arity -> in id order
+
+    def check(self, f: Formula, where: str) -> None:
+        """InputError, naming what is wrong, unless each atom of `f` is over the signature."""
+        for atom in atoms_of(f):
+            _, arity = self.layout.get(atom.pred, (0, None))
+            if arity is None:
+                raise InputError(f"{where}: unknown predicate {atom.pred!r}")
+            if arity != len(atom.args):
+                raise InputError(f"{where}: {atom.pred} expects {arity} arguments, "
+                                 f"got {len(atom.args)}")
+            for arg in atom.args:
+                if not is_variable(arg) and arg not in self.position:
+                    raise InputError(f"{where}: unknown constant {arg!r}")
 
     def id_of(self, atom: Atom) -> int | None:
         """The id of `atom`, or None unless it is a ground atom of the signature."""
         offset, arity = self.layout.get(atom.pred, (0, -1))
         if arity != len(atom.args):
             return None
+        position, m = self.position, len(self.domain)
         value = 0
-        for arg in atom.args:
-            k = self.position.get(arg)
-            if k is None:
-                return None
-            value = value * len(self.domain) + k
+        try:
+            for arg in atom.args:
+                value = value * m + position[arg]
+        except KeyError:
+            return None
         return offset + value
 
     def atom(self, atom_id: int) -> Atom:
@@ -623,12 +624,12 @@ class _AtomIds:
 
     def known(self, evidence: EvidenceSet) -> list[bool | None]:
         """The evidence as a list indexed by atom id, None where unassigned;
-        InputError, from `Model.check_formula`, for an atom outside the model."""
+        InputError, from `check`, for an atom outside the signature."""
         known: list[bool | None] = [None] * self.count
         for atom, value in evidence.items():
             atom_id = self.id_of(atom)
             if atom_id is None:
-                self.model.check_formula(atom, "evidence")  # raises, naming what is wrong
+                self.check(atom, "evidence")  # raises, naming what is wrong
             known[atom_id] = value
         return known
 
@@ -636,7 +637,7 @@ class _AtomIds:
         """`flat`, indexed by atom id, cut into one m x ... x m view per predicate
         of nonzero arity, in declaration order; entry (c1, ..., ck) is p(c1, ..., ck)'s."""
         m = len(self.domain)
-        for offset, arity in map(self.layout.get, self.model.predicates):
+        for offset, arity in self.layout.values():
             if arity:
                 yield flat[offset:offset + m ** arity].reshape((m,) * arity)
 
@@ -767,16 +768,20 @@ class Grounding:
 def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
     """One grounding per formula and binding of its variables over the
     domain, bindings in `itertools.product` order; each formula's template
-    is built once."""
+    is built once.  CapacityError when the groundings, or the ground atoms
+    of the signature (the sum over predicates of m^arity, every one of
+    which conditioning gives a place), number more than `ground_cap`."""
     check_integer(ground_cap, "ground_cap", 0)
     m = len(model.domain)
     if m == 0:
         raise InputError("cannot ground a model with an empty domain")
+    ids = model._ids
+    if ids.count > ground_cap:
+        raise CapacityError(f"{ids.count} ground atoms exceed the cap of {ground_cap}")
     formulas = [f for _, f in model.weighted_formulas] + list(model.hard_formulas)
     total = sum(m ** len(free_variables(f)) for f in formulas)
     if total > ground_cap:
         raise CapacityError(f"{total} groundings exceed the cap of {ground_cap}")
-    ids = _AtomIds(model)
 
     def groundings(f: Formula):
         variables = free_variables(f)
@@ -815,6 +820,50 @@ def permute_axes(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
     for axis in range(table.ndim):
         table = table.take(perm, axis)
     return table
+
+
+def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tuple[str, ...], ...]:
+    """Constants exchangeable under the evidence and the model's formulas.
+
+    Two constants share a class when swapping them maps the evidence onto
+    itself, i.e. leaves each predicate's int8 evidence array (-1 unassigned)
+    equal with every axis permuted; constants mentioned in a formula stay
+    singletons, so class permutations keep world weights.  Preserving swaps
+    form a group, so a constant is tested against one member per class:
+    O(classes * m * m^arity).  The evidence is read as conditioning reads it
+    (`_AtomIds.known`), so evidence outside the model raises its InputError.
+    """
+    ids = model._ids
+    formulas = model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
+    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args
+                 if a in ids.position}
+    flat = np.array([-1 if value is None else value for value in ids.known(evidence)], np.int8)
+    assigned = [t for t in ids.arrays(flat) if (t >= 0).any()]
+    # a swap keeps a unary table iff the two entries it exchanges are equal
+    unary = [t.tolist() for t in assigned if t.ndim == 1]
+    signature = [tuple(values[k] for values in unary) for k in range(len(model.domain))]
+    wider = [(t, t.tobytes()) for t in assigned if t.ndim > 1]
+    identity = np.arange(len(model.domain))
+
+    def swaps(a: str, b: str) -> bool:
+        a, b = ids.position[a], ids.position[b]
+        if signature[a] != signature[b]:
+            return False
+        perm = identity.copy()
+        perm[a], perm[b] = b, a
+        return all(permute_axes(t, perm).tobytes() == raw for t, raw in wider)
+
+    classes: list[list[str]] = []
+    for c in model.domain:
+        # (c d) = (d0 d)(c d0)(d0 d), and each member d of a class swaps with
+        # its first member d0: so c swaps with all members iff with d0.
+        for cls in () if c in mentioned else classes:
+            if cls[0] not in mentioned and swaps(c, cls[0]):
+                cls.append(c)
+                break
+        else:
+            classes.append([c])
+    return tuple(tuple(cls) for cls in classes)
 
 
 @dataclass(frozen=True)
@@ -1028,7 +1077,7 @@ def _log_table(shape, n: int, weight: float | None) -> np.ndarray:
 
 def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     model = grounding.model
-    ids = _AtomIds(model)
+    ids = model._ids
     known = ids.known(evidence)
     residual_hard, derived = _unit_propagate(grounding.hard, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]

@@ -6,9 +6,9 @@ A factorized relation p = Q R^T becomes the hard equivalence
 
 plus full evidence on the fresh unary predicates q_i, r_i.  Conditioning
 on that unary evidence reproduces conditioning on the binary relation, so
-the original distribution is preserved whenever the factorization is
-exact.
-"""
+the original distribution is preserved whenever the factorization is exact.
+`constant_symmetry_classes` lives in `mln`, beside the atom layout it reads,
+and is re-exported here under the same name."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,11 +29,9 @@ from .mln import (
     Model,
     Not,
     Or,
-    _AtomIds,
     _check_name,
-    atoms_of,
+    constant_symmetry_classes,
     format_atom,
-    permute_axes,
 )
 
 __all__ = [
@@ -214,47 +212,3 @@ def matrix_to_evidence(pred: str, matrix: BoolMatrix) -> EvidenceSet:
         for j, y in enumerate(matrix.col_labels):
             evidence.assign(Atom(pred, (x, y)), bool(matrix.bits[i, j]))
     return evidence
-
-
-def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tuple[str, ...], ...]:
-    """Constants exchangeable under the evidence and the model's formulas.
-
-    Two constants share a class when swapping them maps the evidence onto
-    itself, i.e. leaves each predicate's int8 evidence array (-1 unassigned)
-    equal with every axis permuted; constants mentioned in a formula stay
-    singletons, so class permutations keep world weights.  Preserving swaps
-    form a group, so a constant is tested against one member per class:
-    O(classes * m * m^arity).  The evidence is read as conditioning reads it
-    (`_AtomIds.known`), so evidence outside the model raises its InputError.
-    """
-    ids = _AtomIds(model)
-    formulas = model.hard_formulas + tuple(f for _, f in model.weighted_formulas)
-    mentioned = {a for f in formulas for atom in atoms_of(f) for a in atom.args
-                 if a in ids.position}
-    flat = np.array([-1 if value is None else value for value in ids.known(evidence)], np.int8)
-    assigned = [t for t in ids.arrays(flat) if (t >= 0).any()]
-    # a swap keeps a unary table iff the two entries it exchanges are equal
-    unary = [t.tolist() for t in assigned if t.ndim == 1]
-    signature = [tuple(values[k] for values in unary) for k in range(len(model.domain))]
-    wider = [(t, t.tobytes()) for t in assigned if t.ndim > 1]
-    identity = np.arange(len(model.domain))
-
-    def swaps(a: str, b: str) -> bool:
-        a, b = ids.position[a], ids.position[b]
-        if signature[a] != signature[b]:
-            return False
-        perm = identity.copy()
-        perm[a], perm[b] = b, a
-        return all(permute_axes(t, perm).tobytes() == raw for t, raw in wider)
-
-    classes: list[list[str]] = []
-    for c in model.domain:
-        # (c d) = (d0 d)(c d0)(d0 d), and each member d of a class swaps with
-        # its first member d0: so c swaps with all members iff with d0.
-        for cls in () if c in mentioned else classes:
-            if cls[0] not in mentioned and swaps(c, cls[0]):
-                cls.append(c)
-                break
-        else:
-            classes.append([c])
-    return tuple(tuple(cls) for cls in classes)

@@ -12,7 +12,7 @@ A jump shuffles each class's position list in place, which draws what
 `rng.permutation` draws on the positions, and moves each value through
 `Conditioned._relabeled`, the code behind `relabeled`, which walks its
 two-part plan: the atoms of unary predicates, then the rest.  The classes
-read the evidence through the same atom layout as conditioning.
+read the evidence through the model's one atom layout, as conditioning does.
 
 An atom's conditional depends only on its blanket neighbours
 (`Conditioned._neighbours`), so a step packs their values into an int
@@ -48,8 +48,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, check_integer
-from .mln import Atom, Conditioned, EvidenceSet, Model, format_atom, ground
-from .reduction import constant_symmetry_classes
+from .mln import (Atom, Conditioned, EvidenceSet, Model, constant_symmetry_classes, format_atom,
+                  ground)
 
 __all__ = [
     "ChainConfig",

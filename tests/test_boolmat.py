@@ -245,6 +245,12 @@ class TestTextFormat:
         with pytest.raises(InputError, match=message):
             BoolMatrix.from_text(text)
 
+    @pytest.mark.parametrize("text", ["-1 2\n", "2 -1\n10\n01\n", "-2 -3\n"])
+    def test_negative_dimensions_refused(self, text):
+        k, l = map(int, text.split("\n")[0].split())
+        with pytest.raises(InputError, match=re.escape(f"negative dimensions {(k, l)}")):
+            BoolMatrix.from_text(text)
+
     def test_empty_label_refused(self):
         # names are split as written: a stray comma is an error, not dropped
         with pytest.raises(InputError, match="label"):

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,8 @@ import pytest
 
 from liftbmf import mln
 from liftbmf.boolmat import BoolMatrix, read_matrix
-from liftbmf.cli import main
+from liftbmf.cli import _planted_recipe, main
+from liftbmf.errors import InputError
 from liftbmf.factorize import read_factorization
 from liftbmf.mln import parse_evidence, parse_model
 
@@ -180,6 +182,29 @@ class TestInfer:
         ev.write_text("")
         assert run("infer", str(model), str(ev), "--query", "q(a)") == 1
         assert "not finite" in capsys.readouterr().err
+
+    def test_unreadable_model_file_exits_one(self, tmp_path, capsys):
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        missing = tmp_path / "absent.mln"
+        assert run("infer", str(missing), str(ev), "--query", "q(a)") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"liftbmf: error: cannot read {missing}: ")
+        assert run("infer", str(tmp_path), str(ev), "--query", "q(a)") == 1
+        assert f"cannot read {tmp_path}: " in capsys.readouterr().err
+
+    def test_ground_atoms_over_the_cap_exit_two(self, tmp_path, capsys):
+        # 101^3 + 101 ground atoms for one grounding: refused before any is placed
+        model = tmp_path / "m.mln"
+        domain = ", ".join(f"c{k}" for k in range(101))
+        model.write_text(f"domain = {domain}\npred t/3\npred s/1\n0.5 s(c0)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        for method in ("exact", "gibbs", "orbital-gibbs"):
+            assert run("infer", str(model), str(ev), "--query", "s(c0)", "--method", method) == 2
+            assert capsys.readouterr().err == (
+                "liftbmf: refused: 1030402 ground atoms exceed the cap of 1000000\n"
+            )
 
     def test_inconsistent_exits_three(self, tmp_path, capsys):
         model = tmp_path / "m.mln"
@@ -436,6 +461,15 @@ class TestExperimentCommands:
         assert run("experiment", "error-curve", "--matrix", example_file,
                    "--seeds", "1,2", "--ranks", "1",
                    "-o", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("recipe", ["20,3", "20", "20,3,0.1,4", ""])
+    def test_planted_recipe_needs_three_parts(self, recipe, tmp_path, capsys):
+        with pytest.raises(InputError, match=re.escape(f"expected m,rank,noise, got {recipe!r}")):
+            _planted_recipe(recipe)
+        assert run("experiment", "error-curve", "--planted", recipe, "--ranks", "1",
+                   "-o", str(tmp_path / "x.csv")) == 1
+        assert "--planted" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_ranks_must_increase(self, example_file, tmp_path):
         assert run("experiment", "error-curve", "--matrix", example_file,

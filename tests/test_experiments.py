@@ -41,10 +41,28 @@ class TestGenSynthetic:
             fills.append(matrix.ones() / 400)
         assert 0.2 <= np.mean(fills) <= 0.5
 
-    @pytest.mark.parametrize("noise", [0.5, 0.7, -0.1])
+    @pytest.mark.parametrize("noise", [0.5, 0.7, -0.1, -1e-12])
     def test_noise_guard(self, noise):
-        with pytest.raises(InputError, match="noise"):
+        message = rf"noise must be in \[0, 0.5\), got {noise}"
+        with pytest.raises(InputError, match=message):
             gen_synthetic(5, 2, noise, 0)
+        with pytest.raises(InputError, match=message):
+            planted_block_matrix(9, 3, noise, 0)
+
+    @pytest.mark.parametrize("noise", [0, 0.0, 0.499])
+    def test_both_generators_take_noise_inside_its_range(self, noise):
+        assert gen_synthetic(5, 2, noise, 0)[1]["noise"] == noise
+        assert planted_block_matrix(9, 3, noise, 0)[1]["noise"] == noise
+
+    def test_planted_rank_above_m_is_refused(self):
+        with pytest.raises(InputError, match=r"planted rank must be in \[0, 4\], got 5"):
+            gen_synthetic(4, 5, 0.0, 0)
+        assert gen_synthetic(4, 4, 0.0, 0)[1]["planted_rank"] == 4
+
+    @pytest.mark.parametrize("fill", [0, 0.0, 1, 1.0, -0.2, 1.5])
+    def test_fill_target_outside_the_open_unit_interval_is_refused(self, fill):
+        with pytest.raises(InputError, match=rf"fill target must be in \(0, 1\), got {fill}"):
+            gen_synthetic(4, 1, 0.0, 0, fill_target=fill)
 
     @pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(False), 1j])
     def test_noise_and_fill_must_be_real_numbers(self, value):

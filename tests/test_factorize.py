@@ -683,6 +683,13 @@ class TestFactorizationType:
         with pytest.raises(InputError, match=re.escape(f"error {error} outside [0, 6]")):
             Factorization((), (2, 3), error=error)
 
+    def test_unknown_error_is_not_serialized(self, example_factorization):
+        bare = Factorization(example_factorization.pairs, (4, 4), LABELS, LABELS)
+        assert bare.error is None
+        with pytest.raises(InputError, match="cannot serialize a factorization with unknown error"):
+            bare.to_text()
+        assert Factorization.from_text(example_factorization.to_text()) == example_factorization
+
     def test_flip_cells_and_truncate_need_the_target(self, example_factorization):
         bare = Factorization(example_factorization.pairs, (4, 4), LABELS, LABELS)
         with pytest.raises(InputError, match="factorization has no target attached"):

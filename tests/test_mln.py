@@ -361,6 +361,14 @@ class TestFormulaSyntax:
         f = parse_formula("q(v) v q(w)")
         assert isinstance(f, Or)
 
+    @pytest.mark.parametrize("text, token", [("q(a) q(b)", "q"), ("q(a) v q(b))", ")"),
+                                             ("!q(a) ^ q(b) !", "!")])
+    def test_trailing_token_refused(self, text, token):
+        with pytest.raises(InputError, match=re.escape(f"formula: unexpected trailing {token!r}")):
+            parse_formula(text)
+        with pytest.raises(InputError, match=re.escape(f"line 3: unexpected trailing {token!r}")):
+            parse_model(f"domain = a, b\npred q/1\n0.5 {text}\n")
+
     def test_literal_parsing(self):
         atom, value = parse_literal("!q(a)")
         assert atom == Atom("q", ("a",)) and value is False
@@ -1699,6 +1707,23 @@ class TestGroundingRefusals:
         with pytest.raises(InputError, match="cannot ground a model with an empty domain"):
             ground(Model((), {"q": 1, "r": 0}))
 
+    def test_ground_atoms_over_the_cap(self):
+        # one grounding, but conditioning gives each of the m^3 + m atoms a place
+        s_c0 = Atom("s", ("c0",))
+
+        def model(m):
+            return Model(tuple(f"c{k}" for k in range(m)), {"t": 3, "s": 1}, ((0.5, s_c0),))
+
+        with pytest.raises(CapacityError, match="1000001000 ground atoms exceed the cap of 1000000"):
+            ground(model(1000))
+        with pytest.raises(CapacityError, match="512080 ground atoms exceed the cap of 512079"):
+            ground(model(80), ground_cap=512_079)
+        assert len(ground(model(80), ground_cap=512_080).weighted) == 1
+        with pytest.raises(CapacityError, match="1010 ground atoms exceed the cap of 1009"):
+            exact_marginals(model(10), EvidenceSet(), [s_c0], ground_cap=1009)
+        p = exact_marginals(model(10), EvidenceSet(), [s_c0], ground_cap=1010)[s_c0]
+        assert p == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
+
     def test_a_ground_formula_over_twenty_atoms_gets_no_table(self):
         names = [f"r{k}" for k in range(21)]
         wide = Or(tuple(Atom(name, ()) for name in names))
@@ -1715,3 +1740,38 @@ class TestGroundingRefusals:
             enumerate_world_distribution(model, EvidenceSet(), atom_cap=3)
         atoms, probs = enumerate_world_distribution(model, EvidenceSet({Atom("s", ("c0",)): True}))
         assert len(atoms) == 16 and probs.shape == (1 << 16,)
+
+
+class TestOneLayoutPerModel:
+    """A model builds its atom layout once; grounding, conditioning, the
+    symmetry classes, the chain and `all_atoms` read that one."""
+
+    def test_only_the_model_builds_a_layout(self, monkeypatch):
+        model, matrix, queries = planted_symmetry_instance((3, 3))
+        evidence = matrix_to_evidence("p", matrix)
+        built = []
+        build = mln._AtomIds.__init__
+        monkeypatch.setattr(mln._AtomIds, "__init__",
+                            lambda ids, *args: built.append(args) or build(ids, *args))
+        config = ChainConfig(200, burn_in=0, seed=1, orbital_move_probability=0.5)
+        estimate_marginals(model, evidence, queries, config)
+        exact_marginals(model, evidence, queries)
+        constant_symmetry_classes(model, evidence)
+        assert len(model.all_atoms()) == model._ids.count == 6 * 6 + 6
+        assert built == []
+        Model(model.domain, model.predicates)
+        assert built == [(model.domain, model.predicates)]
+
+    def test_the_layout_checks_what_the_model_checks(self):
+        model = parse_model(PEER_MODEL)
+        for text, message in [("zz(a)", "unknown predicate 'zz'"),
+                              ("linkto(a)", "linkto expects 2 arguments, got 1"),
+                              ("studentpage(e)", "unknown constant 'e'")]:
+            with pytest.raises(InputError, match=re.escape(f"query: {message}")):
+                model.check_formula(parse_formula(text), "query")
+            with pytest.raises(InputError, match=re.escape(f"line 1: {message}")):
+                parse_evidence(text + "\n", model)
+            atom = parse_formula(text)
+            assert model._ids.id_of(atom) is None
+            with pytest.raises(InputError, match=re.escape(f"evidence: {message}")):
+                ground(model).condition(EvidenceSet({atom: True}))

@@ -67,3 +67,12 @@ def test_removed_members_stay_removed():
 @pytest.mark.parametrize("function", PARAMETERS, ids=lambda f: f.__name__)
 def test_fixed_parameters_stay_removed(function):
     assert tuple(inspect.signature(function).parameters) == PARAMETERS[function]
+
+
+def test_symmetry_classes_live_beside_the_atom_layout():
+    from liftbmf import reduction
+
+    assert reduction.constant_symmetry_classes is mln.constant_symmetry_classes
+    assert liftbmf.constant_symmetry_classes is mln.constant_symmetry_classes
+    assert "constant_symmetry_classes" in mln.__all__
+    assert "constant_symmetry_classes" in reduction.__all__
