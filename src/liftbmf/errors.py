@@ -33,7 +33,9 @@ class CapacityError(LiftBmfError):
 
 class SearchBudgetError(CapacityError):
     """Exact search ran out of nodes; carries the best bounds proven so far,
-    the stage that ran out and the nodes it had spent by then."""
+    the stage that ran out and the nodes it had spent by then.  The lower
+    bound is at least the size of a greedy fooling set: 1-cells no two of
+    which fit in one all-ones rectangle, so each needs a rectangle of its own."""
 
     def __init__(self, message, lower_bound=None, upper_bound=None, stage=None, nodes=None):
         super().__init__(message)

@@ -3,12 +3,14 @@
 The exact solver covers the 1-entries of the matrix with maximal all-ones
 rectangles (formal concepts) using branch-and-bound set cover; by
 construction no rectangle touches a 0-entry, so a minimum cover is a
-minimum exact factorization.  Concepts are enumerated breadth first from
-the empty column set; the search branches on the uncovered cell with the
-fewest covering rectangles, in a cell order fixed before it starts.  The
-cells are renumbered in that order, so a node's branching cell is the
-lowest bit of its uncovered mask, and a node charges, bounds and
-memo-checks its children in its own loop, entering only those that pass.
+minimum exact factorization.  Concepts are enumerated as intersections of
+column row sets, one column at a time; the search branches on the
+uncovered cell with the fewest covering rectangles, in a cell order fixed
+before it starts.  The cells are renumbered in that order, so a node's
+branching cell is the lowest bit of its uncovered mask, and a node
+charges, bounds and memo-checks its children in its own loop, entering
+only those that pass.  Two lower bounds prune it: the area bound, and a
+greedy fooling set, 1-cells no two of which fit in one rectangle.
 The greedy solver follows the ASSO scheme:
 candidate column patterns come from thresholded association confidences,
 and each round keeps the candidate whose best per-row companion maximizes
@@ -247,42 +249,71 @@ def _set_bits(mask: int):
         mask ^= low
 
 
-def _concepts(p: BoolMatrix, budget: list[int]) -> list[tuple[int, int]]:
-    """All maximal all-ones rectangles, as (row bitmask, column bitmask).
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of the 2-D 0/1 array `bits`, packed as by `_pack`."""
+    width = -(-bits.shape[1] // 8)
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[at:at + width], "little")
+            for at in range(0, len(packed), width)]
 
-    Enumerated breadth first as closures of column subsets, starting from
-    the empty column set with every row; that start is no concept, since
-    every concept has a column.  `budget` is a one-element mutable node
-    counter shared with the cover search.
+
+def _concepts(p: BoolMatrix, budget: list[int]) -> list[tuple[int, int, int]]:
+    """All maximal all-ones rectangles, as (cell bitmask, row bitmask,
+    column bitmask); cell (i, j) is bit i * l + j of the cell bitmask.
+
+    The rectangles' row sets are the nonempty intersections of column row
+    sets, grown one column at a time from the set of all rows; each new one
+    closes to the columns its rows share.  `budget` is a one-element
+    mutable node counter shared with the cover search.  Enumeration costs
+    what a breadth-first closure of column sets from the empty set takes:
+    one node per column that a closed set lacks, the empty set included.
     """
     k, l = p.shape
-    row_cols = [_pack(row) for row in p.bits]
-    col_rows = [_pack(col) for col in p.bits.T]
+    row_cols = _pack_rows(p.bits)
+    all_cols = (1 << l) - 1
+    concepts = []
 
-    def cols_of(row_mask: int) -> int:
-        cols = (1 << l) - 1
-        for i in _set_bits(row_mask):
-            cols &= row_cols[i]
-        return cols
+    def close(fresh: set[int]) -> None:
+        for rows in fresh:
+            # the closure, and the rows spread one per l bits: their product
+            # puts the closure's columns on every row of the rectangle
+            cols, spread, left = all_cols, 0, rows
+            while left:
+                low = left & -left
+                i = low.bit_length() - 1
+                cols &= row_cols[i]
+                spread |= 1 << i * l
+                left ^= low
+            if rows and cols:
+                budget[0] -= l - cols.bit_count()
+                if budget[0] < 0:
+                    raise SearchBudgetError("concept enumeration exceeded the search budget")
+                concepts.append((cols * spread, rows, cols))
 
-    seen = {0: (1 << k) - 1}
-    queue = [0]
-    for b in queue:
-        rows = seen[b]
-        for j in range(l):
-            if b >> j & 1:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBudgetError("concept enumeration exceeded the search budget")
-            rows2 = rows & col_rows[j]
-            if not rows2:
-                continue
-            closed = cols_of(rows2)
-            if closed not in seen:
-                seen[closed] = rows2
-                queue.append(closed)
-    return [(rows, b) for b, rows in seen.items() if b]
+    budget[0] -= l  # the empty column set; the first rectangle's charge checks it
+    row_sets = {(1 << k) - 1}
+    close(row_sets)
+    for col in _pack_rows(p.bits.T):
+        fresh = {rows & col for rows in row_sets} - row_sets
+        close(fresh)
+        row_sets |= fresh
+    return concepts
+
+
+def _fooling_set_size(p: BoolMatrix) -> int:
+    """Size of a fooling set of p's 1-cells, kept greedily row by row.
+
+    Cells (i, j) and (a, b) lie in one all-ones rectangle iff entries
+    (i, b) and (a, j) are ones, so no two kept cells share a rectangle:
+    each needs its own, and the size is a lower bound on the Boolean rank.
+    """
+    row_cols = _pack_rows(p.bits)
+    kept: list[tuple[int, int]] = []
+    for i, cols in enumerate(row_cols):
+        for j in _set_bits(cols):
+            if not any(cols >> b & 1 and row_cols[a] >> j & 1 for a, b in kept):
+                kept.append((i, j))
+    return len(kept)
 
 
 def exact_boolean_rank(
@@ -296,7 +327,13 @@ def exact_boolean_rank(
     SearchBudgetError with the bounds proven so far if concept enumeration
     and the branch-and-bound cover search together take more than
     `max_search` nodes.  The error's `stage` names the step that ran out
-    and its `nodes` is the `max_search` nodes spent.
+    and its `nodes` is the `max_search` nodes spent.  Its lower bound is a
+    greedy fooling set of the matrix if concept enumeration ran out, and
+    the larger of the area bound and the root's fooling set if the search
+    did; its upper bound is min(k, l), or the shortest cover found if that
+    is less.  The fooling-set bound prunes only subtrees that hold no
+    shorter cover than the best so far, so the rank and the witness are
+    those of the search that prunes by the area bound alone.
     """
     k, l = p.shape
     if k == 0 or l == 0:
@@ -324,12 +361,10 @@ def exact_boolean_rank(
 
     budget = [max_search]
     try:
-        rects = _concepts(p, budget)
+        covers = _concepts(p, budget)
     except SearchBudgetError:
-        # p has a one, and min(k, l) rectangles always suffice: one per row or per column
-        raise out_of_budget("concept enumeration", 1, min(k, l)) from None
-    covers = [(sum(cols << i * l for i in _set_bits(rows)), rows, cols)
-              for rows, cols in rects]
+        # min(k, l) rectangles always suffice: one per row or per column
+        raise out_of_budget("concept enumeration", _fooling_set_size(p), min(k, l)) from None
     # canonical order: biggest coverage first, then by masks, for determinism
     covers.sort(key=lambda t: (-t[0].bit_count(), t[1], t[2]))
     max_cover = covers[0][0].bit_count()
@@ -338,7 +373,8 @@ def exact_boolean_rank(
     best: list[int] = []
     uncovered = ones_mask
     while uncovered:
-        pick = max(range(len(covers)), key=lambda i: (covers[i][0] & uncovered).bit_count())
+        gains = [(cells & uncovered).bit_count() for cells, _, _ in covers]
+        pick = gains.index(max(gains))
         best.append(pick)
         uncovered &= ~covers[pick][0]
     best_len = len(best)
@@ -346,38 +382,48 @@ def exact_boolean_rank(
     n_ones = ones_mask.bit_count()
     # need[c]: rectangles still needed for c uncovered cells, by the area bound
     need = [-(-c // max_cover) for c in range(n_ones + 1)]
-
-    def search_exhausted() -> SearchBudgetError:
-        return out_of_budget("exact rank search", need[n_ones], min(best_len, k, l))
-
-    budget[0] -= 1  # the root node
-    if budget[0] < 0:
-        raise search_exhausted()
-    if need[n_ones] < best_len:
-        covering: dict[int, list[int]] = {b: [] for b in _set_bits(ones_mask)}
+    lower = need[n_ones]
+    if lower < best_len:
+        covering: list[list[int]] = [[] for _ in range(k * l)]
         for idx, (cells, _, _) in enumerate(covers):
-            for b in _set_bits(cells):
-                covering[b].append(idx)
+            while cells:
+                low = cells & -cells
+                covering[low.bit_length() - 1].append(idx)
+                cells ^= low
         # branch on the uncovered cell with the fewest covering rectangles, the
-        # lowest such cell on ties: a stable sort of the ascending cells.
+        # lowest such cell on ties: a stable sort of the ascending 1-cells.
         # Cells renumbered in that order make the branching cell of a node
         # the lowest bit of its uncovered mask.
-        order = sorted(covering, key=lambda b: len(covering[b]))
+        options_at = sorted([options for options in covering if options], key=len)
         masks = [0] * len(covers)
-        for pos, b in enumerate(order):
+        for pos, options in enumerate(options_at):
             bit = 1 << pos
-            for idx in covering[b]:
+            for idx in options:
                 masks[idx] |= bit
-        options_at = [covering[b] for b in order]
+        # compat[pos]: the cells that share a rectangle with cell pos.  Cells
+        # picked lowest first, each dropping its compat, form a fooling set:
+        # no two share a rectangle, so each needs a rectangle of its own.
+        compat = []
+        for options in options_at:
+            joined = 0
+            for idx in options:
+                joined |= masks[idx]
+            compat.append(joined)
+        fooling, left = 0, (1 << n_ones) - 1
+        while left:
+            fooling += 1
+            left &= ~compat[(left & -left).bit_length() - 1]
+        lower = max(lower, fooling)
         memo: dict[int, int] = {}
         chosen: list[int] = []
 
         def search(uncovered: int, depth: int) -> None:
             # Expand a node that passed its checks.  Each child is charged,
-            # checked for a full cover, the bound and the memo here, and
-            # entered only if it passes them all.  Options come by ascending
-            # cells left uncovered and best_len never rises, so once a child
-            # fails the bound so do all later ones: the tail is charged at once.
+            # checked for a full cover, the area bound, the memo and the
+            # fooling bound here, and entered only if it passes them all.
+            # Options come by ascending cells left uncovered and best_len
+            # never rises, so once a child fails the area bound so do all
+            # later ones: the tail is charged at once.
             nonlocal best, best_len
             memo[uncovered] = depth
             options = sorted([((uncovered & ~masks[i]).bit_count(), i)
@@ -398,11 +444,26 @@ def exact_boolean_rank(
                     return
                 child = uncovered & ~masks[idx]
                 # skip a child the memo holds at this depth or shallower
-                if memo.get(child, depth + 1) > depth:
+                if memo.get(child, depth + 1) <= depth:
+                    continue
+                # enter only if the child's greedy fooling set has fewer than
+                # best_len - depth cells: a larger one rules out a shorter cover
+                left, room = child, best_len - depth - 1
+                while left and room:
+                    room -= 1
+                    left &= ~compat[(left & -left).bit_length() - 1]
+                if not left:
                     chosen.append(idx)
                     search(child, depth)
                     chosen.pop()
 
+    def search_exhausted() -> SearchBudgetError:
+        return out_of_budget("exact rank search", lower, min(best_len, k, l))
+
+    budget[0] -= 1  # the root node
+    if budget[0] < 0:
+        raise search_exhausted()
+    if lower < best_len:
         search((1 << n_ones) - 1, 0)
 
     # the witness is exact when its rectangles cover exactly the 1-cells

@@ -77,7 +77,7 @@ class TestRank:
         assert run(*argv) == 2
         assert capsys.readouterr().err == (
             "liftbmf: refused: exact rank search exceeded 500 nodes; "
-            "best bounds so far: 3 <= rank <= 10\n"
+            "best bounds so far: 8 <= rank <= 9\n"
         )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 
@@ -12,6 +13,7 @@ from liftbmf.factorize import (
     DEFAULT_MAX_SEARCH,
     AssoParams,
     Factorization,
+    _fooling_set_size,
     asso_factorize,
     exact_boolean_rank,
     optimal_error_at_rank,
@@ -69,9 +71,10 @@ class TestExactBooleanRank:
         assert info.value.upper_bound >= info.value.lower_bound >= 1
 
     def test_concept_enumeration_budget_reports_trivial_bounds(self):
-        with pytest.raises(SearchBudgetError, match="1 <= rank <= 6") as info:
+        # the lower bound is a greedy fooling set: an identity's diagonal
+        with pytest.raises(SearchBudgetError, match="6 <= rank <= 6") as info:
             exact_boolean_rank(BoolMatrix(np.eye(6, dtype=np.uint8)), max_search=3)
-        assert (info.value.lower_bound, info.value.upper_bound) == (1, 6)
+        assert (info.value.lower_bound, info.value.upper_bound) == (6, 6)
         wide = BoolMatrix(np.ones((2, 9), dtype=np.uint8))
         with pytest.raises(SearchBudgetError, match="concept enumeration.*1 <= rank <= 2"):
             exact_boolean_rank(wide, max_search=0)
@@ -367,9 +370,10 @@ class TestAssoAgainstFullRecompute:
 
 
 class TestExactRankPinned:
-    """Ranks, witnesses and budget errors recorded from the exact solver
-    before its concept loop was merged and its branching order fixed up
-    front; witnesses feed `truncate` in `kld_curve`, so pair order counts."""
+    """Ranks and witnesses recorded from the exact solver before its
+    concept loop was merged and its branching order fixed up front, and
+    budget errors recorded once both stages bounded the rank by fooling
+    sets; witnesses feed `truncate` in `kld_curve`, so pair order counts."""
 
     def test_pinned_ranks_and_witnesses(self):
         rng = np.random.default_rng(909)
@@ -389,10 +393,10 @@ class TestExactRankPinned:
     def test_pinned_budget_errors(self):
         concepts, search = "concept enumeration", "exact rank search"
         expected = [
-            [(50, concepts, 1, 10), (500, search, 3, 10), (5000, search, 3, 9)],
-            [(50, concepts, 1, 10), (500, 8), (5000, 8)],
-            [(50, concepts, 1, 11), (500, concepts, 1, 11), (5000, search, 5, 11)],
-            [(50, concepts, 1, 11), (500, concepts, 1, 11), (5000, search, 5, 10)],
+            [(50, concepts, 7, 10), (500, search, 8, 9), (5000, 9)],
+            [(50, concepts, 8, 10), (500, 8), (5000, 8)],
+            [(50, concepts, 7, 11), (500, concepts, 7, 11), (5000, search, 7, 10)],
+            [(50, concepts, 6, 11), (500, concepts, 6, 11), (5000, 10)],
         ]
         rng = np.random.default_rng(910)
         for side, outcomes in zip((10, 10, 11, 11), expected):
@@ -541,24 +545,47 @@ def _differential_matrices() -> list[np.ndarray]:
 
 
 class TestSearchAgainstReference:
-    """The exact search against `_reference_rank`, node for node."""
+    """The exact search against `_reference_rank`, which prunes by the area
+    bound alone.  The fooling-set bound prunes only subtrees that hold no
+    shorter cover, so the search solves wherever the reference solves, with
+    the same rank and witness, in no more nodes; where it runs out, it
+    runs out in the reference's stage and within the reference's bounds."""
 
     BUDGETS = (0, 3, 17, 50, 200, 500, 1000, 3000, 5000, 20000, DEFAULT_MAX_SEARCH)
 
-    def test_same_outcome_at_every_budget(self):
+    def test_solves_where_the_reference_solves(self):
         for bits in _differential_matrices():
             m = BoolMatrix(bits)
             full = _reference_rank(bits, DEFAULT_MAX_SEARCH)
+            assert full[0] == "rank"
+            rank, nodes = full[1], full[3]
+            # the reference's own node count is enough
+            assert _outcome(m, nodes) == full[:3], bits.shape
             for budget in self.BUDGETS:
-                if full[0] == "rank" and budget >= full[3]:
-                    expected = full[:3]
-                else:
-                    expected = _reference_rank(bits, budget)
-                    expected = expected[:3] if expected[0] == "rank" else expected
-                assert _outcome(m, budget) == expected, (bits.shape, budget)
+                outcome = _outcome(m, budget)
+                if outcome[0] == "rank":
+                    assert outcome == full[:3], (bits.shape, budget)
+                    continue
+                # the reference solves at every budget from its node count on
+                assert budget < nodes, (bits.shape, budget)
+                _, message, lb, ub, stage = outcome
+                _, _, ref_lb, ref_ub, ref_stage = _reference_rank(bits, budget)
+                assert stage == ref_stage, (bits.shape, budget)
+                assert message == (
+                    f"{stage} exceeded {budget} nodes; best bounds so far: {lb} <= rank <= {ub}"
+                )
+                assert ref_lb <= lb <= rank <= ub <= ref_ub, (bits.shape, budget)
 
-    def test_smallest_solving_budget_is_the_reference_node_count(self):
+    def test_concept_enumeration_takes_the_reference_nodes(self):
+        for bits in _differential_matrices():
+            nodes = _concept_nodes(BoolMatrix(bits))
+            if nodes:
+                assert _reference_rank(bits, nodes - 1)[-1] == "concept enumeration"
+            assert _reference_rank(bits, nodes)[-1] != "concept enumeration"
+
+    def test_solves_in_at_most_the_reference_node_count(self):
         rng = np.random.default_rng(1920)
+        fewer = 0
         for _ in range(40):
             side = rng.integers(8, 12)
             bits = (rng.random((side, side)) < 0.4).astype(np.uint8)
@@ -573,7 +600,54 @@ class TestSearchAgainstReference:
                     hi = mid
                 else:
                     lo = mid
-            assert hi == reference[3]
+            assert _outcome(m, hi) == reference[:3]
+            assert hi <= reference[3]
+            fewer += hi < reference[3]
+        assert fewer >= 35
+
+
+def _concept_nodes(m: BoolMatrix) -> int:
+    """The nodes concept enumeration takes: the smallest budget at which
+    `exact_boolean_rank` does not run out in that stage."""
+    lo, hi = -1, DEFAULT_MAX_SEARCH
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(m, mid)[-1] == "concept enumeration":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestFoolingSetBounds:
+    """Both stages' fooling-set lower bounds against the brute-force rank."""
+
+    def test_bounds_bracket_the_brute_force_rank(self):
+        rng = np.random.default_rng(2424)
+        pool = [np.zeros((4, 6)), np.zeros((6, 6)), np.ones((5, 6)), np.ones((6, 6))]
+        pool += [np.eye(d) for d in range(1, 6)]
+        for _ in range(300):
+            # one side at most 5, which keeps the brute force under its work cap
+            k, l = rng.integers(1, 6), rng.integers(1, 7)
+            bits = rng.random((k, l)) < rng.uniform(0.1, 0.9)
+            pool.append(bits.T if rng.random() < 0.5 else bits)
+        search_stage = 0
+        for bits in pool:
+            m = BoolMatrix(bits.astype(np.uint8))
+            # the brute force enumerates row patterns: give it the shorter side
+            oracle = m if bits.shape[0] <= bits.shape[1] else BoolMatrix(m.bits.T)
+            rank = next(r for r in itertools.count() if optimal_error_at_rank(oracle, r) == 0)
+            assert _fooling_set_size(m) <= rank, bits.shape
+            # at the concept nodes the search stage runs out at its root
+            for budget in (0, 3, 17, _concept_nodes(m)):
+                try:
+                    solved, _ = exact_boolean_rank(m, max_search=budget)
+                except SearchBudgetError as exc:
+                    assert exc.lower_bound <= rank <= exc.upper_bound, (bits.shape, budget)
+                    search_stage += exc.stage == "exact rank search"
+                else:
+                    assert solved == rank, (bits.shape, budget)
+        assert search_stage >= 250
 
 
 class TestAssoParams:
