@@ -102,6 +102,11 @@ def _text_bits(line: str, n: int, where: str) -> np.ndarray:
     return np.frombuffer(line.encode(), dtype=np.uint8) - ord("0")
 
 
+def _bits_text(vec: np.ndarray) -> str:
+    """The inverse of `_text_bits`: a uint8 0/1 vector as a line of '0'/'1' characters."""
+    return (vec + ord("0")).tobytes().decode()
+
+
 def _bit_array(values, what: str) -> np.ndarray:
     """`values` as a read-only contiguous uint8 array.
 
@@ -177,7 +182,7 @@ class BoolMatrix:
         out = [f"# {c}" for c in comments]
         out += _label_lines(self.row_labels, self.col_labels)
         out.append(f"{self.rows} {self.cols}")
-        out.extend("".join(str(b) for b in row) for row in self.bits)
+        out.extend(map(_bits_text, self.bits))
         return "\n".join(out) + "\n"
 
     @classmethod

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolmat import (BoolMatrix, _bit_array, _check_labels, _label_lines,
+from .boolmat import (BoolMatrix, _bit_array, _bits_text, _check_labels, _label_lines,
                       _read_records, _text_bits, boolean_product, hamming_error)
 from .errors import (CapacityError, InputError, SearchBudgetError, check_integer, check_real,
                      is_integer)
@@ -190,8 +190,8 @@ class Factorization:
         out = _label_lines(self.row_labels, self.col_labels)
         out.append(f"{self.rank()} {self.shape[0]} {self.shape[1]} {self.error}")
         for q, r in self.pairs:
-            out.append("".join(str(b) for b in q))
-            out.append("".join(str(b) for b in r))
+            out.append(_bits_text(q))
+            out.append(_bits_text(r))
         return "\n".join(out) + "\n"
 
     @classmethod
@@ -239,6 +239,12 @@ def write_factorization(f: Factorization, path) -> None:
 def _pack(bits: np.ndarray) -> int:
     """The 0/1 vector `bits` as an int whose bit i is entry i."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack(mask: int, n: int) -> np.ndarray:
+    """The inverse of `_pack`: a 0/1 vector of length n whose entry i is bit i of `mask`."""
+    packed = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 def _set_bits(mask: int):
@@ -472,9 +478,7 @@ def exact_boolean_rank(
     for idx in sorted(best, key=lambda i: (covers[i][1], covers[i][2])):
         mask, rows, cols = covers[idx]
         cells |= mask
-        q = np.array([(rows >> i) & 1 for i in range(k)], dtype=np.uint8)
-        r = np.array([(cols >> j) & 1 for j in range(l)], dtype=np.uint8)
-        pairs.append((q, r))
+        pairs.append((_unpack(rows, k), _unpack(cols, l)))
     assert cells == ones_mask
     return len(pairs), Factorization(tuple(pairs), (k, l), p.row_labels, p.col_labels, 0, p)
 

@@ -11,13 +11,12 @@ groundings comes first: an atom it derives becomes known exactly like
 evidence.  Each residual is compiled to a table of log factors; within one
 conditioning, residuals of the same shape (the same formula once their
 atoms are renamed in id order) and the same weight share one table.
-`Atom` objects are built only for the atoms left open and the atoms unit
-propagation derives.  Worlds assign a truth value to every ground atom
-that evidence and unit propagation leave open; each satisfied grounding of
-a weighted formula multiplies the world weight by e^w, and hard formulas
-filter worlds outright (they never down-weight).  Exact queries enumerate
-those worlds in log space and serve as the correctness oracle for
-everything built on top.
+`Atom` objects are built only for the atoms left open.  Worlds assign a
+truth value to every ground atom that evidence and unit propagation leave
+open; each satisfied grounding of a weighted formula multiplies the world
+weight by e^w, and hard formulas filter worlds outright (they never
+down-weight).  Exact queries enumerate those worlds in log space and
+serve as the correctness oracle for everything built on top.
 """
 from __future__ import annotations
 
@@ -583,7 +582,6 @@ class _AtomIds:
             self.count += len(domain) ** arity
         self._names = sorted(self.layout)
         self._offsets = [self.layout[name][0] for name in self._names]
-        self._arguments: dict[int, list[tuple[str, ...]]] = {}  # arity -> in id order
 
     def check(self, f: Formula, where: str) -> None:
         """InputError, naming what is wrong, unless each atom of `f` is over the signature."""
@@ -615,12 +613,10 @@ class _AtomIds:
     def atom(self, atom_id: int) -> Atom:
         name = self._names[bisect.bisect_right(self._offsets, atom_id) - 1]
         offset, arity = self.layout[name]
-        arguments = self._arguments.get(arity)
-        if arguments is None:
-            arguments = self._arguments[arity] = list(
-                itertools.product(self.domain, repeat=arity)
-            )
-        return Atom(name, arguments[atom_id - offset])
+        value, m, args = atom_id - offset, len(self.domain), [None] * arity
+        for j in range(arity - 1, -1, -1):  # base-m digits, the last argument least significant
+            value, args[j] = divmod(value, m)
+        return Atom(name, tuple(self.domain[k] for k in args))
 
     def known(self, evidence: EvidenceSet) -> list[bool | None]:
         """The evidence as a list indexed by atom id, None where unassigned;
@@ -870,10 +866,11 @@ def constant_symmetry_classes(model: Model, evidence: EvidenceSet) -> tuple[tupl
 class Conditioned:
     """The groundings with their known atoms folded out, compiled once.
 
-    `known` is the given evidence plus every atom that unit propagation
-    over the hard groundings derives from it: a hard grounding left with
-    one open atom and one allowed value for it fixes that atom, exactly as
-    evidence does, and every world of positive weight agrees with it.
+    `known`, indexed by atom id, holds the given evidence plus every atom
+    that unit propagation over the hard groundings derives from it, and
+    None where an atom is open: a hard grounding left with one open atom
+    and one allowed value for it fixes that atom, exactly as evidence
+    does, and every world of positive weight agrees with it.
     `atoms` is every other ground atom of the signature, the atoms left
     open, in atom id order; compiled formulas index into it.  `formulas`
     is `hard` then `weighted`, and `blanket[i]` lists the positions in
@@ -884,7 +881,7 @@ class Conditioned:
     """
 
     model: Model
-    known: Mapping[Atom, bool]
+    known: list[bool | None]
     atoms: tuple[Atom, ...]
     index: Mapping[Atom, int]
     weighted: tuple[_CompiledFormula, ...]
@@ -1053,10 +1050,11 @@ class Conditioned:
         open_queries: list[Atom] = []
         for atom in queries:
             self.model.check_formula(atom, "query")
-            if atom in self.known:
-                fixed[atom] = 1.0 if self.known[atom] else 0.0
-            else:
+            value = self.known[self.model._ids.id_of(atom)]
+            if value is None:
                 open_queries.append(atom)
+            else:
+                fixed[atom] = 1.0 if value else 0.0
         return fixed, open_queries
 
 
@@ -1079,7 +1077,7 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     model = grounding.model
     ids = model._ids
     known = ids.known(evidence)
-    residual_hard, derived = _unit_propagate(grounding.hard, known, ids)
+    residual_hard = _unit_propagate(grounding.hard, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]
     dense = np.full(ids.count, -1)  # atom id -> index in `atoms`, -1 if known
     dense[open_ids] = np.arange(len(open_ids))
@@ -1114,27 +1112,23 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
-    known_atoms = dict(evidence.items())
-    known_atoms.update((ids.atom(i), known[i]) for i in derived)
     return Conditioned(
-        model, known_atoms, atoms, dict(zip(atoms, range(len(atoms)))), tuple(weighted),
+        model, known, atoms, dict(zip(atoms, range(len(atoms)))), tuple(weighted),
         tuple(hard), const_log_weight, formulas, tuple(map(tuple, blanket)), relabeling,
     )
 
 
 def _unit_propagate(
     hard: Sequence[tuple[object, tuple[int, ...]]], known: list[bool | None], ids: _AtomIds
-) -> tuple[list, list[int]]:
+) -> list:
     """Unit propagation to a fixed point: a hard grounding left with one
     open atom and one allowed value for it sets that atom in `known`, just
     as evidence does.  Returns every grounding's residual under the final
-    `known` and the ids of the atoms set, in the order they were derived.
-    Raises when a grounding admits no value: then no world satisfies the
-    evidence and the hard formulas.  A grounding watches the atoms of its
-    first residual, a superset of every later one."""
+    `known`.  Raises when a grounding admits no value: then no world
+    satisfies the evidence and the hard formulas.  A grounding watches the
+    atoms of its first residual, a superset of every later one."""
     watchers: dict[int, list[int]] = {}
     residual: list = [None] * len(hard)
-    derived: list[int] = []
     pending = list(range(len(hard)))
     while pending:
         k = pending.pop()
@@ -1165,10 +1159,9 @@ def _unit_propagate(
             )
         if len(allowed) == 1:
             atom_id, known[atom_id] = allowed[0]
-            derived.append(atom_id)
             residual[k] = True
             pending.extend(j for j in watchers[atom_id] if j != k)
-    return residual, derived
+    return residual
 
 
 # --- exact inference by enumeration ---------------------------------------

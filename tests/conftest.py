@@ -22,6 +22,12 @@ EXAMPLE_Q = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint
 EXAMPLE_R = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8)
 
 
+def _known_atoms(cond) -> dict:
+    """`cond.known`, indexed by atom id, as a mapping from each known atom to its value."""
+    ids = cond.model._ids
+    return {ids.atom(i): v for i, v in enumerate(cond.known) if v is not None}
+
+
 @pytest.fixture
 def example_matrix() -> BoolMatrix:
     return BoolMatrix(EXAMPLE_P, LABELS, LABELS)

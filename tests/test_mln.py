@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from liftbmf.reduction import (
 )
 from liftbmf.sampler import ChainConfig, _class_permutation, _class_positions, estimate_marginals
 
+from conftest import _known_atoms
 from test_reduction import CLASS_INSTANCE_KINDS, _random_class_instance
 
 PEER_MODEL = """
@@ -970,7 +973,7 @@ class TestUnitPropagation:
             for atom in free:
                 oracle = sum(w for lookup, w in worlds if lookup[atom]) / z
                 assert exact[atom] == pytest.approx(oracle, abs=1e-12)
-            derived = {a: v for a, v in cond.known.items() if a not in evidence}
+            derived = {a: v for a, v in _known_atoms(cond).items() if a not in evidence}
             for atom, value in derived.items():
                 # every world of positive mass agrees with the derived value
                 assert exact[atom] == value
@@ -986,7 +989,8 @@ class TestUnitPropagation:
             "hard s(a)\nhard s(X) => t(X)\nhard t(X) => u(X)\nhard u(X) v v0(X)\n"
         )
         cond = ground(model).condition(EvidenceSet())
-        assert {a.pred: v for a, v in cond.known.items()} == {"s": True, "t": True, "u": True}
+        known = {a.pred: v for a, v in _known_atoms(cond).items()}
+        assert known == {"s": True, "t": True, "u": True}
         assert cond.atoms == (Atom("v0", ("a",)),)
 
     def test_planted_8_8_reduced_side_enumerates_only_open_atoms(self):
@@ -995,7 +999,7 @@ class TestUnitPropagation:
         result = encode_evidence("p", witness, model.predicates)
         extended = extend_model(model, result)
         cond = ground(extended).condition(result.unary_evidence)
-        assert sum(a.pred == "p" for a in cond.known) == 256
+        assert sum(a.pred == "p" for a in _known_atoms(cond)) == 256
         assert cond.atoms == queries
         lhs = exact_marginals(model, matrix_to_evidence("p", matrix), queries)
         rhs = exact_marginals(extended, result.unary_evidence, queries)
@@ -1173,7 +1177,7 @@ def _compiled_record(model, evidence):
 def _compiled_fields(cond):
     return (
         cond.atoms,
-        sorted((repr(a), v) for a, v in cond.known.items()),
+        sorted((repr(a), v) for a, v in _known_atoms(cond).items()),
         cond.const_log_weight.hex(),
         len(cond.hard),
         cond.blanket,
@@ -1393,8 +1397,8 @@ def _tree_condition(model, evidence):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
     return Conditioned(
-        model, known, atoms, index, tuple(weighted), tuple(hard), const_log_weight,
-        formulas, tuple(map(tuple, blanket)), relabeling,
+        model, [known.get(a) for a in model.all_atoms()], atoms, index, tuple(weighted),
+        tuple(hard), const_log_weight, formulas, tuple(map(tuple, blanket)), relabeling,
     )
 
 
@@ -1775,3 +1779,32 @@ class TestOneLayoutPerModel:
             assert model._ids.id_of(atom) is None
             with pytest.raises(InputError, match=re.escape(f"evidence: {message}")):
                 ground(model).condition(EvidenceSet({atom: True}))
+
+    def test_conditioning_builds_atoms_only_for_open_atoms(self, monkeypatch):
+        # the reduced side derives all 256 p atoms and leaves the 16 s atoms open
+        model, matrix, queries = planted_symmetry_instance((8, 8))
+        reduced, evidence = _reduction_sides(model, matrix)[1]
+        grounding = ground(reduced)
+        decoded = []
+        decode = mln._AtomIds.atom
+        monkeypatch.setattr(mln._AtomIds, "atom",
+                            lambda ids, atom_id: decoded.append(atom_id) or decode(ids, atom_id))
+        cond = grounding.condition(evidence)
+        assert cond.atoms == queries
+        assert decoded == [reduced._ids.id_of(atom) for atom in cond.atoms]
+
+    def test_decoding_an_atom_keeps_nothing_in_the_layout(self):
+        model = parse_model(
+            "domain = " + ", ".join(f"c{k}" for k in range(60)) + "\npred t/3\npred s/1\n"
+        )
+        atom = Atom("t", ("c59", "c0", "c7"))
+        atom_id = model._ids.id_of(atom)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert model._ids.atom(atom_id) == atom
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
