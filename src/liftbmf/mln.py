@@ -15,8 +15,8 @@ atoms are renamed in id order) and the same weight share one table.
 truth value to every ground atom that evidence and unit propagation leave
 open; each satisfied grounding of a weighted formula multiplies the world
 weight by e^w, and hard formulas filter worlds outright (they never
-down-weight).  Exact queries enumerate those worlds in log space and
-serve as the correctness oracle for everything built on top.
+down-weight).  Exact queries enumerate those worlds in log space, adding each
+table to a chunk of them as one strided view: the oracle for all built on top.
 """
 from __future__ import annotations
 
@@ -93,7 +93,17 @@ Formula = Atom | Not | And | Or | Implies | Iff
 
 
 def is_variable(token: str) -> bool:
-    return token[0].isupper()
+    return isinstance(token, str) and token[:1].isupper()
+
+
+def _check_ground(atom: Atom, kind: str) -> None:
+    """InputError unless each argument of `atom` is a nonempty string and no variable."""
+    for arg in atom.args:
+        if not (isinstance(arg, str) and arg):
+            raise InputError(f"{kind}: argument {arg!r} of {atom.pred} is not a name")
+    for arg in atom.args:
+        if is_variable(arg):
+            raise InputError(f"{kind} atom {format_atom(atom)} is not ground")
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -439,13 +449,11 @@ class EvidenceSet:
             self.assign(atom, value)
 
     def assign(self, atom: Atom, value: bool) -> None:
+        _check_ground(atom, "evidence")
         if not isinstance(value, (bool, np.bool_)):
             raise InputError(f"value of {format_atom(atom)} must be a bool, got {value!r}")
         if atom in self._assignments:
             raise InputError(f"atom {format_atom(atom)} assigned twice")
-        for arg in atom.args:
-            if is_variable(arg):
-                raise InputError(f"evidence atom {format_atom(atom)} is not ground")
         self._assignments[atom] = bool(value)
 
     def get(self, atom: Atom, default=None):
@@ -796,17 +804,12 @@ class _CompiledFormula:
     # weighted grounding holds, else 0; 0 where a hard one holds, else -inf
     log_table: np.ndarray
 
-    def packed(self, column):
-        """Index into `log_table` of one world or a batch: `column[i]` holds
-        atom i's value(s) as Python ints or int64, since narrower types
-        overflow the index past 8 atoms."""
-        packed = column[self.atom_ids[0]]
-        for pos, atom_id in enumerate(self.atom_ids[1:], 1):
-            packed = packed | column[atom_id] << pos
-        return packed
+    def packed(self, column) -> int:
+        """Index into `log_table` of one world, `column[i]` atom i's value, 0 or 1."""
+        return sum(column[atom_id] << pos for pos, atom_id in enumerate(self.atom_ids))
 
-    def log_factor(self, column):
-        """Log factor in one world or a batch (see `packed`)."""
+    def log_factor(self, column) -> float:
+        """Log factor in one world (see `packed`)."""
         return self.log_table[self.packed(column)]
 
 
@@ -891,18 +894,6 @@ class Conditioned:
     blanket: tuple[tuple[int, ...], ...]
     relabeling: tuple[np.ndarray, ...]
 
-    def log_weights(self, column, shape) -> np.ndarray:
-        """Log weights of the worlds `column` describes (see
-        `_CompiledFormula.log_factor`), -inf where a hard grounding fails.
-
-        Factors are added one formula at a time in compiled order, so a
-        world gets the same float whether evaluated alone or in a batch.
-        """
-        logw = np.full(shape, self.const_log_weight)
-        for comp in self.formulas:
-            logw += comp.log_factor(column)
-        return logw
-
     def _column(self, values) -> list[int]:
         """A world as a list of 0/1 ints, one per open atom in `atoms` order;
         InputError for any other shape, for a dtype other than integer or
@@ -921,8 +912,12 @@ class Conditioned:
         return column
 
     def log_weight(self, values) -> float:
-        """Log weight of a world; -inf when a hard grounding is violated."""
-        return float(self.log_weights(self._column(values), ()))
+        """Log weight of a world, -inf if a hard grounding fails; factors added in compiled order."""
+        column = self._column(values)
+        logw = self.const_log_weight
+        for comp in self.formulas:
+            logw += comp.log_factor(column)
+        return float(logw)
 
     @cached_property
     def _plans(self) -> tuple[tuple[tuple[memoryview, int, tuple[tuple[int, int], ...]], ...], ...]:
@@ -1049,6 +1044,7 @@ class Conditioned:
         fixed: dict[Atom, float] = {}
         open_queries: list[Atom] = []
         for atom in queries:
+            _check_ground(atom, "query")
             self.model.check_formula(atom, "query")
             value = self.known[self.model._ids.id_of(atom)]
             if value is None:
@@ -1169,14 +1165,27 @@ def _unit_propagate(
 _CHUNK_BITS = 18
 
 
-def _world_chunks(cond: Conditioned, atom_ids: Sequence[int]):
-    """Every assignment to `atom_ids`, 2^_CHUNK_BITS worlds at a time: yields
-    (columns, log weights), world w setting atom_ids[b] to bit b of w."""
-    total = 1 << len(atom_ids)
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
-        columns = {atom_id: (idx >> pos) & 1 for pos, atom_id in enumerate(atom_ids)}
-        yield columns, cond.log_weights(columns, idx.shape)
+def _chunk_log_weights(cond: Conditioned, bit: Mapping[int, int] | Sequence[int]):
+    """Log weights of every world, world w setting each formula atom a to bit bit[a] of
+    w, 2^_CHUNK_BITS worlds at a time: yields (first, logw), logw[j] that of world
+    first + j.  Each table is added as a view whose axis ~b holds bit b: its r-th
+    atom's axis steps 1 << r entries, or moves the view's start if a high bit, other
+    axes none.  Added in compiled order, so each float is `log_weight`'s."""
+    n = len(bit)
+    low = min(n, _CHUNK_BITS)
+    shape = (2,) * low
+    for first in range(0, 1 << n, 1 << low):
+        logw = np.full(shape, cond.const_log_weight)
+        for comp in cond.formulas:
+            offset, strides = 0, [0] * low
+            for r, atom_id in enumerate(comp.atom_ids):
+                b = bit[atom_id]
+                if b < low:
+                    strides[~b] = 8 << r  # in bytes, 8 per float64 entry
+                elif first >> b & 1:
+                    offset += 8 << r
+            logw += np.ndarray(shape, np.float64, comp.log_table, offset, strides)
+        yield first, logw.reshape(-1)
 
 
 def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int) -> np.ndarray:
@@ -1190,20 +1199,21 @@ def _enumerate(cond: Conditioned, query_ids: Sequence[int], atom_cap: int) -> np
         raise CapacityError(
             f"{len(active)} enumerated atoms exceed the cap of {atom_cap}"
         )
+    bit = dict(zip(active, range(len(active))))
     pieces: list[tuple[float, float, np.ndarray]] = []  # (shift, sum, query sums)
-    for columns, logw in _world_chunks(cond, active):
+    for first, logw in _chunk_log_weights(cond, bit):
         mask = logw > -np.inf
         if mask.any():
             logw = logw[mask]
             shift = float(logw.max())
             weights = np.exp(logw - shift)
             total = float(weights.sum())
+            idx = np.arange(first, first + len(mask), dtype=np.int64)
             qsums = np.array([
-                weights[columns[q][mask].astype(bool)].sum() if q in columns else 0.5 * total
-                for q in query_ids
+                weights[((idx >> bit[q]) & 1)[mask].astype(bool)].sum() if q in bit
+                else 0.5 * total for q in query_ids
             ])
             pieces.append((shift, total, qsums))
-        del columns  # free this chunk's columns before the next chunk builds its own
     if not pieces:
         raise InconsistencyError("evidence and hard formulas admit no world")
     # every kept chunk holds a world of weight exp(0) = 1, so z >= 1
@@ -1269,7 +1279,7 @@ def enumerate_world_distribution(
     n = len(cond.atoms)
     if n > atom_cap:
         raise CapacityError(f"{n} atoms exceed the world-distribution cap of {atom_cap}")
-    logw = np.concatenate([logw for _, logw in _world_chunks(cond, range(n))])
+    logw = np.concatenate([logw for _, logw in _chunk_log_weights(cond, range(n))])
     shift = logw.max()
     if shift == -np.inf:
         raise InconsistencyError("evidence and hard formulas admit no world")

@@ -783,6 +783,20 @@ class TestEnumeration:
         for atom, p in zip(queries, expected):
             assert marg[atom] == pytest.approx(p, abs=1e-12)
 
+    def test_exact_marginals_peak_memory(self):
+        # 19 active atoms, two chunks of 2^18 worlds: 82.3 MB traced at peak
+        # when each chunk built an int64 column per atom, 12.3 MB since the
+        # log tables are added as views and a column is built per query
+        model, matrix, queries = planted_symmetry_instance((10, 9))
+        evidence = matrix_to_evidence("p", matrix)
+        tracemalloc.start()
+        try:
+            exact_marginals(model, evidence, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
     def test_evidence_atoms_are_substituted_out(self):
         model = parse_model(PEER_MODEL)
         ev = parse_evidence("linkto(a,b)\n", model)
@@ -1239,6 +1253,94 @@ def _small_pools():
     yield from _reduction_sides(model, matrix)
 
 
+def _active(cond):
+    return [i for i, near in enumerate(cond.blanket) if near]
+
+
+def _chunked(cond, atom_ids):
+    """Every chunk of `mln._chunk_log_weights`, world w setting atom_ids[b] to bit b
+    of w, as (first, logw) pairs."""
+    bit = dict(zip(atom_ids, range(len(atom_ids))))
+    return [(first, logw.copy()) for first, logw in mln._chunk_log_weights(cond, bit)]
+
+
+# Before the first chunk, every world violates `s(c) v s(d)`: the open atoms
+# are s(a), ..., s(d), in id order, and two bits make a chunk.
+INFEASIBLE_FIRST_CHUNK = """
+domain = a, b, c, d
+pred s/1
+pred p/2
+0.7 s(X) ^ p(X,Y) => s(Y)
+-0.4 s(X)
+hard s(c) v s(d)
+"""
+
+
+class TestChunkedEnumeration:
+    """Chunks of a few worlds, so that most atoms are high bits of a chunk,
+    against the single-world evaluator and against one whole chunk."""
+
+    @pytest.mark.parametrize("pool", [_equivalence_pool, _propagation_pool, _class_pool,
+                                      _small_pools])
+    def test_pool_worlds_and_marginals(self, pool, monkeypatch):
+        checked = 0
+        for model, evidence in pool():
+            try:
+                cond = ground(model).condition(evidence)
+            except InconsistencyError:
+                continue
+            active = _active(cond)
+            if not 3 <= len(active) <= 8:
+                continue
+            whole = _chunked(cond, active)
+            queries = [cond.atoms[i] for i in active]
+            try:
+                expected = exact_marginals(model, evidence, queries)
+            except InconsistencyError:
+                expected = None
+            monkeypatch.setattr(mln, "_CHUNK_BITS", 2)
+            chunks = _chunked(cond, active)
+            assert [first for first, _ in chunks] == list(range(0, 1 << len(active), 4))
+            logw = np.concatenate([logw for _, logw in chunks])
+            assert logw.tobytes() == whole[0][1].tobytes()
+            world = np.zeros(len(cond.atoms), dtype=np.int64)
+            for w in range(1 << len(active)):
+                world[active] = [w >> b & 1 for b in range(len(active))]
+                assert logw[w].hex() == cond.log_weight(world).hex()
+            if expected is None:
+                with pytest.raises(InconsistencyError):
+                    exact_marginals(model, evidence, queries)
+            else:
+                got = exact_marginals(model, evidence, queries)
+                for q in queries:
+                    assert got[q] == pytest.approx(expected[q], abs=1e-12)
+            monkeypatch.undo()
+            checked += 1
+        assert checked > 0
+
+    def test_skips_a_first_chunk_without_a_feasible_world(self, monkeypatch):
+        model = parse_model(INFEASIBLE_FIRST_CHUNK)
+        links = {("a", "b"), ("b", "c"), ("c", "d")}
+        evidence = EvidenceSet((atom, atom.args in links) for atom in model.all_atoms()
+                               if atom.pred == "p")
+        cond = ground(model).condition(evidence)
+        assert cond.atoms == tuple(Atom("s", (c,)) for c in "abcd")
+        queries = cond.atoms
+        expected = exact_marginals(model, evidence, queries)
+        monkeypatch.setattr(mln, "_CHUNK_BITS", 2)
+        chunks = _chunked(cond, _active(cond))
+        assert len(chunks) == 4
+        assert (chunks[0][1] == -np.inf).all()
+        assert all(np.isfinite(logw).all() for _, logw in chunks[1:])
+        for first, logw in chunks:
+            for j in range(4):
+                world = [(first + j) >> b & 1 for b in range(4)]
+                assert logw[j].hex() == cond.log_weight(world).hex()
+        got = exact_marginals(model, evidence, queries)
+        for q in queries:
+            assert got[q] == pytest.approx(expected[q], abs=1e-12)
+
+
 class TestPinnedCompiledModel:
     """The compiled model of every instance in four pools, recorded when
     conditioning still built one substituted formula tree per grounding."""
@@ -1674,6 +1776,36 @@ class TestEvidenceSet:
         with pytest.raises(InputError, match=r"evidence atom q\(Y\) is not ground"):
             EvidenceSet({Atom("q", ("Y",)): False})
 
+    @pytest.mark.parametrize("args", [(1,), ("a", None), ("",), ("X", 1)])
+    def test_evidence_arguments_must_be_names(self, args):
+        # a non-string argument once raised TypeError from `is_variable`
+        bad = next(arg for arg in args if not (isinstance(arg, str) and arg))
+        message = re.escape(f"evidence: argument {bad!r} of p is not a name")
+        with pytest.raises(InputError, match=message):
+            EvidenceSet().assign(Atom("p", args), True)
+        with pytest.raises(InputError, match=message):
+            EvidenceSet({Atom("p", args): "not a bool either"})
+
+
+class TestQueryRefusals:
+    """Malformed query atoms are refused with InputError before anything is
+    enumerated or sampled; exact and Gibbs inference once raised TypeError."""
+
+    @pytest.mark.parametrize("infer", [
+        lambda model, queries: exact_marginals(model, EvidenceSet(), queries),
+        lambda model, queries: estimate_marginals(model, EvidenceSet(), queries, ChainConfig(5)),
+    ], ids=["exact", "gibbs"])
+    @pytest.mark.parametrize("query, message", [
+        (Atom("studentpage", ("X",)), "query atom studentpage(X) is not ground"),
+        (Atom("linkto", ("a", "Y")), "query atom linkto(a, Y) is not ground"),
+        (Atom("studentpage", (1,)), "query: argument 1 of studentpage is not a name"),
+        (Atom("linkto", ("X", None)), "query: argument None of linkto is not a name"),
+    ])
+    def test_malformed_queries(self, infer, query, message):
+        model = parse_model(PEER_MODEL)
+        with pytest.raises(InputError, match=re.escape(message)):
+            infer(model, [Atom("studentpage", ("a",)), query])
+
 
 class TestModelRefusals:
     def test_duplicate_constants(self):
@@ -1688,6 +1820,13 @@ class TestModelRefusals:
             Model(("a", name), {})
         with pytest.raises(InputError, match=re.escape(f"invalid predicate name {name!r}")):
             Model(("a",), {"q": 1, name: 1})
+
+    @pytest.mark.parametrize("arg", [1, "", None])
+    def test_non_name_argument_in_a_formula(self, arg):
+        # no variable, so an unknown constant; `is_variable` once raised TypeError
+        with pytest.raises(InputError, match=re.escape(
+                f"weighted formula: unknown constant {arg!r}")):
+            Model(("a",), {"q": 1}, ((0.5, Atom("q", (arg,))),))
 
     def test_v_is_reserved_for_predicates_only(self):
         with pytest.raises(InputError, match="'v' is reserved for disjunction"):
