@@ -43,6 +43,7 @@ __all__ = [
 DEFAULT_SIZE_CAP = 400
 DEFAULT_MAX_SEARCH = 2_000_000
 _F32_ROWS = 1 << 23  # rows per float32 block of the ASSO column overlaps
+_ORACLE_WORK_CAP = 50_000_000  # elementary comparisons of `optimal_error_at_rank`
 
 
 @dataclass(frozen=True)
@@ -563,18 +564,17 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
 # --- exhaustive oracle ---------------------------------------------------
 
 
-def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) -> int:
+def optimal_error_at_rank(p: BoolMatrix, rank: int) -> int:
     """Minimum Hamming error of any rank-`rank` factorization, by brute force.
 
     Enumerates every choice of `rank` distinct nonzero row patterns for the
     Q side; for a fixed Q the best R follows column by column from the
     OR-closure of the chosen patterns.  Independent of both solvers above,
-    so it can referee them.  Refuses work beyond `work_cap` elementary
-    comparisons.
+    so it can referee them.  Refuses work beyond `_ORACLE_WORK_CAP`
+    elementary comparisons, read at each call.
     """
     k, l = p.shape
     check_integer(rank, "rank", 0)
-    check_integer(work_cap, "work_cap", 0)
     if rank == 0:
         return p.ones()
     if k > 20:
@@ -583,10 +583,10 @@ def optimal_error_at_rank(p: BoolMatrix, rank: int, work_cap: int = 50_000_000) 
     rank = min(rank, min(k, l))
     n_combos = math.comb(n_patterns, rank)
     work = n_combos * (1 << rank) * l
-    if work > work_cap:
+    if work > _ORACLE_WORK_CAP:
         raise CapacityError(
             f"exhaustive search at rank {rank} needs ~{work} comparisons "
-            f"(cap {work_cap})"
+            f"(cap {_ORACLE_WORK_CAP})"
         )
 
     pop = np.zeros(1 << k, dtype=np.int64)

@@ -46,8 +46,11 @@ __all__ = [
 
 DEFAULT_ATOM_CAP = 24
 DEFAULT_GROUND_CAP = 1_000_000
+_WORLD_ATOM_CAP = 16  # atoms whose whole world distribution is built or counted
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The one name grammar, of predicates, constants and variables.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
 
 # --- formulas ------------------------------------------------------------
@@ -196,23 +199,18 @@ def format_formula(f: Formula) -> str:
 
 # --- parsing -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"=>|<=>|[()!,^]|[A-Za-z_][A-Za-z0-9_]*")
+# A token after optional whitespace, or else the one character that starts no token.
+_TOKEN_RE = re.compile(rf"\s*(?:(=>|<=>|[()!,^]|{_NAME})|(\S))")
 
 
 class _Parser:
     def __init__(self, text: str, where: str):
         self.where = where
         self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise InputError(f"{where}: unexpected character {text[pos]!r}")
-            self.tokens.append(m.group())
-            pos = m.end()
+        for tok, bad in _TOKEN_RE.findall(text):
+            if bad:
+                raise InputError(f"{where}: unexpected character {bad!r}")
+            self.tokens.append(tok)
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -307,8 +305,8 @@ def parse_formula(text: str, model: "Model | None" = None, where: str = "formula
 # The common form of a literal, `!?name(c1, ..., ck)` with spaces and tabs
 # around its tokens; the groups are the "!", the name and the arguments.
 _LITERAL_RE = re.compile(
-    r"[ \t]*(!?)[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]*"
-    r"(?:\([ \t]*([A-Za-z_][A-Za-z0-9_]*(?:[ \t]*,[ \t]*[A-Za-z_][A-Za-z0-9_]*)*)?[ \t]*\))?[ \t]*"
+    rf"[ \t]*(!?)[ \t]*({_NAME})[ \t]*"
+    rf"(?:\([ \t]*({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)?[ \t]*\))?[ \t]*"
 )
 
 
@@ -409,13 +407,8 @@ class Model:
         """Every ground atom of the signature, in atom id order (see `_AtomIds`)."""
         return tuple(map(self._ids.atom, range(self._ids.count)))
 
-    def extended(
-        self,
-        predicates: Mapping[str, int] = (),
-        weighted: Iterable[tuple[float, Formula]] = (),
-        hard: Iterable[Formula] = (),
-    ) -> "Model":
-        """A new model with extra predicates and formulas appended."""
+    def extended(self, predicates: Mapping[str, int] = (), hard: Iterable[Formula] = ()) -> "Model":
+        """A new model with extra predicates and hard formulas appended."""
         preds = dict(self.predicates)
         for name, arity in dict(predicates).items():
             if name in preds:
@@ -424,7 +417,7 @@ class Model:
         return Model(
             self.domain,
             preds,
-            self.weighted_formulas + tuple(weighted),
+            self.weighted_formulas,
             self.hard_formulas + tuple(hard),
         )
 
@@ -769,23 +762,23 @@ class Grounding:
         return _condition(self, evidence)
 
 
-def ground(model: Model, ground_cap: int = DEFAULT_GROUND_CAP) -> Grounding:
+def ground(model: Model) -> Grounding:
     """One grounding per formula and binding of its variables over the
     domain, bindings in `itertools.product` order; each formula's template
     is built once.  CapacityError when the groundings, or the ground atoms
     of the signature (the sum over predicates of m^arity, every one of
-    which conditioning gives a place), number more than `ground_cap`."""
-    check_integer(ground_cap, "ground_cap", 0)
+    which conditioning gives a place), number more than `DEFAULT_GROUND_CAP`,
+    read at each call."""
     m = len(model.domain)
     if m == 0:
         raise InputError("cannot ground a model with an empty domain")
     ids = model._ids
-    if ids.count > ground_cap:
-        raise CapacityError(f"{ids.count} ground atoms exceed the cap of {ground_cap}")
+    if ids.count > DEFAULT_GROUND_CAP:
+        raise CapacityError(f"{ids.count} ground atoms exceed the cap of {DEFAULT_GROUND_CAP}")
     formulas = [f for _, f in model.weighted_formulas] + list(model.hard_formulas)
     total = sum(m ** len(free_variables(f)) for f in formulas)
-    if total > ground_cap:
-        raise CapacityError(f"{total} groundings exceed the cap of {ground_cap}")
+    if total > DEFAULT_GROUND_CAP:
+        raise CapacityError(f"{total} groundings exceed the cap of {DEFAULT_GROUND_CAP}")
 
     def groundings(f: Formula):
         variables = free_variables(f)
@@ -1231,15 +1224,15 @@ def exact_marginals(
     evidence: EvidenceSet,
     queries: Sequence[Atom],
     atom_cap: int = DEFAULT_ATOM_CAP,
-    ground_cap: int = DEFAULT_GROUND_CAP,
 ) -> dict[Atom, float]:
     """P(atom = true | evidence) for each query atom, by enumeration of the
     open atoms the compiled formulas touch; each answer is the same
     whatever else is queried with it.  Without hard formulas every world
     is feasible, so when no open query is in a blanket every answer is 1/2
-    and nothing is enumerated."""
+    and nothing is enumerated.  CapacityError when more than `atom_cap`
+    atoms would be enumerated, or when `ground` refuses the model."""
     check_integer(atom_cap, "atom_cap", 0)
-    cond = ground(model, ground_cap).condition(evidence)
+    cond = ground(model).condition(evidence)
     result, open_queries = cond.split_queries(queries)
     if cond.hard or any(cond.blanket[cond.index[a]] for a in open_queries):
         probs = _enumerate(cond, [cond.index[a] for a in open_queries], atom_cap)
@@ -1249,36 +1242,28 @@ def exact_marginals(
     return result
 
 
-def exact_query(
-    model: Model,
-    evidence: EvidenceSet,
-    query: tuple[Atom, bool] | Atom,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-    ground_cap: int = DEFAULT_GROUND_CAP,
-) -> float:
-    """Probability that the query literal holds given the evidence."""
+def exact_query(model: Model, evidence: EvidenceSet, query: tuple[Atom, bool] | Atom) -> float:
+    """Probability that the query literal holds given the evidence, by
+    `exact_marginals` at its default caps."""
     atom, value = query if isinstance(query, tuple) else (query, True)
-    p = exact_marginals(model, evidence, [atom], atom_cap, ground_cap)[atom]
+    p = exact_marginals(model, evidence, [atom])[atom]
     return p if value else 1.0 - p
 
 
 def enumerate_world_distribution(
-    model: Model,
-    evidence: EvidenceSet,
-    atom_cap: int = 16,
-    ground_cap: int = DEFAULT_GROUND_CAP,
+    model: Model, evidence: EvidenceSet
 ) -> tuple[tuple[Atom, ...], np.ndarray]:
     """Exact distribution over the worlds of the atoms that evidence and
     unit propagation leave open, indexed by packed atom bits.
 
-    Index w sets atoms[i] to bit i of w.  Only sensible for
-    small models; guarded by `atom_cap`.
+    Index w sets atoms[i] to bit i of w.  Only sensible for small models:
+    CapacityError over `_WORLD_ATOM_CAP` open atoms, read at each
+    call, or when `ground` refuses the model.
     """
-    check_integer(atom_cap, "atom_cap", 0)
-    cond = ground(model, ground_cap).condition(evidence)
+    cond = ground(model).condition(evidence)
     n = len(cond.atoms)
-    if n > atom_cap:
-        raise CapacityError(f"{n} atoms exceed the world-distribution cap of {atom_cap}")
+    if n > _WORLD_ATOM_CAP:
+        raise CapacityError(f"{n} atoms exceed the world-distribution cap of {_WORLD_ATOM_CAP}")
     logw = np.concatenate([logw for _, logw in _chunk_log_weights(cond, range(n))])
     shift = logw.max()
     if shift == -np.inf:

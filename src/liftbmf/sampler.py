@@ -12,7 +12,8 @@ A jump shuffles each class's position list in place, which draws what
 `rng.permutation` draws on the positions, and moves each value through
 `Conditioned._relabeled`, the code behind `relabeled`, which walks its
 two-part plan: the atoms of unary predicates, then the rest.  The classes
-read the evidence through the model's one atom layout, as conditioning does.
+read the evidence through the model's one atom layout, as conditioning does,
+and the chain maps them to domain positions through the layout's position map.
 
 An atom's conditional depends only on its blanket neighbours
 (`Conditioned._neighbours`), so a step packs their values into an int
@@ -48,8 +49,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, check_integer
-from .mln import (Atom, Conditioned, EvidenceSet, Model, constant_symmetry_classes, format_atom,
-                  ground)
+from .mln import (_WORLD_ATOM_CAP, Atom, Conditioned, EvidenceSet, Model,
+                  constant_symmetry_classes, format_atom, ground)
 
 __all__ = [
     "ChainConfig",
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 _BLOCK = 8192
+_WALKSAT_RESTARTS = 60
+_WALKSAT_FLIPS = 4000  # per restart
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,6 @@ class MarginalEstimate:
 # --- elementary chain moves ------------------------------------------------
 
 
-def _class_positions(domain: Sequence[str], classes: Sequence[Sequence[str]]) -> list[list[int]]:
-    """The domain positions of each class of two or more constants."""
-    position = {c: k for k, c in enumerate(domain)}
-    return [[position[c] for c in cls] for cls in classes if len(cls) > 1]
-
-
 @functools.cache
 def _identity(m: int) -> tuple[int, ...]:
     return tuple(range(m))
@@ -140,25 +137,22 @@ def _packed(world: Sequence[int]) -> int:
     return sum(v << i for i, v in enumerate(world))
 
 
-def find_consistent_world(
-    cond: Conditioned,
-    rng: np.random.Generator,
-    max_restarts: int = 60,
-    max_flips: int = 4000,
-) -> list[int]:
+def find_consistent_world(cond: Conditioned, rng: np.random.Generator) -> list[int]:
     """Random restarts plus WalkSAT-style repair over the hard formulas.
 
     Returns the chain's world, a list of 0/1 ints in `cond.atoms` order.
-    Gives up with CapacityError: running out of flips proves nothing.
+    Gives up with CapacityError after `_WALKSAT_RESTARTS` restarts of
+    `_WALKSAT_FLIPS` flips each, read at each call: running out of flips
+    proves nothing.
     """
     n = len(cond.atoms)
     flips = 0
-    for _ in range(max_restarts):
+    for _ in range(_WALKSAT_RESTARTS):
         values = rng.integers(0, 2, size=n).tolist()
         if not cond.hard:
             return values
         ok = [comp.log_factor(values) > -math.inf for comp in cond.hard]
-        for _ in range(max_flips):
+        for _ in range(_WALKSAT_FLIPS):
             violated = [k for k, good in enumerate(ok) if not good]
             if not violated:
                 return values
@@ -171,9 +165,8 @@ def find_consistent_world(
                 if k >= len(cond.hard):
                     break
                 ok[k] = cond.hard[k].log_factor(values) > -math.inf
-    raise CapacityError(
-        f"no world satisfying the hard formulas found in {flips} flips over {max_restarts} restarts"
-    )
+    raise CapacityError(f"no world satisfying the hard formulas found in {flips} flips"
+                        f" over {_WALKSAT_RESTARTS} restarts")
 
 
 # --- chain runner -----------------------------------------------------------
@@ -202,7 +195,7 @@ def estimate_marginals(
     burn_in = config.resolved_burn_in()
     use_orbital = config.orbital_move_probability > 0.0
     classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
-    class_positions = _class_positions(model.domain, classes)
+    class_positions = [[model._ids.position[c] for c in cls] for cls in classes if len(cls) > 1]
 
     streams = [
         np.random.default_rng(s)
@@ -226,8 +219,8 @@ def estimate_marginals(
     counts = None
     world_int = 0
     if collect_world_counts:
-        if n > 16:
-            raise InputError(f"world counting supports at most 16 atoms, got {n}")
+        if n > _WORLD_ATOM_CAP:
+            raise InputError(f"world counting supports at most {_WORLD_ATOM_CAP} atoms, got {n}")
         counts = [0] * (1 << n)
         world_int = _packed(world)
 

@@ -28,6 +28,12 @@ def _known_atoms(cond) -> dict:
     return {ids.atom(i): v for i, v in enumerate(cond.known) if v is not None}
 
 
+def _class_positions(domain, classes) -> list[list[int]]:
+    """The domain positions of each class of two or more constants."""
+    position = {c: k for k, c in enumerate(domain)}
+    return [[position[c] for c in cls] for cls in classes if len(cls) > 1]
+
+
 @pytest.fixture
 def example_matrix() -> BoolMatrix:
     return BoolMatrix(EXAMPLE_P, LABELS, LABELS)

@@ -29,10 +29,10 @@ from liftbmf.reduction import (
     matrix_to_evidence,
     symmetry_signature_classes,
 )
-from liftbmf.sampler import ChainConfig, _class_permutation, _class_positions, estimate_marginals
+from liftbmf.sampler import ChainConfig, _class_permutation, estimate_marginals
 from liftbmf.mln import ground
 
-from conftest import EXAMPLE_P, EXAMPLE_Q, EXAMPLE_R, LABELS
+from conftest import EXAMPLE_P, EXAMPLE_Q, EXAMPLE_R, LABELS, _class_positions
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

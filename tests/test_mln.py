@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,9 +45,9 @@ from liftbmf.reduction import (
     extend_model,
     matrix_to_evidence,
 )
-from liftbmf.sampler import ChainConfig, _class_permutation, _class_positions, estimate_marginals
+from liftbmf.sampler import ChainConfig, _class_permutation, estimate_marginals
 
-from conftest import _known_atoms
+from conftest import _class_positions, _known_atoms
 from test_reduction import CLASS_INSTANCE_KINDS, _random_class_instance
 
 PEER_MODEL = """
@@ -120,9 +121,11 @@ class TestParseModel:
         # `{w:g}` once wrote these as 1.23457 and 1.23457e+08
         s_a, s_b = Atom("studentpage", ("a",)), Atom("studentpage", ("b",))
         weights = [1.23456789, 123456789.0, -0.0, 5e-324, 0.1 + 0.2, 1e16, -2.5e-7]
-        exotic = model.extended(
-            weighted=[(w, s_a) for w in weights],
-            hard=[Or((s_a, Not(s_b))), Implies(s_b, Atom("linkto", ("b", "a")))],
+        exotic = Model(
+            model.domain,
+            model.predicates,
+            model.weighted_formulas + tuple((w, s_a) for w in weights),
+            model.hard_formulas + (Or((s_a, Not(s_b))), Implies(s_b, Atom("linkto", ("b", "a")))),
         )
         twin = parse_model(exotic.to_text())
         assert twin == exotic
@@ -329,6 +332,59 @@ class TestLiteralReader:
             assert parse_literal(text) == (atom, value)
 
 
+def _loop_tokens(text, where="formula"):
+    """Formula tokens as `_Parser` once read them: a loop that skips each
+    `str.isspace` character and matches one token at a time."""
+    token = re.compile(r"=>|<=>|[()!,^]|[A-Za-z_][A-Za-z0-9_]*")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = token.match(text, pos)
+        if not m:
+            raise InputError(f"{where}: unexpected character {text[pos]!r}")
+        tokens.append(m.group())
+        pos = m.end()
+    return tokens
+
+
+# Pieces of random formula texts: tokens, near-tokens and characters that
+# start none, Unicode spaces (U+00A0, U+2003, U+001C) and a digit that is
+# not ASCII among them.
+TOKEN_PIECES = (
+    "=>", "<=>", "<=", "=", "<", ">", "(", ")", "!", ",", "^", "v", "q", "p2", "_x", "X",
+    "a_b9", "9", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "\u0662", "\u00e9", "-", ".",
+)
+
+
+class TestTokenizer:
+    """`_Parser` reads its tokens with one regex scan; the old loop is the oracle."""
+
+    def _outcome(self, read, text):
+        try:
+            return "tokens", read(text)
+        except InputError as exc:
+            return "refused", str(exc)
+
+    def test_agrees_with_the_loop(self):
+        rng = np.random.default_rng(27)
+        refused = 0
+        for _ in range(20_000):
+            picks = rng.integers(len(TOKEN_PIECES), size=int(rng.integers(0, 12)))
+            text = "".join(TOKEN_PIECES[k] for k in picks)
+            want = self._outcome(_loop_tokens, text)
+            assert self._outcome(lambda t: mln._Parser(t, "formula").tokens, text) == want, text
+            refused += want[0] == "refused"
+        assert 0.3 < refused / 20_000 < 0.9
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # the scan skips `\s`, the loop skipped `str.isspace`
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
 class TestFormulaSyntax:
     @pytest.mark.parametrize(
         "text",
@@ -401,10 +457,11 @@ class TestGrounding:
         model = parse_model("domain = a, b\npred q/1\n0.7 q(a)\n")
         assert len(ground(model).weighted) == 1
 
-    def test_grounding_cap(self):
+    def test_grounding_cap(self, monkeypatch):
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 10)
         model = parse_model(PEER_MODEL)
         with pytest.raises(CapacityError, match="cap"):
-            ground(model, ground_cap=10)
+            ground(model)
 
 
 class TestExactQuery:
@@ -474,32 +531,23 @@ class TestExactQuery:
             "domain = a, b, c, d, e, f\npred p/2\n0.5 p(X,Y) => p(Y,X)\n"
         )
         with pytest.raises(CapacityError, match="cap"):
-            exact_query(model, EvidenceSet(), Atom("p", ("a", "b")), atom_cap=24)
+            exact_marginals(model, EvidenceSet(), [Atom("p", ("a", "b"))], atom_cap=24)
 
-    @pytest.mark.parametrize("caps", [{"atom_cap": -1}, {"ground_cap": -1}])
+    @pytest.mark.parametrize("caps", [{"atom_cap": -1}])
     def test_negative_caps_are_input_errors(self, caps):
         model = parse_model("domain = a\npred q/1\n")
         name = next(iter(caps))
         with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
-            exact_query(model, EvidenceSet(), Atom("q", ("a",)), **caps)
-        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
             exact_marginals(model, EvidenceSet(), [], **caps)
-        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
-            enumerate_world_distribution(model, EvidenceSet(), **caps)
 
     @pytest.mark.parametrize("cap", [2.5, True, -1])
-    @pytest.mark.parametrize("name", ["atom_cap", "ground_cap"])
+    @pytest.mark.parametrize("name", ["atom_cap"])
     def test_caps_must_be_non_negative_integers(self, name, cap):
-        # atom_cap=2.5 once answered, and ground_cap=-1 raised CapacityError
+        # atom_cap=2.5 once answered
         model = parse_model("domain = a\npred q/1\n")
         message = f"{name} must be an integer >= 0"
         with pytest.raises(InputError, match=message):
-            exact_query(model, EvidenceSet(), Atom("q", ("a",)), **{name: cap})
-        with pytest.raises(InputError, match=message):
-            enumerate_world_distribution(model, EvidenceSet(), **{name: cap})
-        if name == "ground_cap":
-            with pytest.raises(InputError, match=message):
-                ground(model, ground_cap=cap)
+            exact_marginals(model, EvidenceSet(), [Atom("q", ("a",))], **{name: cap})
 
     def test_renaming_invariance(self):
         # permuting two constants with identical evidence leaves the
@@ -1850,7 +1898,7 @@ class TestGroundingRefusals:
         with pytest.raises(InputError, match="cannot ground a model with an empty domain"):
             ground(Model((), {"q": 1, "r": 0}))
 
-    def test_ground_atoms_over_the_cap(self):
+    def test_ground_atoms_over_the_cap(self, monkeypatch):
         # one grounding, but conditioning gives each of the m^3 + m atoms a place
         s_c0 = Atom("s", ("c0",))
 
@@ -1859,12 +1907,16 @@ class TestGroundingRefusals:
 
         with pytest.raises(CapacityError, match="1000001000 ground atoms exceed the cap of 1000000"):
             ground(model(1000))
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 512_079)
         with pytest.raises(CapacityError, match="512080 ground atoms exceed the cap of 512079"):
-            ground(model(80), ground_cap=512_079)
-        assert len(ground(model(80), ground_cap=512_080).weighted) == 1
+            ground(model(80))
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 512_080)
+        assert len(ground(model(80)).weighted) == 1
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 1009)
         with pytest.raises(CapacityError, match="1010 ground atoms exceed the cap of 1009"):
-            exact_marginals(model(10), EvidenceSet(), [s_c0], ground_cap=1009)
-        p = exact_marginals(model(10), EvidenceSet(), [s_c0], ground_cap=1010)[s_c0]
+            exact_marginals(model(10), EvidenceSet(), [s_c0])
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 1010)
+        p = exact_marginals(model(10), EvidenceSet(), [s_c0])[s_c0]
         assert p == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
 
     def test_a_ground_formula_over_twenty_atoms_gets_no_table(self):
@@ -1874,13 +1926,16 @@ class TestGroundingRefusals:
         with pytest.raises(CapacityError, match="ground formula touches 21 atoms; table too large"):
             ground(model).condition(EvidenceSet())
 
-    def test_world_distribution_cap(self):
+    def test_world_distribution_cap(self, monkeypatch):
         model = Model(tuple(f"c{k}" for k in range(17)), {"s": 1})
         with pytest.raises(CapacityError,
                            match="17 atoms exceed the world-distribution cap of 16"):
             enumerate_world_distribution(model, EvidenceSet())
-        with pytest.raises(CapacityError, match="17 atoms exceed the world-distribution cap of 3"):
-            enumerate_world_distribution(model, EvidenceSet(), atom_cap=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(mln, "_WORLD_ATOM_CAP", 3)
+            with pytest.raises(CapacityError,
+                               match="17 atoms exceed the world-distribution cap of 3"):
+                enumerate_world_distribution(model, EvidenceSet())
         atoms, probs = enumerate_world_distribution(model, EvidenceSet({Atom("s", ("c0",)): True}))
         assert len(atoms) == 16 and probs.shape == (1 << 16,)
 

@@ -1,12 +1,14 @@
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import liftbmf
-from liftbmf import experiments, mln, sampler
+from liftbmf import experiments, factorize, mln, sampler
 from liftbmf.boolmat import BoolMatrix
 
 MODULES = {"liftbmf": liftbmf} | {
@@ -24,14 +26,24 @@ REMOVED = {f"{move}_step" for move in ("gibbs", "orbital")} | {"world".title()}
 REMOVED_FIELDS = {"seed", "estimator", "rng_" + "algorithm"}
 REMOVED |= {"implied_" + "relation", "evidence_to_" + "matrix", "real_" + "rank",
             "en" + "try", "RNG_" + "ALGORITHM"} | REMOVED_FIELDS
+# The chain's copy of the atom layout's constant positions.
+REMOVED |= {"_class_" + "positions"}
 
 # The whole parameter list of each function that lost parameters every
-# caller left at their defaults.
+# caller left at their defaults: caps and budgets that only tests set are
+# module constants.
 PARAMETERS = {
     sampler.kld: ("reference", "estimate"),
     experiments.equivalence_check: ("instances", "seed"),
     experiments.planted_symmetry_instance: ("block_sizes",),
     experiments.random_equivalence_instance: ("rng", "max_m"),
+    mln.ground: ("model",),
+    mln.exact_marginals: ("model", "evidence", "queries", "atom_cap"),
+    mln.exact_query: ("model", "evidence", "query"),
+    mln.enumerate_world_distribution: ("model", "evidence"),
+    mln.Model.extended: ("self", "predicates", "hard"),
+    sampler.find_consistent_world: ("cond", "rng"),
+    factorize.optimal_error_at_rank: ("p", "rank"),
 }
 
 
@@ -76,3 +88,13 @@ def test_symmetry_classes_live_beside_the_atom_layout():
     assert liftbmf.constant_symmetry_classes is mln.constant_symmetry_classes
     assert "constant_symmetry_classes" in mln.__all__
     assert "constant_symmetry_classes" in reduction.__all__
+
+
+def test_readme_library_sketch_runs():
+    # the README's one library example, run as written, so it follows the signatures
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)\n```\n", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md (Library sketch)", "exec"), namespace)
+    assert abs(namespace["lhs"] - namespace["rhs"]) <= 1e-9

@@ -30,12 +30,12 @@ from liftbmf.reduction import (
 from liftbmf.sampler import (
     ChainConfig,
     _class_permutation,
-    _class_positions,
     estimate_marginals,
     find_consistent_world,
     kld,
 )
 
+from conftest import _class_positions
 from test_mln import _relabeled_by_atoms, _relabeled_by_gather
 
 
@@ -319,9 +319,9 @@ class TestEstimateMarginals:
     def test_classes_become_positions_once_per_chain(self, monkeypatch):
         model, matrix, queries = planted_symmetry_instance((3, 3))
         calls = []
-        real = sampler._class_positions
+        real = sampler.constant_symmetry_classes
         monkeypatch.setattr(
-            sampler, "_class_positions", lambda *args: calls.append(args) or real(*args)
+            sampler, "constant_symmetry_classes", lambda *args: calls.append(args) or real(*args)
         )
         config = ChainConfig(iterations=500, seed=1, orbital_move_probability=1.0)
         estimate_marginals(model, matrix_to_evidence("p", matrix), queries, config)
@@ -470,12 +470,14 @@ class TestFindConsistentWorld:
         draw = np.random.default_rng(3).integers(0, 2, size=len(free.atoms)).tolist()
         assert find_consistent_world(free, np.random.default_rng(3)) == draw
 
-    def test_giving_up_is_a_capacity_refusal(self):
+    def test_giving_up_is_a_capacity_refusal(self, monkeypatch):
         # running out of flips proves nothing about consistency
+        monkeypatch.setattr(sampler, "_WALKSAT_RESTARTS", 1)
+        monkeypatch.setattr(sampler, "_WALKSAT_FLIPS", 0)
         model = parse_model("domain = a\npred s/1\npred t/1\nhard s(a) v t(a)\n")
         cond = ground(model).condition(EvidenceSet())
         with pytest.raises(CapacityError, match="0 flips over 1 restarts"):
-            find_consistent_world(cond, np.random.default_rng(0), max_restarts=1, max_flips=0)
+            find_consistent_world(cond, np.random.default_rng(0))
 
 
 def _digest(obj) -> str:
