@@ -21,8 +21,6 @@ __all__ = [
     "integer_product_entry",
     "hamming_error",
     "flip_counts",
-    "read_matrix",
-    "write_matrix",
 ]
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -255,13 +253,3 @@ def flip_counts(p: BoolMatrix, a: BoolMatrix) -> FlipCounts:
     one_to_zero = int(((p.bits == 1) & (a.bits == 0)).sum())
     zero_to_one = int(((p.bits == 0) & (a.bits == 1)).sum())
     return FlipCounts(one_to_zero + zero_to_one, one_to_zero, zero_to_one)
-
-
-def read_matrix(path) -> BoolMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return BoolMatrix.from_text(fh.read())
-
-
-def write_matrix(matrix: BoolMatrix, path, comments: Iterable[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix.to_text(comments))

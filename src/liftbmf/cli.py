@@ -13,7 +13,7 @@ import shlex
 import sys
 
 from . import experiments, factorize, mln, reduction, sampler
-from .boolmat import flip_counts, read_matrix, write_matrix
+from .boolmat import BoolMatrix, flip_counts
 from .errors import (CapacityError, InconsistencyError, InputError, LiftBmfError, read_integer,
                      read_real)
 
@@ -66,30 +66,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# The only module that opens files.  An input that cannot be read or is not
+# UTF-8 is an input error; main maps a failed write (an OSError) to exit 1.
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # --- subcommand implementations ---------------------------------------------
 
 
 def _cmd_rank(args) -> int:
-    matrix = read_matrix(args.matrix)
+    matrix = BoolMatrix.from_text(_read_text(args.matrix))
     rank, witness = factorize.exact_boolean_rank(
         matrix, max_search=args.max_search, size_cap=args.size_cap
     )
     if args.witness:
-        factorize.write_factorization(witness, args.witness)
+        _write_text(args.witness, witness.to_text())
     print(rank)
     return 0
 
 
 def _cmd_factorize(args) -> int:
-    matrix = read_matrix(args.matrix)
+    matrix = BoolMatrix.from_text(_read_text(args.matrix))
     if args.exact:
         _, fact = factorize.exact_boolean_rank(
             matrix, max_search=args.max_search, size_cap=args.size_cap
@@ -99,14 +106,14 @@ def _cmd_factorize(args) -> int:
             tau=args.tau, w_plus=args.w_plus, w_minus=args.w_minus, max_rank=args.rank
         )
         fact = factorize.asso_factorize(matrix, params)
-    factorize.write_factorization(fact, args.output)
+    _write_text(args.output, fact.to_text())
     counts = flip_counts(matrix, fact.reconstruct())
     print(f"{fact.rank()} {counts.total} {counts.ones_to_zeros} {counts.zeros_to_ones}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    fact = factorize.read_factorization(args.factorization)
+    fact = factorize.Factorization.from_text(_read_text(args.factorization))
     result = reduction.encode_evidence(args.predicate, fact)
     model_path = args.output_prefix + ".model"
     evidence_path = args.output_prefix + ".evidence"
@@ -115,10 +122,8 @@ def _cmd_reduce(args) -> int:
         lines.append(f"pred {name}/{arity}")
     for f in result.added_formulas:
         lines.append(f"hard {mln.format_formula(f)}")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(evidence_path, "w", encoding="utf-8") as fh:
-        fh.write(result.unary_evidence.to_text())
+    _write_text(model_path, "\n".join(lines) + "\n")
+    _write_text(evidence_path, result.unary_evidence.to_text())
     print(model_path)
     print(evidence_path)
     return 0
@@ -152,12 +157,13 @@ def _cmd_gen(args) -> int:
         args.size, args.rank, args.noise, args.seed, fill_target=args.fill
     )
     header = "gen " + " ".join(f"{k}={v}" for k, v in meta.items())
-    write_matrix(matrix, args.output, comments=[header])
+    _write_text(args.output, matrix.to_text(comments=[header]))
     return 0
 
 
-def _invocation(argv) -> str:
-    return "liftbmf " + shlex.join(argv)
+def _write_csv(args, columns, rows) -> None:
+    invocation = "liftbmf " + shlex.join(args.argv)
+    _write_text(args.output, experiments.csv_text(columns, rows, invocation=invocation))
 
 
 def _cmd_experiment_error_curve(args) -> int:
@@ -166,7 +172,7 @@ def _cmd_experiment_error_curve(args) -> int:
     if args.matrix and args.seeds:
         raise InputError("--seeds draws --planted matrices; it does not apply to --matrix files")
     if args.matrix:
-        matrices = [read_matrix(p) for p in args.matrix]
+        matrices = [BoolMatrix.from_text(_read_text(p)) for p in args.matrix]
     else:
         m, rank, noise = args.planted
         matrices = [
@@ -175,15 +181,13 @@ def _cmd_experiment_error_curve(args) -> int:
         ]
     params = factorize.AssoParams(tau=args.tau, w_plus=args.w_plus, w_minus=args.w_minus)
     rows = experiments.error_curve(matrices, args.ranks, params)
-    experiments.write_csv(
-        args.output, ("rank", "error"), rows, invocation=_invocation(args.argv)
-    )
+    _write_csv(args, ("rank", "error"), rows)
     return 0
 
 
 def _cmd_experiment_kld_curve(args) -> int:
     model = mln.parse_model(_read_text(args.model))
-    matrix = read_matrix(args.matrix)
+    matrix = BoolMatrix.from_text(_read_text(args.matrix))
     arity = model.predicates.get(args.query_pred)
     if arity is None:
         raise InputError(f"unknown query predicate {args.query_pred!r}")
@@ -204,23 +208,13 @@ def _cmd_experiment_kld_curve(args) -> int:
         orbital_prob=args.orbital_prob,
         estimator=args.estimator,
     )
-    experiments.write_csv(
-        args.output,
-        ("iteration", "method", "rank", "kld"),
-        rows,
-        invocation=_invocation(args.argv),
-    )
+    _write_csv(args, ("iteration", "method", "rank", "kld"), rows)
     return 0
 
 
 def _cmd_experiment_equivalence(args) -> int:
     rows = experiments.equivalence_check(args.instances, args.seed)
-    experiments.write_csv(
-        args.output,
-        ("instance", "max_abs_diff", "pass"),
-        rows,
-        invocation=_invocation(args.argv),
-    )
+    _write_csv(args, ("instance", "max_abs_diff", "pass"), rows)
     return 0
 
 

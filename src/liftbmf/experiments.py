@@ -26,7 +26,7 @@ __all__ = [
     "planted_symmetry_instance",
     "block_matrix",
     "planted_block_matrix",
-    "write_csv",
+    "csv_text",
     "EQUIVALENCE_TOLERANCE",
 ]
 
@@ -352,13 +352,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], invocation: str | None = None) -> None:
-    """Rewrite `path` with a header comment, a column row, and the data."""
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence], invocation: str | None = None) -> str:
+    """A header comment, a column row, and the data, as CSV text."""
     lines = []
     if invocation:
         lines.append(f"# {invocation}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

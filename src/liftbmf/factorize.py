@@ -36,8 +36,6 @@ __all__ = [
     "asso_factorize",
     "truncate",
     "optimal_error_at_rank",
-    "read_factorization",
-    "write_factorization",
 ]
 
 DEFAULT_SIZE_CAP = 400
@@ -222,16 +220,6 @@ def truncate(f: Factorization, n: int) -> Factorization:
         raise InputError("truncation needs the target attached to recompute error")
     kept = Factorization(f.pairs[:n], f.shape, f.row_labels, f.col_labels)
     return kept.with_target(f.target)
-
-
-def read_factorization(path) -> Factorization:
-    with open(path, encoding="utf-8") as fh:
-        return Factorization.from_text(fh.read())
-
-
-def write_factorization(f: Factorization, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f.to_text())
 
 
 # --- exact Boolean rank ------------------------------------------------

@@ -449,9 +449,6 @@ class EvidenceSet:
             raise InputError(f"atom {format_atom(atom)} assigned twice")
         self._assignments[atom] = bool(value)
 
-    def get(self, atom: Atom, default=None):
-        return self._assignments.get(atom, default)
-
     def items(self):
         return self._assignments.items()
 
@@ -1242,12 +1239,10 @@ def exact_marginals(
     return result
 
 
-def exact_query(model: Model, evidence: EvidenceSet, query: tuple[Atom, bool] | Atom) -> float:
-    """Probability that the query literal holds given the evidence, by
+def exact_query(model: Model, evidence: EvidenceSet, query: Atom) -> float:
+    """Probability that the query atom is true given the evidence, by
     `exact_marginals` at its default caps."""
-    atom, value = query if isinstance(query, tuple) else (query, True)
-    p = exact_marginals(model, evidence, [atom])[atom]
-    return p if value else 1.0 - p
+    return exact_marginals(model, evidence, [query])[query]
 
 
 def enumerate_world_distribution(

@@ -88,7 +88,7 @@ def encode_evidence(
     n = f.rank()
     q_names, r_names = fresh_predicate_names(pred, n)
     for name in q_names + r_names:
-        if name == pred or name in existing_predicates:
+        if name in existing_predicates:
             raise InputError(f"fresh predicate {name!r} collides with an existing one")
 
     p_atom = Atom(pred, (_VAR_X, _VAR_Y))

@@ -220,7 +220,7 @@ def estimate_marginals(
     world_int = 0
     if collect_world_counts:
         if n > _WORLD_ATOM_CAP:
-            raise InputError(f"world counting supports at most {_WORLD_ATOM_CAP} atoms, got {n}")
+            raise CapacityError(f"{n} atoms exceed the world-distribution cap of {_WORLD_ATOM_CAP}")
         counts = [0] * (1 << n)
         world_int = _packed(world)
 
@@ -303,10 +303,7 @@ def estimate_marginals(
     )
 
 
-def kld(
-    reference: Mapping[Atom, float],
-    estimate: Mapping[Atom, float] | MarginalEstimate,
-) -> float:
+def kld(reference: Mapping[Atom, float], estimate: Mapping[Atom, float]) -> float:
     """Mean Bernoulli KL divergence from reference marginals to estimates.
 
     Estimates are clamped to [1e-6, 1 - 1e-6] so empty-count estimates stay
@@ -314,14 +311,13 @@ def kld(
     Raises InputError for a reference atom without an estimate and for any
     value outside [0, 1], NaN included.
     """
-    values = estimate.estimates if isinstance(estimate, MarginalEstimate) else estimate
     if not reference:
         raise InputError("reference marginals are empty")
     total = 0.0
     for atom, p in reference.items():
-        if atom not in values:
+        if atom not in estimate:
             raise InputError(f"no estimate for reference atom {format_atom(atom)}")
-        q = values[atom]
+        q = estimate[atom]
         for what, x in (("reference", p), ("estimate", q)):
             if not 0.0 <= x <= 1.0:
                 raise InputError(f"{what} of {format_atom(atom)} must be in [0, 1], got {x}")

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from liftbmf import mln
-from liftbmf.boolmat import BoolMatrix, read_matrix
+from liftbmf.boolmat import BoolMatrix
 from liftbmf.cli import _planted_recipe, main
 from liftbmf.errors import InputError
-from liftbmf.factorize import read_factorization
+from liftbmf.factorize import Factorization
 from liftbmf.mln import parse_evidence, parse_model
 
 BASE_MODEL = """\
@@ -57,7 +57,7 @@ class TestRank:
     def test_witness_file(self, example_file, tmp_path, capsys):
         out = tmp_path / "w.fct"
         assert run("rank", example_file, "--witness", str(out)) == 0
-        witness = read_factorization(out)
+        witness = Factorization.from_text(out.read_text())
         assert witness.rank() == 3 and witness.error == 0
 
     def test_missing_file_is_input_error(self, capsys):
@@ -87,7 +87,7 @@ class TestFactorize:
         assert run("factorize", example_file, "-o", str(out), "--rank", "2") == 0
         rank, err, one_zero, zero_one = capsys.readouterr().out.split()
         assert (rank, err, one_zero, zero_one) == ("2", "1", "1", "0")
-        assert read_factorization(out).rank() == 2
+        assert Factorization.from_text(out.read_text()).rank() == 2
 
     def test_exact_mode(self, example_file, tmp_path, capsys):
         out = tmp_path / "f.fct"
@@ -183,16 +183,6 @@ class TestInfer:
         assert run("infer", str(model), str(ev), "--query", "q(a)") == 1
         assert "not finite" in capsys.readouterr().err
 
-    def test_unreadable_model_file_exits_one(self, tmp_path, capsys):
-        ev = tmp_path / "e.ev"
-        ev.write_text("")
-        missing = tmp_path / "absent.mln"
-        assert run("infer", str(missing), str(ev), "--query", "q(a)") == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"liftbmf: error: cannot read {missing}: ")
-        assert run("infer", str(tmp_path), str(ev), "--query", "q(a)") == 1
-        assert f"cannot read {tmp_path}: " in capsys.readouterr().err
-
     def test_ground_atoms_over_the_cap_exit_two(self, tmp_path, capsys):
         # 101^3 + 101 ground atoms for one grounding: refused before any is placed
         model = tmp_path / "m.mln"
@@ -205,6 +195,18 @@ class TestInfer:
             assert capsys.readouterr().err == (
                 "liftbmf: refused: 1030402 ground atoms exceed the cap of 1000000\n"
             )
+
+    def test_groundings_over_the_cap_exit_two(self, tmp_path, capsys):
+        # 101 ground atoms, but 101^4 bindings of one formula
+        model = tmp_path / "m.mln"
+        domain = ", ".join(f"c{k}" for k in range(101))
+        model.write_text(f"domain = {domain}\npred s/1\n0.5 s(X) ^ s(Y) ^ s(Z) => s(W)\n")
+        ev = tmp_path / "e.ev"
+        ev.write_text("")
+        assert run("infer", str(model), str(ev), "--query", "s(c0)") == 2
+        assert capsys.readouterr().err == (
+            "liftbmf: refused: 104060401 groundings exceed the cap of 1000000\n"
+        )
 
     def test_inconsistent_exits_three(self, tmp_path, capsys):
         model = tmp_path / "m.mln"
@@ -357,7 +359,7 @@ class TestFullPipeline:
         matrix_path = tmp_path / "m.txt"
         assert run("gen", "-m", "3", "--rank", "2", "--noise", "0.0",
                    "--seed", "4", "-o", str(matrix_path)) == 0
-        matrix = read_matrix(matrix_path)
+        matrix = BoolMatrix.from_text(matrix_path.read_text())
         base_text = (
             "domain = c0, c1, c2\npred p/2\npred s/1\n"
             "1.1 s(X) ^ p(X,Y) => s(Y)\n-0.4 s(X)\n"
@@ -523,6 +525,15 @@ class TestExperimentCommands:
         assert lines[1] == "iteration,method,rank,kld"
         assert any(",exact," in line for line in lines[2:])
 
+    def test_csv_output_is_rewritten_not_appended(self, tmp_path):
+        same, fresh = tmp_path / "same.csv", tmp_path / "fresh.csv"
+        for ranks, outputs in (("1,2", (same,)), ("1", (same, fresh))):
+            for out in outputs:
+                assert run("experiment", "error-curve", "--planted", "6,2,0.0",
+                           "--ranks", ranks, "-o", str(out)) == 0
+        assert same.read_text() == fresh.read_text().replace(str(fresh), str(same))
+        assert same.read_text().count("\n") == 3
+
 
 class TestDeterminism:
     def test_kld_curve_csv_byte_identical(self, tmp_path):
@@ -552,6 +563,45 @@ class TestDeterminism:
                        "--seed", "8", "-o", str(path)) == 0
             outs.append(path.read_text().splitlines()[1:])
         assert outs[0] == outs[1]
+
+
+class TestUnreadableInput:
+    # every file argument of every command that reads one; {bad} cannot be read
+    ARGUMENTS = {
+        "rank": ("rank", "{bad}"),
+        "factorize": ("factorize", "{bad}", "-o", "{out}"),
+        "reduce": ("reduce", "{bad}", "--predicate", "p", "-o", "{out}"),
+        "infer-model": ("infer", "{bad}", "{evidence}", "--query", "q(a)"),
+        "infer-evidence": ("infer", "{model}", "{bad}", "--query", "q(a)"),
+        "error-curve-matrix": ("experiment", "error-curve", "--matrix", "{bad}",
+                               "--ranks", "1", "-o", "{out}"),
+        "kld-curve-model": ("experiment", "kld-curve", "--model", "{bad}", "--matrix", "{matrix}",
+                            "--predicate", "p", "--query-pred", "q", "--ranks", "1",
+                            "--seeds", "1", "-o", "{out}"),
+        "kld-curve-matrix": ("experiment", "kld-curve", "--model", "{model}", "--matrix", "{bad}",
+                             "--predicate", "p", "--query-pred", "q", "--ranks", "1",
+                             "--seeds", "1", "-o", "{out}"),
+    }
+
+    @pytest.mark.parametrize("fault", ["not-utf8", "missing", "directory"])
+    @pytest.mark.parametrize("argument", ARGUMENTS)
+    def test_unreadable_file_exits_one(self, argument, fault, tmp_path, capsys):
+        paths = {name: tmp_path / name for name in ("model", "evidence", "matrix", "out")}
+        paths["model"].write_text("domain = a, b\npred p/2\npred q/1\n")
+        paths["evidence"].write_text("")
+        paths["matrix"].write_text("#rows a,b\n#cols a,b\n2 2\n10\n01\n")
+        paths["bad"] = tmp_path / "bad"
+        if fault == "not-utf8":
+            paths["bad"].write_bytes(b"\xff\xfe2 2\n10\n01\n")
+        elif fault == "directory":
+            paths["bad"].mkdir()
+        assert run(*(arg.format(**paths) for arg in self.ARGUMENTS[argument])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"liftbmf: error: cannot read {paths['bad']}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if fault == "not-utf8":
+            assert "can't decode byte 0xff" in err
+        assert not paths["out"].exists()
 
 
 class TestArgumentHandling:

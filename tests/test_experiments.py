@@ -14,7 +14,7 @@ from liftbmf.experiments import (
     planted_block_matrix,
     planted_symmetry_instance,
     random_equivalence_instance,
-    write_csv,
+    csv_text,
 )
 from liftbmf.factorize import exact_boolean_rank
 from liftbmf.mln import Atom, exact_marginals, parse_model
@@ -411,13 +411,6 @@ class TestPlantedSymmetryInstance:
 
 
 class TestWriteCsv:
-    def test_layout(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(path, ("a", "b"), [(1, 0.5), (2, True)], invocation="liftbmf x")
-        assert path.read_text() == "# liftbmf x\na,b\n1,0.5\n2,true\n"
-
-    def test_rewrites_rather_than_appends(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(path, ("a",), [(1,)])
-        write_csv(path, ("a",), [(2,)])
-        assert path.read_text() == "a\n2\n"
+    def test_layout(self):
+        text = csv_text(("a", "b"), [(1, 0.5), (2, True)], invocation="liftbmf x")
+        assert text == "# liftbmf x\na,b\n1,0.5\n2,true\n"

@@ -474,34 +474,10 @@ class TestExactQuery:
         model = parse_model("domain = a\npred q/1\nhard q(a)\n")
         assert exact_query(model, EvidenceSet(), Atom("q", ("a",))) == 1.0
 
-    def test_query_literal_orientation(self):
-        model = parse_model("domain = a\npred q/1\nhard q(a)\n")
-        assert exact_query(model, EvidenceSet(), (Atom("q", ("a",)), False)) == 0.0
-
     def test_evidence_query_short_circuit(self):
         model = parse_model("domain = a\npred q/1\n")
         ev = parse_evidence("!q(a)\n", model)
         assert exact_query(model, ev, Atom("q", ("a",))) == 0.0
-
-    def test_complement_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        model = parse_model(
-            "domain = a, b, c\npred s/1\npred p/2\n"
-            "1.3 s(X) ^ p(X,Y) => s(Y)\n-0.7 p(X,X)\n"
-        )
-        atoms = model.all_atoms()
-        for _ in range(10):
-            ev = EvidenceSet()
-            for atom in atoms:
-                if rng.random() < 0.3:
-                    ev.assign(atom, bool(rng.random() < 0.5))
-            queries = [a for a in atoms if a not in ev]
-            if not queries:
-                continue
-            q = queries[int(rng.integers(len(queries)))]
-            p_true = exact_query(model, ev, (q, True))
-            p_false = exact_query(model, ev, (q, False))
-            assert abs(p_true + p_false - 1.0) <= 1e-12
 
     def test_entailed_hard_formula_is_free(self):
         base = parse_model(
@@ -1918,6 +1894,25 @@ class TestGroundingRefusals:
         monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 1010)
         p = exact_marginals(model(10), EvidenceSet(), [s_c0])[s_c0]
         assert p == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
+
+    def test_groundings_over_the_cap(self, monkeypatch):
+        # 101 ground atoms, but 101^4 bindings of one formula: refused before
+        # any grounding's template is built
+        def model(m):
+            domain = ", ".join(f"c{k}" for k in range(m))
+            return parse_model(f"domain = {domain}\npred s/1\n0.5 s(X) ^ s(Y) ^ s(Z) => s(W)\n")
+
+        wide = model(101)
+        with monkeypatch.context() as patch:
+            patch.setattr(mln._AtomIds, "template", None)
+            with pytest.raises(CapacityError,
+                               match="104060401 groundings exceed the cap of 1000000"):
+                ground(wide)
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 80)
+        with pytest.raises(CapacityError, match="81 groundings exceed the cap of 80"):
+            ground(model(3))
+        monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 81)
+        assert len(ground(model(3)).weighted) == 81
 
     def test_a_ground_formula_over_twenty_atoms_gets_no_table(self):
         names = [f"r{k}" for k in range(21)]

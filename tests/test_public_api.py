@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -28,6 +29,9 @@ REMOVED |= {"implied_" + "relation", "evidence_to_" + "matrix", "real_" + "rank"
             "en" + "try", "RNG_" + "ALGORITHM"} | REMOVED_FIELDS
 # The chain's copy of the atom layout's constant positions.
 REMOVED |= {"_class_" + "positions"}
+# File wrappers around the text forms: only the CLI opens files.
+REMOVED |= {f"{verb}_{what}" for verb in ("read", "write") for what in ("matrix", "factorization")}
+REMOVED |= {"write_" + "csv"}
 
 # The whole parameter list of each function that lost parameters every
 # caller left at their defaults: caps and budgets that only tests set are
@@ -72,6 +76,7 @@ def test_conditioned_has_no_world_wrapper():
 
 def test_removed_members_stay_removed():
     assert not hasattr(BoolMatrix, "en" + "try")
+    assert not hasattr(mln.EvidenceSet, "get")
     fields = {f.name for f in dataclasses.fields(sampler.MarginalEstimate)}
     assert REMOVED_FIELDS.isdisjoint(fields)
 
@@ -79,6 +84,18 @@ def test_removed_members_stay_removed():
 @pytest.mark.parametrize("function", PARAMETERS, ids=lambda f: f.__name__)
 def test_fixed_parameters_stay_removed(function):
     assert tuple(inspect.signature(function).parameters) == PARAMETERS[function]
+
+
+def test_only_the_cli_opens_files():
+    opened = {}
+    for path in sorted(pathlib.Path(liftbmf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    opened.setdefault(path.name, []).append(node.lineno)
+    assert set(opened) == {"cli.py"}, opened
 
 
 def test_symmetry_classes_live_beside_the_atom_layout():

@@ -425,18 +425,12 @@ class TestKld:
         with pytest.raises(InputError, match=r"no estimate for reference atom q\(b\)"):
             kld(ref, {Atom("q", ("a",)): 0.5})
 
-    def test_accepts_marginal_estimate(self):
-        model = parse_model("domain = a\npred q/1\n")
-        config = ChainConfig(iterations=100, seed=0)
-        est = estimate_marginals(model, EvidenceSet(), [Atom("q", ("a",))], config)
-        assert kld({Atom("q", ("a",)): 0.5}, est) >= 0.0
-
 
 class TestChainRefusals:
     def test_world_counting_stops_at_sixteen_open_atoms(self):
         model = Model(tuple(f"c{k}" for k in range(17)), {"s": 1})
         query = [Atom("s", ("c0",))]
-        with pytest.raises(InputError, match="world counting supports at most 16 atoms, got 17"):
+        with pytest.raises(CapacityError, match="17 atoms exceed the world-distribution cap of 16"):
             estimate_marginals(model, EvidenceSet(), query, ChainConfig(10),
                                collect_world_counts=True)
         evidence = EvidenceSet({Atom("s", ("c16",)): False})
