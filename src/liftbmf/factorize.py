@@ -95,7 +95,7 @@ class Factorization:
 
     def __post_init__(self):
         k, l = self.shape
-        if k < 0 or l < 0:
+        if not (is_integer(k) and is_integer(l)) or k < 0 or l < 0:
             raise InputError(f"invalid target shape {self.shape}")
         checked = tuple(
             (_as_vector(q, k, "q vector"), _as_vector(r, l, "r vector"))
@@ -113,6 +113,8 @@ class Factorization:
                 and self.row_labels is target.row_labels and self.col_labels is target.col_labels):
             object.__setattr__(self, "row_labels", _check_labels(self.row_labels, k, "row"))
             object.__setattr__(self, "col_labels", _check_labels(self.col_labels, l, "col"))
+        if self.error is not None and not is_integer(self.error):
+            raise InputError(f"error must be an integer, got {self.error!r}")
         if self.error is not None and not 0 <= self.error <= k * l:
             raise InputError(f"error {self.error} outside [0, {k * l}] for shape {self.shape}")
         if self.target is not None and self.target.shape != self.shape:

@@ -109,14 +109,15 @@ def _check_ground(atom: Atom, kind: str) -> None:
             raise InputError(f"{kind} atom {format_atom(atom)} is not ground")
 
 
-def _check_name(name: str, kind: str) -> None:
-    """InputError unless `name` can name a `kind`, "constant" or "predicate":
-    a string of letters, digits and "_", not a digit or an uppercase letter
-    (a variable) first, and for a predicate not "v", the disjunction."""
-    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)) or is_variable(name):
-        raise InputError(f"invalid {kind} name {name!r}")
-    if kind == "predicate" and name == "v":
-        raise InputError("'v' is reserved for disjunction")
+def _check_name(kind: str, *names: str) -> None:
+    """InputError unless each of `names` can name a `kind`, "constant" or
+    "predicate": a string of letters, digits and "_", not a digit or an uppercase
+    letter (a variable) first, and for a predicate not "v", the disjunction."""
+    for name in names:
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)) or is_variable(name):
+            raise InputError(f"invalid {kind} name {name!r}")
+        if kind == "predicate" and name == "v":
+            raise InputError("'v' is reserved for disjunction")
 
 
 def atoms_of(f: Formula) -> Iterator[Atom]:
@@ -367,28 +368,26 @@ class Model:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "predicates", dict(self.predicates))
+        _check_name("constant", *self.domain)
+        _check_name("predicate", *self.predicates)
+        for name, arity in self.predicates.items():
+            check_integer(arity, f"arity of {name}", 0)
+        object.__setattr__(self, "_ids", _AtomIds(self.domain, self.predicates))
+        if len(self._ids.position) != len(self.domain):
+            raise InputError("domain constants are not unique")
         weighted = []
         for w, f in self.weighted_formulas:
+            self.check_formula(f, "weighted formula")  # before a weight message formats `f`
             if isinstance(w, bool) or not isinstance(w, numbers.Real):
                 raise InputError(f"weight {w!r} of {format_formula(f)} is not a real number")
             try:
                 weighted.append((float(w), f))
             except OverflowError:  # an int beyond the float range
                 raise InputError(f"weight of {format_formula(f)} is not finite as a float") from None
+            if not math.isfinite(w):
+                raise InputError(f"weight {float(w)} of {format_formula(f)} is not finite")
         object.__setattr__(self, "weighted_formulas", tuple(weighted))
         object.__setattr__(self, "hard_formulas", tuple(self.hard_formulas))
-        for c in self.domain:
-            _check_name(c, "constant")
-        for name, arity in self.predicates.items():
-            _check_name(name, "predicate")
-            check_integer(arity, f"arity of {name}", 0)
-        object.__setattr__(self, "_ids", _AtomIds(self.domain, self.predicates))
-        if len(self._ids.position) != len(self.domain):
-            raise InputError("domain constants are not unique")
-        for w, f in self.weighted_formulas:
-            if not math.isfinite(w):
-                raise InputError(f"weight {w} of {format_formula(f)} is not finite")
-            self.check_formula(f, "weighted formula")
         for f in self.hard_formulas:
             self.check_formula(f, "hard formula")
 
@@ -868,21 +867,20 @@ class Conditioned:
     open, in atom id order; compiled formulas index into it.  `formulas`
     is `hard` then `weighted`, and `blanket[i]` lists the positions in
     `formulas` of those touching atom i, ascending, so hard ones come
-    first.  `relabeling` holds one array per predicate of nonzero arity
-    with an open atom, in declaration order; it maps the domain positions
-    of an atom's constants to its index in `atoms` (-1 for a known atom).
+    first.  `slot`, indexed by atom id like `known`, holds an open atom's
+    index in `atoms` and -1 for a known atom: the one map from atom ids to
+    open atoms, from which compiled formulas, queries and relabeling take indices.
     """
 
     model: Model
     known: list[bool | None]
     atoms: tuple[Atom, ...]
-    index: Mapping[Atom, int]
+    slot: list[int]
     weighted: tuple[_CompiledFormula, ...]
     hard: tuple[_CompiledFormula, ...]
     const_log_weight: float
     formulas: tuple[_CompiledFormula, ...]
     blanket: tuple[tuple[int, ...], ...]
-    relabeling: tuple[np.ndarray, ...]
 
     def _column(self, values) -> list[int]:
         """A world as a list of 0/1 ints, one per open atom in `atoms` order;
@@ -987,7 +985,7 @@ class Conditioned:
         if not (perm.shape == (m,) and perm.dtype.kind in "iu"
                 and (np.sort(perm) == np.arange(m)).all()):
             raise InputError(f"perm must hold each of the {m} domain positions exactly once")
-        for lookup in self.relabeling:
+        for lookup in self.model._ids.arrays(np.array(self.slot)):
             if not (permute_axes(lookup, perm)[lookup >= 0] >= 0).all():
                 raise InputError("the permutation moves an open atom onto a known atom")
         return np.array(self._relabeled(column, perm.tolist()), dtype=np.int64)
@@ -995,12 +993,12 @@ class Conditioned:
     @cached_property
     def _relabeling_parts(self) -> tuple[tuple[tuple[int, list[int], int], ...],
                                          tuple[tuple[int, list[int], tuple[int, ...]], ...]]:
-        """Per open atom of a predicate of nonzero arity, in `relabeling` order:
-        its id, its predicate's `relabeling` array as a flat list and its
-        constants' domain positions, one int for a unary atom (the first
-        part), a tuple for the rest.  Built on the first relabeling."""
+        """Per open atom of a predicate of nonzero arity, in declaration order:
+        its index in `atoms`, its predicate's part of `slot` as a list and
+        its constants' domain positions, one int for a unary atom (the first
+        part), a tuple for the rest.  Cut from `slot` on the first relabeling."""
         unary, rest = [], []
-        for lookup in self.relabeling:
+        for lookup in self.model._ids.arrays(np.array(self.slot)):
             flat = lookup.ravel().tolist()
             is_open = lookup >= 0
             for atom_id, places in zip(lookup[is_open].tolist(), np.argwhere(is_open).tolist()):
@@ -1028,17 +1026,18 @@ class Conditioned:
             new[flat[at]] = column[atom_id]
         return new
 
-    def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], list[Atom]]:
+    def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], dict[Atom, int]]:
         """Check query atoms; split off the known ones, given or derived,
-        with their probability, from the open ones."""
+        with their probability, from the open ones, with their index in `atoms`."""
         fixed: dict[Atom, float] = {}
-        open_queries: list[Atom] = []
+        open_queries: dict[Atom, int] = {}
         for atom in queries:
             _check_ground(atom, "query")
             self.model.check_formula(atom, "query")
-            value = self.known[self.model._ids.id_of(atom)]
+            atom_id = self.model._ids.id_of(atom)
+            value = self.known[atom_id]
             if value is None:
-                open_queries.append(atom)
+                open_queries[atom] = self.slot[atom_id]
             else:
                 fixed[atom] = 1.0 if value else 0.0
         return fixed, open_queries
@@ -1065,9 +1064,9 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     known = ids.known(evidence)
     residual_hard = _unit_propagate(grounding.hard, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]
-    dense = np.full(ids.count, -1)  # atom id -> index in `atoms`, -1 if known
-    dense[open_ids] = np.arange(len(open_ids))
-    index_of = dense.tolist()
+    slot = [-1] * ids.count
+    for k, atom_id in enumerate(open_ids):
+        slot[atom_id] = k
     atoms = tuple(map(ids.atom, open_ids))
     # Groundings whose residuals agree up to renaming their atoms in id
     # order share one table.  The key holds the weight's hex so that -0.0
@@ -1081,7 +1080,7 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
         table = tables.get(key)
         if table is None:
             table = tables[key] = _log_table(shape, len(leaves), weight)
-        return _CompiledFormula(tuple(index_of[i] for i in leaves), table)
+        return _CompiledFormula(tuple(slot[i] for i in leaves), table)
 
     const_log_weight = 0.0
     weighted = []
@@ -1093,14 +1092,13 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
             weighted.append(compiled(simp, w))
     hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
-    relabeling = tuple(lookup for lookup in ids.arrays(dense) if (lookup >= 0).any())
     blanket: list[list[int]] = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
     return Conditioned(
-        model, known, atoms, dict(zip(atoms, range(len(atoms)))), tuple(weighted),
-        tuple(hard), const_log_weight, formulas, tuple(map(tuple, blanket)), relabeling,
+        model, known, atoms, slot, tuple(weighted), tuple(hard), const_log_weight, formulas,
+        tuple(map(tuple, blanket)),
     )
 
 
@@ -1231,8 +1229,8 @@ def exact_marginals(
     check_integer(atom_cap, "atom_cap", 0)
     cond = ground(model).condition(evidence)
     result, open_queries = cond.split_queries(queries)
-    if cond.hard or any(cond.blanket[cond.index[a]] for a in open_queries):
-        probs = _enumerate(cond, [cond.index[a] for a in open_queries], atom_cap)
+    if cond.hard or any(cond.blanket[i] for i in open_queries.values()):
+        probs = _enumerate(cond, list(open_queries.values()), atom_cap)
         result.update({a: float(p) for a, p in zip(open_queries, probs)})
     else:
         result.update(dict.fromkeys(open_queries, 0.5))
@@ -1243,6 +1241,12 @@ def exact_query(model: Model, evidence: EvidenceSet, query: Atom) -> float:
     """Probability that the query atom is true given the evidence, by
     `exact_marginals` at its default caps."""
     return exact_marginals(model, evidence, [query])[query]
+
+
+def _check_world_atoms(n: int) -> None:
+    """CapacityError when `n` open atoms exceed `_WORLD_ATOM_CAP`, read at each call."""
+    if n > _WORLD_ATOM_CAP:
+        raise CapacityError(f"{n} atoms exceed the world-distribution cap of {_WORLD_ATOM_CAP}")
 
 
 def enumerate_world_distribution(
@@ -1257,8 +1261,7 @@ def enumerate_world_distribution(
     """
     cond = ground(model).condition(evidence)
     n = len(cond.atoms)
-    if n > _WORLD_ATOM_CAP:
-        raise CapacityError(f"{n} atoms exceed the world-distribution cap of {_WORLD_ATOM_CAP}")
+    _check_world_atoms(n)
     logw = np.concatenate([logw for _, logw in _chunk_log_weights(cond, range(n))])
     shift = logw.max()
     if shift == -np.inf:

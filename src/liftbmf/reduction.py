@@ -80,11 +80,10 @@ def encode_evidence(
     degenerates to the hard formula !p(X, Y).  `pred` and the labels must
     be names a `Model` accepts for a predicate and for constants.
     """
-    _check_name(pred, "predicate")
+    _check_name("predicate", pred)
     if f.row_labels is None or f.col_labels is None:
         raise InputError("factorization must carry row and column labels")
-    for label in f.row_labels + f.col_labels:
-        _check_name(label, "constant")
+    _check_name("constant", *f.row_labels, *f.col_labels)
     n = f.rank()
     q_names, r_names = fresh_predicate_names(pred, n)
     for name in q_names + r_names:
@@ -135,9 +134,12 @@ def encode_partial_evidence(
 
     Adds p(X,Y) <= p1(X,Y) and !p(X,Y) <= p0(X,Y); the returned matrices
     have a 1 exactly at the known-true / known-false entries and are ready
-    for independent factorization.
+    for independent factorization.  `pred` and the domain must be names a
+    `Model` accepts for a predicate and for constants.
     """
     domain = tuple(domain)
+    _check_name("predicate", pred)
+    _check_name("constant", *domain)
     pos = {c: i for i, c in enumerate(domain)}
     true_set = set(known_true)
     false_set = set(known_false)

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, check_integer
-from .mln import (_WORLD_ATOM_CAP, Atom, Conditioned, EvidenceSet, Model,
+from .mln import (Atom, Conditioned, EvidenceSet, Model, _check_world_atoms,
                   constant_symmetry_classes, format_atom, ground)
 
 __all__ = [
@@ -191,7 +191,7 @@ def estimate_marginals(
     if snapshot_every is not None:
         check_integer(snapshot_every, "snapshot_every", 1)
     cond = ground(model).condition(evidence)
-    fixed, open_queries = cond.split_queries(queries)
+    fixed, query_ids = cond.split_queries(queries)
     burn_in = config.resolved_burn_in()
     use_orbital = config.orbital_move_probability > 0.0
     classes = constant_symmetry_classes(model, evidence) if use_orbital else ()
@@ -206,21 +206,16 @@ def estimate_marginals(
     world = find_consistent_world(cond, init_rng)
     n = len(world)
 
-    # one running sum per open atom, read for the query atoms only:
-    # duplicate queries share it, as they share their key in the estimates
-    query_ids = [(a, cond.index[a]) for a in open_queries]
-    is_query = [False] * n
-    for _, qi in query_ids:
-        is_query[qi] = True
-    distinct_queries = [qi for qi in range(n) if is_query[qi]]
+    # one running sum per open atom, read for the query atoms only
+    distinct_queries = set(query_ids.values())
+    is_query = [qi in distinct_queries for qi in range(n)]
     sums = [0.0] * n
     true_queries = {qi for qi in distinct_queries if world[qi]}
 
     counts = None
     world_int = 0
     if collect_world_counts:
-        if n > _WORLD_ATOM_CAP:
-            raise CapacityError(f"{n} atoms exceed the world-distribution cap of {_WORLD_ATOM_CAP}")
+        _check_world_atoms(n)
         counts = [0] * (1 << n)
         world_int = _packed(world)
 
@@ -229,7 +224,7 @@ def estimate_marginals(
     def current_estimates(samples: int) -> dict[Atom, float]:
         # ChainConfig keeps burn_in below iterations, so samples > 0 here
         est = dict(fixed)
-        est.update([(a, sums[qi] / samples) for a, qi in query_ids])
+        est.update([(a, sums[qi] / samples) for a, qi in query_ids.items()])
         return est
 
     conditional = cond._conditional
@@ -309,7 +304,7 @@ def kld(reference: Mapping[Atom, float], estimate: Mapping[Atom, float]) -> floa
     Estimates are clamped to [1e-6, 1 - 1e-6] so empty-count estimates stay
     finite; the reference is used as-is with the 0 log 0 = 0 convention.
     Raises InputError for a reference atom without an estimate and for any
-    value outside [0, 1], NaN included.
+    value that is not a real number in [0, 1]: NaN, bools and strings included.
     """
     if not reference:
         raise InputError("reference marginals are empty")
@@ -319,8 +314,8 @@ def kld(reference: Mapping[Atom, float], estimate: Mapping[Atom, float]) -> floa
             raise InputError(f"no estimate for reference atom {format_atom(atom)}")
         q = estimate[atom]
         for what, x in (("reference", p), ("estimate", q)):
-            if not 0.0 <= x <= 1.0:
-                raise InputError(f"{what} of {format_atom(atom)} must be in [0, 1], got {x}")
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0.0 <= x <= 1.0:
+                raise InputError(f"{what} of {format_atom(atom)} must be in [0, 1], got {x!r}")
         q = min(max(q, 1e-6), 1.0 - 1e-6)
         term = 0.0
         if p > 0.0:

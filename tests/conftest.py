@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from liftbmf.boolmat import BoolMatrix
 from liftbmf.factorize import Factorization
+from liftbmf.mln import Atom
 
 LABELS = ("a", "b", "c", "d")
 
@@ -26,6 +29,28 @@ def _known_atoms(cond) -> dict:
     """`cond.known`, indexed by atom id, as a mapping from each known atom to its value."""
     ids = cond.model._ids
     return {ids.atom(i): v for i, v in enumerate(cond.known) if v is not None}
+
+
+def _index(cond) -> dict:
+    """`cond.slot`, indexed by atom id, as a mapping from each open atom to its index in `atoms`."""
+    ids = cond.model._ids
+    return {ids.atom(i): k for i, k in enumerate(cond.slot) if k >= 0}
+
+
+def _relabeling(cond) -> tuple:
+    """`cond.slot` as one array per predicate of nonzero arity with an open
+    atom, in declaration order: entry (c1, ..., ck) is the index in `atoms`
+    of p(c1, ..., ck), -1 for a known atom.  Built atom by atom, apart from
+    the atom layout's own cut of `slot`."""
+    model, index = cond.model, _index(cond)
+    lookups = (
+        np.array([
+            index.get(Atom(name, args), -1)
+            for args in itertools.product(model.domain, repeat=arity)
+        ]).reshape((len(model.domain),) * arity)
+        for name, arity in model.predicates.items() if arity
+    )
+    return tuple(lookup for lookup in lookups if (lookup >= 0).any())
 
 
 def _class_positions(domain, classes) -> list[list[int]]:

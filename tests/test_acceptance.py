@@ -218,7 +218,6 @@ def test_criterion_8_rank_accuracy_tradeoff():
         model, matrix, "p", queries,
         ranks=list(range(1, n_full + 1)), seeds=[1, 2, 3],
         iterations=4000, snapshot_every=200, reference="exact",
-        methods=("orbital-gibbs",),
     )
     terminal = {label: v for it, m, label, v in rows if m == "exact"}
     full_ok = terminal[str(n_full)] <= 1e-9

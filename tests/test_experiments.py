@@ -189,7 +189,7 @@ class TestExperimentSpec:
         model, matrix, queries = small_setup
         assert [rank for rank, _ in error_curve([matrix], (1, 2, 3))] == [1, 2, 3]
         rows = kld_curve(model, matrix, "p", queries, ranks=(1, 2), seeds=(0,),
-                         iterations=20, snapshot_every=10, methods=("gibbs",))
+                         iterations=20, snapshot_every=10)
         assert {label for _, _, label, _ in rows} == {"1", "2", "exact"}
 
     def test_ranks_strictly_increasing(self, small_setup):
@@ -301,7 +301,6 @@ class TestKldCurve:
             model, matrix, "p", queries,
             ranks=list(range(1, n_full + 1)), seeds=[1, 2],
             iterations=400, snapshot_every=200, reference="exact",
-            methods=("gibbs",),
         )
         terminal = {label: v for it, m, label, v in rows if m == "exact"}
         assert terminal[str(n_full)] <= 1e-9
@@ -314,8 +313,7 @@ class TestKldCurve:
         n_full, _ = exact_boolean_rank(matrix)
         rows = kld_curve(
             model, matrix, "p", queries,
-            ranks=[n_full], seeds=[5, 6], iterations=600, snapshot_every=300,
-            reference="exact", methods=("gibbs",),
+            ranks=[n_full], seeds=[5, 6], iterations=600, snapshot_every=300, reference="exact",
         )
         full_chain = {it: v for it, m, label, v in rows
                       if m == "gibbs" and label == str(n_full)}
@@ -328,16 +326,14 @@ class TestKldCurve:
         rows = kld_curve(
             model, matrix, "p", queries, ranks=[1], seeds=[1],
             iterations=200, snapshot_every=100, reference="self",
-            methods=("gibbs",),
         )
-        assert all(m == "gibbs" for _, m, _, _ in rows)
+        assert {m for _, m, _, _ in rows} == {"gibbs", "orbital-gibbs"}
         assert {label for _, _, label, _ in rows} == {"1"}
 
     def test_row_schema_and_determinism(self, small_setup):
         model, matrix, queries = small_setup
         kwargs = dict(
-            ranks=[1, 2], seeds=[3, 4], iterations=300, snapshot_every=150,
-            reference="exact", methods=("gibbs", "orbital-gibbs"),
+            ranks=[1, 2], seeds=[3, 4], iterations=300, snapshot_every=150, reference="exact",
         )
         rows1 = kld_curve(model, matrix, "p", queries, **kwargs)
         rows2 = kld_curve(model, matrix, "p", queries, **kwargs)
@@ -358,7 +354,7 @@ class TestKldCurve:
         )
         rows = kld_curve(
             model, matrix, "p", queries, ranks=[1, 2], seeds=[1], iterations=100,
-            snapshot_every=50, reference=reference, methods=("gibbs", "orbital-gibbs"),
+            snapshot_every=50, reference=reference,
         )
         assert len(calls) == levels
         terminal = [(label, v) for _, m, label, v in rows if m == "exact"]
@@ -373,8 +369,6 @@ class TestKldCurve:
         model, matrix, queries = small_setup
         with pytest.raises(InputError, match="reference"):
             kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, reference="x")
-        with pytest.raises(InputError, match="method"):
-            kld_curve(model, matrix, "p", queries, [1], [0], 100, 50, methods=("mc",))
 
     @pytest.mark.parametrize("prob", ["0.5", None, 0.1 + 0j, True, 1.5])
     def test_orbital_probability_is_refused_before_any_work(self, small_setup, monkeypatch, prob):

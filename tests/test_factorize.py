@@ -738,6 +738,20 @@ class TestFactorizationType:
         with pytest.raises(InputError, match=re.escape(f"invalid target shape {shape}")):
             Factorization((), shape)
 
+    @pytest.mark.parametrize(
+        "shape, error, message",
+        [
+            ((2.0, 2), None, "invalid target shape (2.0, 2)"),
+            ((2, True), None, "invalid target shape (2, True)"),
+            ((2, 2), 1.5, "error must be an integer, got 1.5"),
+            ((2, 2), True, "error must be an integer, got True"),
+        ],
+    )
+    def test_refuses_numbers_that_are_not_integers(self, shape, error, message):
+        # each was accepted, and to_text then wrote a header that from_text refuses
+        with pytest.raises(InputError, match=re.escape(message)):
+            Factorization((), shape, error=error)
+
     def test_refuses_a_target_of_another_shape(self):
         target = BoolMatrix(np.zeros((3, 2), dtype=np.uint8))
         message = re.escape("target shape (3, 2) does not match (2, 3)")

@@ -47,7 +47,7 @@ from liftbmf.reduction import (
 )
 from liftbmf.sampler import ChainConfig, _class_permutation, estimate_marginals
 
-from conftest import _class_positions, _known_atoms
+from conftest import _class_positions, _index, _known_atoms, _relabeling
 from test_reduction import CLASS_INSTANCE_KINDS, _random_class_instance
 
 PEER_MODEL = """
@@ -190,6 +190,12 @@ class TestParseModel:
         # float() once read '1_0' as 10.0 and True as 1.0
         with pytest.raises(InputError, match=r"weight .* of q\(a\) is not a real number"):
             Model(("a",), {"q": 1}, ((weight, Atom("q", ("a",))),))
+
+    @pytest.mark.parametrize("weight", ["x", math.inf, 0.5])
+    def test_formula_is_checked_before_its_weight(self, weight):
+        # formatting the formula for a weight message once raised a bare TypeError
+        with pytest.raises(InputError, match="weighted formula: unknown constant 1"):
+            Model(("a",), {"q": 1}, ((weight, Atom("q", (1,))),))
 
     @pytest.mark.parametrize("weight", [2, np.int64(-3), np.float32(0.5), np.float64(1.25)])
     def test_integer_and_numpy_weights_are_real(self, weight):
@@ -603,9 +609,10 @@ class TestQueryIndependentEnumeration:
                 continue
             answered += 1
             cond = ground(model).condition(evidence)
+            index = _index(cond)
             for q in queries:
                 assert batch[q].hex() == exact_query(model, evidence, q).hex()
-                if q in cond.index and not cond.blanket[cond.index[q]]:
+                if q in index and not cond.blanket[index[q]]:
                     assert batch[q] == 0.5
                     free_seen += 1
         # f/1 is in no formula, so each open f atom is outside every blanket
@@ -644,7 +651,7 @@ class TestQueryIndependentEnumeration:
             "hard q(a) v q(b)\nhard q(a) v !q(b)\nhard !q(a) v q(b)\nhard !q(a) v !q(b)\n"
         )
         cond = ground(model).condition(EvidenceSet())
-        assert not cond.blanket[cond.index[Atom("f", ("a",))]]
+        assert not cond.blanket[_index(cond)[Atom("f", ("a",))]]
         with pytest.raises(InconsistencyError, match="admit no world"):
             exact_marginals(model, EvidenceSet(), [Atom("f", ("a",))])
 
@@ -846,17 +853,17 @@ def _relabeled_by_atoms(cond, values, perm):
     """Reference relabeling that rebuilds every atom under the renaming."""
     domain = cond.model.domain
     sigma = {c: domain[perm[k]] for k, c in enumerate(domain)}
-    out = values.copy()
+    out, index = values.copy(), _index(cond)
     for i, atom in enumerate(cond.atoms):
-        out[cond.index[Atom(atom.pred, tuple(sigma[a] for a in atom.args))]] = values[i]
+        out[index[Atom(atom.pred, tuple(sigma[a] for a in atom.args))]] = values[i]
     return out
 
 
 def _relabeled_by_gather(cond, values, perm):
-    """Reference relabeling by one index gather per `relabeling` array,
+    """Reference relabeling by one index gather per array of `_relabeling`,
     the way the chain relabeled before its per-atom plan."""
     sources = np.arange(len(cond.atoms))
-    for lookup in cond.relabeling:
+    for lookup in _relabeling(cond):
         is_open = lookup >= 0
         sources[permute_axes(lookup, np.asarray(perm))[is_open]] = lookup[is_open]
     return np.asarray(values)[sources]
@@ -1156,10 +1163,13 @@ class TestPlanConditional:
         monkeypatch.setattr(Conditioned, "_relabeling_parts", unbuildable("relabeling plan"))
         model = parse_model(COMPILED_MODEL)
         evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
-        cond = ground(model).condition(evidence)
-        exact_marginals(model, evidence, cond.atoms[:3])
-        exact_query(model, evidence, cond.atoms[-1])
-        enumerate_world_distribution(model, parse_evidence("p(a,b)\np(a,a)\n", model))
+        with monkeypatch.context() as patch:
+            # nor does it cut `slot` into per-predicate views, as relabeling does
+            patch.setattr(mln._AtomIds, "arrays", lambda *_: pytest.fail("views built"))
+            cond = ground(model).condition(evidence)
+            exact_marginals(model, evidence, cond.atoms[:3])
+            exact_query(model, evidence, cond.atoms[-1])
+            enumerate_world_distribution(model, parse_evidence("p(a,b)\np(a,a)\n", model))
         with pytest.raises(AssertionError, match="plans built"):
             cond.conditional(np.ones(len(cond.atoms), dtype=np.int64), 0)
         with pytest.raises(AssertionError, match="neighbours built"):
@@ -1220,7 +1230,7 @@ def _compiled_fields(cond):
         len(cond.hard),
         cond.blanket,
         [(comp.atom_ids, [x.hex() for x in comp.log_table.tolist()]) for comp in cond.formulas],
-        [lookup.tolist() for lookup in cond.relabeling],
+        [lookup.tolist() for lookup in _relabeling(cond)],
     )
 
 
@@ -1510,21 +1520,15 @@ def _tree_condition(model, evidence):
                 weighted.append(_tree_compile_formula(simp, w, index))
     hard = [_tree_compile_formula(simp, None, index) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
-    lookups = (
-        np.array([
-            index.get(Atom(name, args), -1)
-            for args in itertools.product(model.domain, repeat=arity)
-        ]).reshape((len(model.domain),) * arity)
-        for name, arity in model.predicates.items() if arity
-    )
-    relabeling = tuple(lookup for lookup in lookups if (lookup >= 0).any())
     blanket = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
         for atom_id in comp.atom_ids:
             blanket[atom_id].append(k)
     return Conditioned(
-        model, [known.get(a) for a in model.all_atoms()], atoms, index, tuple(weighted),
-        tuple(hard), const_log_weight, formulas, tuple(map(tuple, blanket)), relabeling,
+        model=model, known=[known.get(a) for a in model.all_atoms()], atoms=atoms,
+        slot=[index.get(a, -1) for a in model.all_atoms()], weighted=tuple(weighted),
+        hard=tuple(hard), const_log_weight=const_log_weight, formulas=formulas,
+        blanket=tuple(map(tuple, blanket)),
     )
 
 

@@ -41,6 +41,9 @@ PARAMETERS = {
     experiments.equivalence_check: ("instances", "seed"),
     experiments.planted_symmetry_instance: ("block_sizes",),
     experiments.random_equivalence_instance: ("rng", "max_m"),
+    experiments.kld_curve: ("model", "evidence_matrix", "pred", "queries", "ranks", "seeds",
+                            "iterations", "snapshot_every", "reference", "orbital_prob",
+                            "estimator"),
     mln.ground: ("model",),
     mln.exact_marginals: ("model", "evidence", "queries", "atom_cap"),
     mln.exact_query: ("model", "evidence", "query"),

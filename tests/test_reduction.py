@@ -29,7 +29,7 @@ from liftbmf.reduction import (
     symmetry_signature_classes,
 )
 
-from conftest import LABELS, _known_atoms
+from conftest import LABELS, _known_atoms, _relabeling
 
 
 def make_factorization(q_cols, r_cols, labels=LABELS):
@@ -101,6 +101,7 @@ class TestEncodeEvidence:
         "pred, message",
         [
             ("P", "invalid predicate name 'P'"),
+            ("Bad", "invalid predicate name 'Bad'"),
             ("a b", "invalid predicate name 'a b'"),
             ("p(x)", "invalid predicate name 'p(x)'"),
             ("1p", "invalid predicate name '1p'"),
@@ -109,13 +110,16 @@ class TestEncodeEvidence:
         ],
     )
     def test_relation_names_follow_the_model_rule(self, example_factorization, pred, message):
-        # the fragment would name a predicate that parsing it then refuses
+        # the fragment would name a predicate that parsing it then refuses;
+        # partial evidence once encoded each of these names
         with pytest.raises(InputError, match=re.escape(message)):
             encode_evidence(pred, example_factorization)
         with pytest.raises(InputError, match=re.escape(message)):
+            encode_partial_evidence(pred, [Atom(pred, ("a", "b"))], [], LABELS)
+        with pytest.raises(InputError, match=re.escape(message)):
             Model(LABELS, {pred: 2})
 
-    @pytest.mark.parametrize("label", ["1a", "A", "Xy", "_"])
+    @pytest.mark.parametrize("label", ["1a", "A", "Xy", "X1", "_"])
     @pytest.mark.parametrize("axis", ["row", "col"])
     def test_labels_follow_the_constant_rule(self, label, axis):
         labels = ("a", "b", "c", label)
@@ -123,10 +127,13 @@ class TestEncodeEvidence:
         f = Factorization(((np.ones(4, np.uint8), np.ones(4, np.uint8)),), (4, 4), rows, cols)
         if label == "_":
             assert len(encode_evidence("p", f).unary_evidence) == 8
+            assert encode_partial_evidence("p", [], [], labels).true_matrix.shape == (4, 4)
             return
         message = re.escape(f"invalid constant name {label!r}")
         with pytest.raises(InputError, match=message):
             encode_evidence("p", f)
+        with pytest.raises(InputError, match=message):
+            encode_partial_evidence("p", [], [], labels)
         with pytest.raises(InputError, match=message):
             Model(labels, {"p": 2})
 
@@ -150,7 +157,7 @@ class TestEncodeEvidence:
             cond = ground(extended).condition(result.unary_evidence)
             cells = list(itertools.product(labels, repeat=2))
             fixed, open_atoms = cond.split_queries([Atom("p", xy) for xy in cells])
-            assert open_atoms == []
+            assert open_atoms == {}
             product = boolean_product(q, r).bits.ravel().tolist()
             assert [fixed[Atom("p", xy)] for xy in cells] == product
 
@@ -319,7 +326,7 @@ def _compiled(cond):
     return (
         cond.atoms, cond.const_log_weight, cond.blanket,
         [(comp.atom_ids, comp.log_table.tolist()) for comp in cond.formulas],
-        [lookup.tolist() for lookup in cond.relabeling],
+        [lookup.tolist() for lookup in _relabeling(cond)],
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liftbmf import sampler
+from liftbmf import mln, sampler
 from liftbmf.errors import CapacityError, InconsistencyError, InputError
 from liftbmf.experiments import planted_symmetry_instance, random_equivalence_instance
 from liftbmf.factorize import exact_boolean_rank
@@ -35,7 +35,7 @@ from liftbmf.sampler import (
     kld,
 )
 
-from conftest import _class_positions
+from conftest import _class_positions, _index
 from test_mln import _relabeled_by_atoms, _relabeled_by_gather
 
 
@@ -54,7 +54,7 @@ class TestGibbsStep:
     def test_hard_forced_atom_always_true(self):
         # two open atoms, so unit propagation leaves the grounding to the chain
         _, _, cond = _conditioned("domain = a\npred q/1\npred s/1\nhard q(a) ^ (s(a) v !s(a))\n")
-        q = cond.index[Atom("q", ("a",))]
+        q = _index(cond)[Atom("q", ("a",))]
         rng = np.random.default_rng(0)
         values = np.array([1, 0])
         for _ in range(20):
@@ -69,8 +69,7 @@ class TestGibbsStep:
         _, _, cond = _conditioned(
             f"domain = a, b\npred q/1\n{w} q(a) <=> q(b)\n"
         )
-        i = cond.index[Atom("q", ("a",))]
-        j = cond.index[Atom("q", ("b",))]
+        i, j = (_index(cond)[Atom("q", (c,))] for c in "ab")
         values = np.zeros(2, dtype=np.uint8)
         values[j] = 1
         assert cond.conditional(values, i) == pytest.approx(
@@ -93,7 +92,7 @@ class TestGibbsStep:
             "domain = a\npred s/1\npred t/1\nhard (s(a) v !s(a)) ^ t(a)\n"
         )
         with pytest.raises(InputError, match="infeasible"):
-            cond.conditional([0, 0], cond.index[Atom("s", ("a",))])
+            cond.conditional([0, 0], _index(cond)[Atom("s", ("a",))])
 
     def test_step_is_pure(self):
         _, _, cond = _conditioned("domain = a, b\npred q/1\n0.5 q(X)\n")
@@ -408,6 +407,9 @@ class TestKld:
         "p, q, message",
         [
             (1.5, 0.5, r"reference of q\(a\) must be in \[0, 1\], got 1.5"),
+            ("0.5", 0.5, r"reference of q\(a\) must be in \[0, 1\], got '0.5'"),
+            (0.5, True, r"estimate of q\(a\) must be in \[0, 1\], got True"),
+            (None, 0.5, "reference of q.a. must be in .*None"),
             (-0.1, 0.5, "reference of q.a. must be in"),
             (float("nan"), 0.5, "reference of q.a. must be in .*nan"),
             (0.5, float("nan"), "estimate of q.a. must be in .*nan"),
@@ -415,8 +417,8 @@ class TestKld:
         ],
     )
     def test_refuses_values_outside_the_unit_interval(self, p, q, message):
-        # a reference of 1.5 gave 1.648, a NaN reference counted as 0 and a
-        # NaN estimate gave nan
+        # a reference of 1.5 gave 1.648, a NaN reference counted as 0, a
+        # NaN estimate gave nan and a string raised a bare TypeError
         with pytest.raises(InputError, match=message):
             kld({Atom("q", ("a",)): p}, {Atom("q", ("a",)): q})
 
@@ -437,6 +439,16 @@ class TestChainRefusals:
         counted = estimate_marginals(model, evidence, query, ChainConfig(10),
                                      collect_world_counts=True)
         assert counted.world_counts.shape == (1 << 16,) and counted.world_counts.sum() == 9
+
+    def test_world_counting_reads_the_one_cap_at_call_time(self, monkeypatch):
+        # the chain once held its own copy of the cap and counted all 16 worlds here
+        model = Model(("c0", "c1", "c2", "c3"), {"s": 1})
+        monkeypatch.setattr(mln, "_WORLD_ATOM_CAP", 3)
+        message = "^4 atoms exceed the world-distribution cap of 3$"
+        with pytest.raises(CapacityError, match=message):
+            enumerate_world_distribution(model, EvidenceSet())
+        with pytest.raises(CapacityError, match=message):
+            estimate_marginals(model, EvidenceSet(), [], ChainConfig(10), collect_world_counts=True)
 
     def test_kld_refuses_an_empty_reference(self):
         with pytest.raises(InputError, match="reference marginals are empty"):
@@ -621,7 +633,7 @@ def _reference_chain(model, evidence, queries, config, snapshot_every=None,
     ]
     world = find_consistent_world(cond, init_rng)
     n = len(world)
-    query_ids = [(cond.index[a], k) for k, a in enumerate(open_queries)]
+    query_ids = [(i, k) for k, i in enumerate(open_queries.values())]
     sums = [0.0] * len(open_queries)
     samples = 0
     counts = np.zeros(1 << n, dtype=np.int64) if collect_world_counts else None
@@ -707,8 +719,8 @@ class TestChainAgainstReferenceLoop:
                 cond = ground(side_model).condition(evidence)
                 # open, known and isolated atoms, the drawn query three times
                 queries = [query, *model.all_atoms(), query, query]
-                isolated += sum(not cond.blanket[cond.index[a]]
-                                for a in queries if a in cond.index)
+                index = _index(cond)
+                isolated += sum(not cond.blanket[index[a]] for a in queries if a in index)
                 self._check(side_model, evidence, queries, [next(settings)])
         assert isolated > 0
 
