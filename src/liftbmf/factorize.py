@@ -94,9 +94,10 @@ class Factorization:
     target: BoolMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        k, l = self.shape
-        if not (is_integer(k) and is_integer(l)) or k < 0 or l < 0:
+        if not (isinstance(self.shape, tuple) and len(self.shape) == 2
+                and all(is_integer(n) and n >= 0 for n in self.shape)):
             raise InputError(f"invalid target shape {self.shape}")
+        k, l = self.shape
         checked = tuple(
             (_as_vector(q, k, "q vector"), _as_vector(r, l, "r vector"))
             for q, r in self.pairs

@@ -8,9 +8,13 @@ built.  Conditioning walks a template under a binding with the known atom
 values in one flat list indexed by id, and keeps the residual over the
 atoms left open, whose leaves are ids.  Unit propagation over the hard
 groundings comes first: an atom it derives becomes known exactly like
-evidence.  Each residual is compiled to a table of log factors; within one
-conditioning, residuals of the same shape (the same formula once their
-atoms are renamed in id order) and the same weight share one table.
+evidence.  A model of many groundings is conditioned one formula at a
+time instead, its groundings' atom ids and values as arrays, with the
+template evaluated once per distinct row of values (`_FormulaArray`); the
+result is the same.  Each residual is compiled to a table of log
+factors; within one conditioning, residuals of the same shape (the same
+formula once their atoms are renamed in id order) and the same weight
+share one table.
 `Atom` objects are built only for the atoms left open.  Worlds assign a
 truth value to every ground atom that evidence and unit propagation leave
 open; each satisfied grounding of a weighted formula multiplies the world
@@ -47,6 +51,7 @@ __all__ = [
 DEFAULT_ATOM_CAP = 24
 DEFAULT_GROUND_CAP = 1_000_000
 _WORLD_ATOM_CAP = 16  # atoms whose whole world distribution is built or counted
+_ARRAY_GROUNDINGS = 128  # groundings from which conditioning evaluates formulas as arrays
 
 # The one name grammar, of predicates, constants and variables.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -100,7 +105,10 @@ def is_variable(token: str) -> bool:
 
 
 def _check_ground(atom: Atom, kind: str) -> None:
-    """InputError unless each argument of `atom` is a nonempty string and no variable."""
+    """InputError unless the arguments of `atom` are a tuple of nonempty
+    strings, none a variable."""
+    if not isinstance(atom.args, tuple):
+        raise InputError(f"{kind}: arguments {atom.args!r} of {atom.pred} are not a tuple")
     for arg in atom.args:
         if not (isinstance(arg, str) and arg):
             raise InputError(f"{kind}: argument {arg!r} of {atom.pred} is not a name")
@@ -135,7 +143,7 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
         yield from atoms_of(f.left)
         yield from atoms_of(f.right)
     else:
-        raise TypeError(f"not a formula: {f!r}")
+        raise InputError(f"not a formula: {f!r}")
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
@@ -581,8 +589,15 @@ class _AtomIds:
         self._offsets = [self.layout[name][0] for name in self._names]
 
     def check(self, f: Formula, where: str) -> None:
-        """InputError, naming what is wrong, unless each atom of `f` is over the signature."""
-        for atom in atoms_of(f):
+        """InputError, naming what is wrong, unless `f` is a formula whose
+        atoms, each with a tuple of arguments, are over the signature."""
+        try:
+            atoms = list(atoms_of(f))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        for atom in atoms:
+            if not isinstance(atom.args, tuple):
+                raise InputError(f"{where}: arguments {atom.args!r} of {atom.pred} are not a tuple")
             _, arity = self.layout.get(atom.pred, (0, None))
             if arity is None:
                 raise InputError(f"{where}: unknown predicate {atom.pred!r}")
@@ -1059,10 +1074,22 @@ def _log_table(shape, n: int, weight: float | None) -> np.ndarray:
 
 
 def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
+    """The compiled model.  From `_ARRAY_GROUNDINGS` groundings, read at each
+    call, formulas are evaluated as arrays (`_FormulaArray`), else one
+    grounding at a time; both give equal fields and raise the same errors."""
     model = grounding.model
     ids = model._ids
     known = ids.known(evidence)
-    residual_hard = _unit_propagate(grounding.hard, known, ids)
+    arrays = len(grounding.weighted) + len(grounding.hard) >= _ARRAY_GROUNDINGS
+    if arrays:
+        weighted_parts, hard_parts = _formula_arrays(grounding)
+        values = np.array([2 if value is None else value for value in known], np.int8)
+        hard_groups = _propagate_arrays(hard_parts, values)
+        arrays = hard_groups is not None
+        if arrays:
+            known = [_VALUES[value] for value in values.tolist()]
+    if not arrays:  # the worklist refutes what the rounds refute, with its own message
+        residual_hard = _unit_propagate(grounding.hard, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]
     slot = [-1] * ids.count
     for k, atom_id in enumerate(open_ids):
@@ -1073,24 +1100,37 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     # and 0.0, whose tables differ, are told apart.
     tables: dict[tuple, np.ndarray] = {}
 
+    def table(shape, n: int, weight: float | None) -> np.ndarray:
+        key = (shape, None if weight is None else weight.hex())
+        found = tables.get(key)
+        if found is None:
+            found = tables[key] = _log_table(shape, n, weight)
+        return found
+
     def compiled(residual, weight: float | None) -> _CompiledFormula:
         leaves = sorted(set(_leaf_ids(residual, [])))
         shape = _renamed(residual, {atom_id: r for r, atom_id in enumerate(leaves)})
-        key = (shape, None if weight is None else weight.hex())
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _log_table(shape, len(leaves), weight)
-        return _CompiledFormula(tuple(slot[i] for i in leaves), table)
+        return _CompiledFormula(tuple(slot[i] for i in leaves), table(shape, len(leaves), weight))
 
     const_log_weight = 0.0
     weighted = []
-    for w, template, positions in grounding.weighted:
-        simp = _partial(template, positions, known)
-        if simp is True:
-            const_log_weight += w
-        elif simp is not False:
-            weighted.append(compiled(simp, w))
-    hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
+    if arrays:
+        slots = np.array(slot)
+        for part in weighted_parts:
+            holds, comps = part.compiled(part.groups(values), slots, table)
+            for _ in range(holds):  # one addition per grounding, so the sum rounds as the loop's
+                const_log_weight += part.weight
+            weighted += comps
+        hard = [comp for part, groups in zip(hard_parts, hard_groups)
+                for comp in part.compiled(groups, slots, table)[1]]
+    else:
+        for w, template, positions in grounding.weighted:
+            simp = _partial(template, positions, known)
+            if simp is True:
+                const_log_weight += w
+            elif simp is not False:
+                weighted.append(compiled(simp, w))
+        hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
     blanket: list[list[int]] = [[] for _ in atoms]
     for k, comp in enumerate(formulas):
@@ -1100,6 +1140,143 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
         model, known, atoms, slot, tuple(weighted), tuple(hard), const_log_weight, formulas,
         tuple(map(tuple, blanket)),
     )
+
+
+# --- conditioning one formula at a time, as arrays --------------------------
+
+_VALUES = (False, True, None)  # an atom's value as the array path codes it: 0, 1 or 2 (open)
+
+
+def _numbered(template, leaves: list):
+    """`template` with each leaf, appended to `leaves`, replaced by its place there."""
+    if type(template) is int or template[0] == _ATOM:
+        leaves.append(template)
+        return len(leaves) - 1
+    return (template[0], *(_numbered(sub, leaves) for sub in template[1:]))
+
+
+def _equal_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """The row indices of a 2-d array, one ascending array per distinct row."""
+    if not rows.shape[1]:
+        return [np.arange(len(rows))]
+    order = np.lexsort(rows.T)  # stable
+    ordered = rows[order]
+    cuts = (np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1).tolist()
+    return [order[start:end] for start, end in zip([0] + cuts, cuts + [len(order)])]
+
+
+class _FormulaArray:
+    """One formula's groundings as an array: `atom_ids[g, j]` is the id of
+    the atom at leaf j of grounding g, groundings in `ground`'s order, and
+    `numbered` is the template with leaf j numbered j.  Under its leaf
+    values as a list, `_partial` turns `numbered` into the residual of every
+    grounding with those values, leaf numbers standing for ids: a formula
+    is evaluated once per distinct row of leaf values, and groundings that
+    come out True or False cost no Python."""
+
+    def __init__(self, weight: float | None, template, n_vars: int, m: int):
+        self.weight = weight
+        leaves: list = []
+        self.numbered = _numbered(template, leaves)
+        positions = np.indices((m,) * n_vars).reshape(n_vars, m ** n_vars)
+        self.atom_ids = np.empty((m ** n_vars, len(leaves)), np.int64)
+        for j, leaf in enumerate(leaves):
+            self.atom_ids[:, j] = leaf if type(leaf) is int else (
+                leaf[1] + sum(positions[s] * stride for s, stride in leaf[2]))
+
+    def groups(self, values: np.ndarray) -> list[tuple[object, list[int], np.ndarray]]:
+        """Per distinct row of leaf values under `values` (0, 1 or 2 per
+        atom id, see `_VALUES`): the residual, its leaf numbers ascending,
+        and the groundings with that row, ascending."""
+        at_leaves = values[self.atom_ids]
+        out = []
+        for rows in _equal_rows(at_leaves):
+            row = [_VALUES[v] for v in at_leaves[rows[0]].tolist()]
+            residual = _partial(self.numbered, (), row)
+            leaves = [] if type(residual) is bool else sorted(set(_leaf_ids(residual, [])))
+            out.append((residual, leaves, rows))
+        return out
+
+    def compiled(self, groups, slots: np.ndarray, table) -> tuple[int, list[_CompiledFormula]]:
+        """How many groundings of `groups` hold, and the compiled formula of
+        each open one, in grounding order.  The open groundings of a group
+        whose leaf ids compare alike share one shape and one `table(shape,
+        n, weight)`, and map their atoms to open atoms in one gather from
+        `slots`.  Tables are made in the order of their first grounding, so
+        the first grounding over the cap raises the CapacityError."""
+        holds = 0
+        shapes = []  # (groundings, residual, rank per leaf, atom ids in id order)
+        for residual, leaves, rows in groups:
+            if residual is True:
+                holds += len(rows)
+            elif residual is not False:
+                at = self.atom_ids[np.ix_(rows, leaves)]
+                first, second = np.triu_indices(len(leaves), 1)
+                for alike in _equal_rows(np.sign(at[:, first] - at[:, second])):
+                    sample = at[alike[0]].tolist()
+                    distinct = sorted(set(sample))
+                    rank = {leaf: distinct.index(i) for leaf, i in zip(leaves, sample)}
+                    columns = [sample.index(i) for i in distinct]
+                    shapes.append((rows[alike], residual, rank, at[np.ix_(alike, columns)]))
+        comps: list = [None] * len(self.atom_ids)
+        for rows, residual, rank, at in sorted(shapes, key=lambda shape: shape[0][0]):
+            shared = table(_renamed(residual, rank), at.shape[1], self.weight)
+            for g, atom_ids in zip(rows.tolist(), slots[at].tolist()):
+                comps[g] = _CompiledFormula(tuple(atom_ids), shared)
+        return holds, [comp for comp in comps if comp is not None]
+
+
+def _formula_arrays(grounding: Grounding) -> tuple[list[_FormulaArray], list[_FormulaArray]]:
+    """The weighted and the hard formulas' `_FormulaArray`s, from the
+    templates of `grounding`, where a formula of k variables has m^k groundings in a row."""
+    m = len(grounding.model.domain)
+
+    def parts(groundings, weights):
+        out, k = [], 0
+        for weight in weights:
+            template, positions = groundings[k][-2:]
+            out.append(_FormulaArray(weight, template, len(positions), m))
+            k += m ** len(positions)
+        return out
+
+    return (parts(grounding.weighted, [w for w, _ in grounding.model.weighted_formulas]),
+            parts(grounding.hard, [None] * len(grounding.model.hard_formulas)))
+
+
+def _propagate_arrays(hard: Sequence[_FormulaArray], values: np.ndarray) -> list | None:
+    """Unit propagation over the hard groundings in rounds.  Each round reads
+    every grounding under `values` as the round found them and sets each atom
+    that a grounding, left with that atom alone open, allows one value for;
+    rounds run until one sets nothing, and that round's `groups` per formula
+    are returned.  An atom set both ways in a round keeps one value, which
+    refutes a grounding in the next.  None, with `values` part-way, when a
+    grounding admits no value: `_unit_propagate` refutes the evidence then
+    too.  Else `values` ends at the fixed point the worklist reaches, which
+    is the same in any order."""
+    while True:
+        groups = [part.groups(values) for part in hard]
+        forced: tuple[list, list] = ([], [])  # atom ids set False, True
+        for part, part_groups in zip(hard, groups):
+            for residual, leaves, rows in part_groups:
+                if residual is False:
+                    return None
+                if residual is True:
+                    continue
+                at = part.atom_ids[np.ix_(rows, leaves)]
+                alone = at[(at == at[:, :1]).all(axis=1), 0]  # groundings with one open atom
+                if not len(alone):
+                    continue
+                allowed = [v for v in (False, True)
+                           if _partial(residual, (), dict.fromkeys(leaves, v))]
+                if not allowed:
+                    return None
+                if len(allowed) == 1:
+                    forced[allowed[0]].append(alone)
+        if not (forced[False] or forced[True]):
+            return groups
+        for value, ids in enumerate(forced):
+            if ids:
+                values[np.concatenate(ids)] = value
 
 
 def _unit_propagate(

@@ -738,6 +738,12 @@ class TestFactorizationType:
         with pytest.raises(InputError, match=re.escape(f"invalid target shape {shape}")):
             Factorization((), shape)
 
+    @pytest.mark.parametrize("shape", [(2,), 4, (2, 3, 1), [2, 3], "ab"])
+    def test_refuses_a_shape_that_is_not_a_pair(self, shape):
+        # (2,) and 4 once escaped as bare ValueError and TypeError from unpacking
+        with pytest.raises(InputError, match=re.escape(f"invalid target shape {shape}")):
+            Factorization((), shape)
+
     @pytest.mark.parametrize(
         "shape, error, message",
         [

@@ -1553,12 +1553,13 @@ def _random_formula(rng, depth):
     return Implies(left, right) if kind == 3 else Iff(left, right)
 
 
-def _random_oracle_instance(rng, trial):
-    """A random model over r/0, s/1, p/2 and t/3 with constants inside its
-    formulas, weights that include both zeros, short hard formulas that
-    unit propagation can refute, and partial evidence; every 20th instance
-    holds one evidence atom outside the model."""
-    domain = ("a", "b", "c")[:int(rng.integers(2, 4))]
+def _random_oracle_instance(rng, trial, sizes=(2, 3)):
+    """A random model over r/0, s/1, p/2 and t/3, its domain `sizes[0]` to
+    `sizes[1]` constants, with constants inside its formulas, weights that
+    include both zeros, short hard formulas that unit propagation can
+    refute, and partial evidence; every 20th instance holds one evidence
+    atom outside the model."""
+    domain = ("a", "b", "c", "d", "e")[:int(rng.integers(sizes[0], sizes[1] + 1))]
     weighted = [
         (float(rng.choice([-0.0, 0.0])) if rng.random() < 0.1 else float(rng.uniform(-2, 2)),
          _random_formula(rng, 2))
@@ -1628,6 +1629,91 @@ class TestConditionOracle:
         evidence = parse_evidence("p(a,b)\n!s(b)\n", model)
         with pytest.raises(InconsistencyError, match=r"refutes hard formula p\(a, b\) => s\(b\);"):
             ground(model).condition(evidence)
+
+
+# 24 leaves: 22 atoms per grounding with X and Y apart, 11 with X = Y.
+WIDE_MODEL = "domain = a, b, c\npred t/3\npred p/2\npred r/1\n0.5 p(X, Y) v r(X)\n-0.25 " + (
+    " v ".join([f"t({v}, {i}, {j})" for v in "XY" for i in "abc" for j in "abc"]
+               + ["p(X, Y)", "p(Y, X)", "r(X)", "r(Y)"])
+) + "\n"
+
+
+def _ci_full_model(tmp_path):
+    """The model and evidence that CI's CLI step writes as full.model and
+    reduced.evidence: `gen -m 12 --rank 3`, its exact witness reduced."""
+    from liftbmf.cli import main
+
+    assert main(["gen", "-m", "12", "--rank", "3", "-o", str(tmp_path / "matrix.txt")]) == 0
+    assert main(["rank", str(tmp_path / "matrix.txt"), "--witness", str(tmp_path / "w.fct")]) == 0
+    assert main(["reduce", str(tmp_path / "w.fct"), "--predicate", "linkto",
+                 "-o", str(tmp_path / "reduced")]) == 0
+    model = parse_model(
+        "domain = " + ", ".join(f"c{k}" for k in range(12))
+        + "\npred linkto/2\npred s/1\n1.5 s(X) ^ linkto(X,Y) => s(Y)\n"
+        + (tmp_path / "reduced.model").read_text()
+    )
+    return model, parse_evidence((tmp_path / "reduced.evidence").read_text(), model)
+
+
+class TestArrayConditioning:
+    """Conditioning one formula at a time as arrays against one grounding at
+    a time: the same compiled fields, or the same exception and message."""
+
+    @staticmethod
+    def _both_paths(monkeypatch, model, evidence):
+        outcomes = []
+        for threshold in (0, mln.DEFAULT_GROUND_CAP + 1):  # arrays, then the loop
+            monkeypatch.setattr(mln, "_ARRAY_GROUNDINGS", threshold)
+            outcomes.append(TestConditionOracle._outcome(
+                lambda m, e: ground(m).condition(e), model, evidence))
+        return outcomes
+
+    def test_random_models(self, monkeypatch):
+        kinds = {}
+        for seed, count, sizes in [(101, 600, (2, 3)), (103, 300, (3, 5))]:
+            rng = np.random.default_rng(seed)
+            for trial in range(count):
+                model, evidence = _random_oracle_instance(rng, trial, sizes)
+                arrays, loop = self._both_paths(monkeypatch, model, evidence)
+                assert arrays == loop, (model.to_text(), evidence.to_text())
+                kind = arrays[0] if isinstance(arrays[0], str) else "compiled"
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds["compiled"] > 400 and kinds["InconsistencyError"] > 200
+        assert kinds["InputError"] == 45
+
+    def test_planted_and_ci_models(self, monkeypatch, tmp_path):
+        pools = [_ci_full_model(tmp_path)]
+        for blocks in [(8, 8), (10, 10)]:
+            model, matrix, _ = planted_symmetry_instance(blocks)
+            pools += _reduction_sides(model, matrix)
+        for model, evidence in pools:
+            arrays, loop = self._both_paths(monkeypatch, model, evidence)
+            assert isinstance(arrays[0], tuple) and arrays == loop
+
+    def test_the_first_wide_grounding_names_the_capacity_error(self, monkeypatch):
+        # in grounding order (a, a) touches 11 atoms and (a, b) 22; (a, c),
+        # with t(c, a, a) known, touches 21 and sorts first by leaf values
+        model = parse_model(WIDE_MODEL)
+        evidence = EvidenceSet({Atom("t", ("c", "a", "a")): False})
+        arrays, loop = self._both_paths(monkeypatch, model, evidence)
+        message = "ground formula touches 22 atoms; table too large"
+        assert arrays == loop == ("CapacityError", message)
+
+    def test_which_path_runs(self, monkeypatch):
+        # the planted (4, 4) sides have 72 and 136 groundings; the constant is read at each call
+        assert mln._ARRAY_GROUNDINGS == 128
+        runs = []
+        build = mln._formula_arrays
+        monkeypatch.setattr(mln, "_formula_arrays", lambda g: runs.append(1) or build(g))
+        model, matrix, _ = planted_symmetry_instance((4, 4))
+        for (side, evidence), count in zip(_reduction_sides(model, matrix), (72, 136)):
+            grounding = ground(side)
+            assert len(grounding.weighted) + len(grounding.hard) == count
+            for threshold, arrays in [(128, count >= 128), (count + 1, False), (count, True)]:
+                monkeypatch.setattr(mln, "_ARRAY_GROUNDINGS", threshold)
+                runs.clear()
+                grounding.condition(evidence)
+                assert runs == [1] * arrays
 
 
 class TestTableMemo:
@@ -1814,6 +1900,15 @@ class TestEvidenceSet:
         with pytest.raises(InputError, match=message):
             EvidenceSet({Atom("p", args): "not a bool either"})
 
+    @pytest.mark.parametrize("args", ["ab", ["a", "b"]])
+    def test_evidence_arguments_must_be_a_tuple(self, args):
+        # a string once passed as its characters: p(a, b)
+        message = re.escape(f"evidence: arguments {args!r} of p are not a tuple")
+        with pytest.raises(InputError, match=message):
+            EvidenceSet().assign(Atom("p", args), True)
+        with pytest.raises(InputError, match=message):
+            EvidenceSet([(Atom("p", args), True)])
+
 
 class TestQueryRefusals:
     """Malformed query atoms are refused with InputError before anything is
@@ -1828,6 +1923,9 @@ class TestQueryRefusals:
         (Atom("linkto", ("a", "Y")), "query atom linkto(a, Y) is not ground"),
         (Atom("studentpage", (1,)), "query: argument 1 of studentpage is not a name"),
         (Atom("linkto", ("X", None)), "query: argument None of linkto is not a name"),
+        # a string once passed as its characters: linkto(a, b)
+        (Atom("linkto", "ab"), "query: arguments 'ab' of linkto are not a tuple"),
+        (Atom("studentpage", ["a"]), "query: arguments ['a'] of studentpage are not a tuple"),
     ])
     def test_malformed_queries(self, infer, query, message):
         model = parse_model(PEER_MODEL)
@@ -1855,6 +1953,27 @@ class TestModelRefusals:
         with pytest.raises(InputError, match=re.escape(
                 f"weighted formula: unknown constant {arg!r}")):
             Model(("a",), {"q": 1}, ((0.5, Atom("q", (arg,))),))
+
+    @pytest.mark.parametrize("args", ["ab", ["a", "b"]])
+    def test_formula_arguments_must_be_a_tuple(self, args):
+        # a string once passed as its characters: 0.5 p(a, b)
+        atom = Atom("p", args)
+        with pytest.raises(InputError, match=re.escape(
+                f"weighted formula: arguments {args!r} of p are not a tuple")):
+            Model(("a", "b"), {"p": 2}, ((0.5, atom),))
+        with pytest.raises(InputError, match=re.escape(
+                f"hard formula: arguments {args!r} of p are not a tuple")):
+            Model(("a", "b"), {"p": 2}, (), (Not(atom),))
+
+    @pytest.mark.parametrize("formula, bad", [
+        ("q(a)", "'q(a)'"), (Not("q(a)"), "'q(a)'"), (And((Atom("q", ("a",)), None)), "None"),
+    ])
+    def test_non_formulas(self, formula, bad):
+        # `atoms_of` once raised a bare TypeError
+        with pytest.raises(InputError, match=re.escape(f"weighted formula: not a formula: {bad}")):
+            Model(("a",), {"q": 1}, ((0.5, formula),))
+        with pytest.raises(InputError, match=re.escape(f"hard formula: not a formula: {bad}")):
+            Model(("a",), {"q": 1}, (), (formula,))
 
     def test_v_is_reserved_for_predicates_only(self):
         with pytest.raises(InputError, match="'v' is reserved for disjunction"):
