@@ -41,6 +41,7 @@ __all__ = [
 DEFAULT_SIZE_CAP = 400
 DEFAULT_MAX_SEARCH = 2_000_000
 _F32_ROWS = 1 << 23  # rows per float32 block of the ASSO column overlaps
+_QUOTIENT_CELLS = 1 << 14  # cells per block of the ASSO association confidences
 _ORACLE_WORK_CAP = 50_000_000  # elementary comparisons of `optimal_error_at_rank`
 
 
@@ -489,21 +490,33 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     equals that of its first copy.
 
     The counts of still-open 1s and 0s each candidate would cover in each
-    row are computed once, the 0s as the candidate's size minus the 1s.  A
-    kept pair changes the counts only on its own rows, from the cells it
-    newly covers, which lie in its own columns; only those rows of the
-    weighted gains and of their clipped copy are refreshed, and the gains
-    stay one column sum over the same values as a full recompute.  The 0/1
-    matmuls run in float32 on BLAS, where a sum of integers below 2**24 is
-    exact in any order: a count is at most l (an l x l overlap array with
-    l near 2**24 could not be held), and the column overlaps are summed
-    over blocks of 2**23 rows.  The weights apply in float64.  The error is
-    read off the cover.
+    row are computed once, the 0s as the candidate's size minus the 1s.
+    One float64 array holds each row's weighted gain clipped at zero; a
+    candidate's gain is its column sum, and a pick's rows are those where
+    its clipped gain is positive, which are the rows of positive weighted
+    gain.  A kept pair changes the counts only on its own rows, from the
+    cells it newly covers, which lie in its own columns; only those rows of
+    the counts and of the clipped gains are refreshed, so the gains stay one
+    column sum over the same values as a full recompute.  The 0/1 matmuls
+    run in float32 on BLAS, where a sum of integers below 2**24 is exact in
+    any order: a count is at most l (an l x l overlap array with l near
+    2**24 could not be held), and the column overlaps are summed over
+    blocks of 2**23 rows.  The float32 copy of the matrix and the overlaps
+    are released once their matmuls are done.  The weights apply in
+    float64; weights whose gains could overflow it, (w_plus + w_minus) * k
+    * l not finite, are refused with InputError.  The error is read off the
+    cover.
     """
     params = params or AssoParams()
     k, l = p.shape
+    if not math.isfinite((params.w_plus + params.w_minus) * k * l):
+        raise InputError(
+            f"ASSO weights w_plus={params.w_plus} and w_minus={params.w_minus} "
+            f"overflow the cover gains of a {k}x{l} matrix"
+        )
     max_rank = min(k, l) if params.max_rank is None else min(params.max_rank, min(k, l))
-    b32 = p.bits.astype(np.float32)
+    bits = p.bits
+    b32 = bits.astype(np.float32)
     overlap = b32[:_F32_ROWS].T @ b32[:_F32_ROWS]
     for start in range(_F32_ROWS, k, _F32_ROWS):
         block = b32[start:start + _F32_ROWS]
@@ -512,7 +525,15 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     keep = norms > 0
     if not keep.any() or max_rank == 0:
         return Factorization((), (k, l), p.row_labels, p.col_labels, p.ones(), p)
-    cand = overlap[keep] / norms[keep, None].astype(np.float64) >= params.tau
+    # thresholded in blocks of rows, so no f64 quotient array spans all candidates
+    at = np.flatnonzero(keep)
+    cand = np.empty((len(at), l), dtype=bool)
+    step = max(1, _QUOTIENT_CELLS // l)
+    for s in range(0, len(at), step):
+        part = at[s:s + step]
+        np.greater_equal(overlap[part] / norms[part, None].astype(np.float64), params.tau,
+                         out=cand[s:s + step])
+    del overlap, norms
     # a repeated candidate always has its first copy's gain, and argmax takes
     # the first of equal gains, so dropping repeats changes no pick
     first = {}
@@ -521,12 +542,17 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
     cand = cand[list(first.values())].astype(np.uint8)
     cand_t = np.ascontiguousarray(cand.T, dtype=np.float32)
     new_ones = b32 @ cand_t
+    del b32
     new_zeros = cand_t.sum(axis=0) - new_ones
     # float64 scalars: a Python float would leave the float32 counts in float32
     w_plus, w_minus = np.float64(params.w_plus), np.float64(params.w_minus)
-    delta = w_plus * new_ones - w_minus * new_zeros
-    clipped = np.maximum(delta, 0.0)
 
+    def clipped_gains(ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+        out = np.multiply(ones, w_plus, dtype=np.float64)
+        out -= w_minus * zeros
+        return np.maximum(out, 0.0, out=out)
+
+    clipped = clipped_gains(new_ones, new_zeros)
     covered = np.zeros((k, l), dtype=bool)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(max_rank):
@@ -534,21 +560,24 @@ def asso_factorize(p: BoolMatrix, params: AssoParams | None = None) -> Factoriza
         pick = int(np.argmax(gains))
         if gains[pick] <= 0.0:
             break
-        q = (delta[:, pick] > 0.0).astype(np.uint8)
+        q = (clipped[:, pick] > 0.0).astype(np.uint8)
         r = cand[pick].copy()
         pairs.append((q, r))
         rows, cols = np.flatnonzero(q), np.flatnonzero(r)
         cells = np.ix_(rows, cols)
         newly = ~covered[cells]
         covered[cells] = True
-        # per candidate: newly covered 1s on each row, then all newly covered cells
-        hit = np.concatenate((b32[cells] * newly, newly), dtype=np.float32) @ cand_t[cols]
+        # per candidate: newly covered 1s on each row, then newly covered 0s
+        newly_ones = bits[cells] & newly
+        hit = np.concatenate((newly_ones, newly ^ newly_ones), dtype=np.float32) @ cand_t[cols]
         n = len(rows)
-        new_ones[rows] -= hit[:n]
-        new_zeros[rows] -= hit[n:] - hit[:n]
-        delta[rows] = w_plus * new_ones[rows] - w_minus * new_zeros[rows]
-        clipped[rows] = np.maximum(delta[rows], 0.0)
-    error = int(np.count_nonzero(covered != p.bits))
+        ones, zeros = new_ones[rows], new_zeros[rows]
+        ones -= hit[:n]
+        zeros -= hit[n:]
+        del hit
+        new_ones[rows], new_zeros[rows] = ones, zeros
+        clipped[rows] = clipped_gains(ones, zeros)
+    error = int(np.count_nonzero(covered != bits))
     return Factorization(tuple(pairs), (k, l), p.row_labels, p.col_labels, error, p)
 
 

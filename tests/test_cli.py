@@ -111,6 +111,23 @@ class TestFactorize:
         assert "w_plus must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weights_whose_gains_overflow_exit_one(self, tmp_path, capsys):
+        matrix, out = tmp_path / "matrix.txt", tmp_path / "f.fct"
+        assert run("gen", "-m", "12", "--rank", "3", "-o", str(matrix)) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "liftbmf.cli", "factorize", str(matrix), "--rank", "3",
+             "--w-plus", "1e308", "--w-minus", "1e308", "-o", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "liftbmf: error: ASSO weights w_plus=1e+308 and w_minus=1e+308 "
+            "overflow the cover gains of a 12x12 matrix\n"
+        )
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_flag_beats_env(self, example_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "f.fct"
         monkeypatch.setenv("LIFTBMF_TAU", "1.5")  # invalid, but flag wins

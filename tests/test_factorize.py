@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +203,25 @@ class TestAssoFactorize:
         assert f.row_labels == LABELS
         assert f.col_labels == LABELS
 
+    def test_weights_whose_gains_overflow_are_refused(self):
+        """(w_plus + w_minus) * k * l bounds every weighted gain and every
+        column sum of clipped gains; weights past float64 there are refused,
+        and powers of two just inside it scale the default gains exactly."""
+        m, _ = gen_synthetic(40, 4, 0.05, 3)
+        default = asso_factorize(m, AssoParams(max_rank=6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w_plus, w_minus in ((2.0**1012, 2.0**1012), (2.0**1012, 0.0), (1.0, 2.0**1013)):
+                f = asso_factorize(m, AssoParams(w_plus=w_plus, w_minus=w_minus, max_rank=6))
+                if w_plus == w_minus:
+                    assert f == default
+        for w_plus, w_minus in ((2.0**1013, 2.0**1013), (2.0**1014, 0.0), (1.0, 2.0**1014),
+                                (1e308, 1e308)):
+            message = (f"ASSO weights w_plus={w_plus} and w_minus={w_minus} "
+                       "overflow the cover gains of a 40x40 matrix")
+            with pytest.raises(InputError, match=re.escape(message)):
+                asso_factorize(m, AssoParams(w_plus=w_plus, w_minus=w_minus, max_rank=6))
+
 
 def _asso_full_recompute(p: BoolMatrix, params: AssoParams) -> Factorization:
     """The ASSO greedy as first written: int64 counts of open 1s and 0s per
@@ -367,6 +388,29 @@ class TestAssoAgainstFullRecompute:
         assert f.rank() == 10
         assert f.error == error
         assert _pairs_digest(f) == digest
+
+
+class TestAssoWorkingSet:
+    def test_traced_peak_of_one_call(self):
+        """The most memory one call holds at once, traced after a warm-up
+        call on the benchmark's matrix shape.  It was 2.76 MB when this
+        bound was set; an unclipped float64 copy of the gains kept beside
+        the clipped one takes it past the bound."""
+        m, _ = gen_synthetic(300, 10, 0.01, 0)
+        params = AssoParams(max_rank=10)
+        asso_factorize(m, params)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            asso_factorize(m, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3_200_000
 
 
 class TestExactRankPinned:
