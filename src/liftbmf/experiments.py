@@ -34,6 +34,8 @@ EQUIVALENCE_TOLERANCE = 1e-9
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:
+    if not ranks:
+        raise InputError("no ranks given")
     for rank in ranks:
         check_integer(rank, "rank", 0)
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
@@ -160,8 +162,6 @@ def error_curve(
     """
     if not matrices:
         raise InputError("no matrices given")
-    if not ranks:
-        raise InputError("no ranks given")
     _check_ranks(ranks)
     base = params or AssoParams()
     run_params = AssoParams(base.tau, base.w_plus, base.w_minus, max(ranks))

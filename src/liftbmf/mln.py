@@ -1,12 +1,13 @@
 """Minimal Markov Logic engine: parsing, grounding, exact inference.
 
 Every ground atom has an integer id (`_AtomIds`), its place in `Model.all_atoms()`.
-Grounding turns each first-order formula into one template, whose leaves
-compute an atom id from a binding given as domain positions; a grounding
-is a template plus one such binding, and no ground copy of the formula is
-built.  Conditioning walks a template under a binding with the known atom
-values in one flat list indexed by id, and keeps the residual over the
-atoms left open, whose leaves are ids.  Unit propagation over the hard
+Grounding keeps one record per first-order formula: its template, whose
+leaves compute an atom id from a binding given as domain positions, and
+its variable count k, which stands for the m^k bindings; no grounding is
+spelled out and no ground copy of a formula is built.  Conditioning walks
+a template under each binding with the known atom values in one flat list
+indexed by id, and keeps the residual over the atoms left open, whose
+leaves are ids.  Unit propagation over the hard
 groundings comes first: an atom it derives becomes known exactly like
 evidence.  A model of many groundings is conditioned one formula at a
 time instead, its groundings' atom ids and values as arrays, with the
@@ -760,24 +761,26 @@ def _renamed(residual, rank: Mapping[int, int]):
 
 @dataclass(frozen=True)
 class Grounding:
-    """All groundings of the model's formulas, before evidence: each is a
-    formula's template (see `_AtomIds.template`) with one binding of its
-    variables, a tuple holding the domain position of each variable's
-    constant, and stands for the formula with those constants put in."""
+    """The model's formulas, before evidence, one record per formula: its
+    weight (weighted formulas only), its template (see `_AtomIds.template`)
+    and its variable count k.  A formula of k variables stands for m^k
+    groundings, one per binding of its variables, the tuple of each
+    variable's domain position, bindings in the order of
+    `itertools.product(range(m), repeat=k)`; `count` is their total."""
 
     model: Model
-    weighted: tuple[tuple[float, object, tuple[int, ...]], ...]
-    hard: tuple[tuple[object, tuple[int, ...]], ...]
+    weighted: tuple[tuple[float, object, int], ...]
+    hard: tuple[tuple[object, int], ...]
+    count: int
 
     def condition(self, evidence: EvidenceSet) -> "Conditioned":
         return _condition(self, evidence)
 
 
 def ground(model: Model) -> Grounding:
-    """One grounding per formula and binding of its variables over the
-    domain, bindings in `itertools.product` order; each formula's template
-    is built once.  CapacityError when the groundings, or the ground atoms
-    of the signature (the sum over predicates of m^arity, every one of
+    """Each formula's template, built once, and variable count, with no
+    grounding spelled out.  CapacityError when the groundings, or the ground
+    atoms of the signature (the sum over predicates of m^arity, every one of
     which conditioning gives a place), number more than `DEFAULT_GROUND_CAP`,
     read at each call."""
     m = len(model.domain)
@@ -787,18 +790,13 @@ def ground(model: Model) -> Grounding:
     if ids.count > DEFAULT_GROUND_CAP:
         raise CapacityError(f"{ids.count} ground atoms exceed the cap of {DEFAULT_GROUND_CAP}")
     formulas = [f for _, f in model.weighted_formulas] + list(model.hard_formulas)
-    total = sum(m ** len(free_variables(f)) for f in formulas)
-    if total > DEFAULT_GROUND_CAP:
-        raise CapacityError(f"{total} groundings exceed the cap of {DEFAULT_GROUND_CAP}")
-
-    def groundings(f: Formula):
-        variables = free_variables(f)
-        template = ids.template(f, variables)
-        return ((template, b) for b in itertools.product(range(m), repeat=len(variables)))
-
-    weighted = tuple((w, t, b) for w, f in model.weighted_formulas for t, b in groundings(f))
-    hard = tuple(g for f in model.hard_formulas for g in groundings(f))
-    return Grounding(model, weighted, hard)
+    variables = [free_variables(f) for f in formulas]
+    count = sum(m ** len(v) for v in variables)
+    if count > DEFAULT_GROUND_CAP:
+        raise CapacityError(f"{count} groundings exceed the cap of {DEFAULT_GROUND_CAP}")
+    records = [(ids.template(f, v), len(v)) for f, v in zip(formulas, variables)]
+    weighted = tuple((w, *record) for (w, _), record in zip(model.weighted_formulas, records))
+    return Grounding(model, weighted, tuple(records[len(weighted):]), count)
 
 
 @dataclass(frozen=True)
@@ -1079,17 +1077,20 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     grounding at a time; both give equal fields and raise the same errors."""
     model = grounding.model
     ids = model._ids
+    m = len(model.domain)
     known = ids.known(evidence)
-    arrays = len(grounding.weighted) + len(grounding.hard) >= _ARRAY_GROUNDINGS
+    arrays = grounding.count >= _ARRAY_GROUNDINGS
     if arrays:
-        weighted_parts, hard_parts = _formula_arrays(grounding)
+        hard_parts = [_FormulaArray(None, template, k, m) for template, k in grounding.hard]
         values = np.array([2 if value is None else value for value in known], np.int8)
         hard_groups = _propagate_arrays(hard_parts, values)
         arrays = hard_groups is not None
         if arrays:
             known = [_VALUES[value] for value in values.tolist()]
     if not arrays:  # the worklist refutes what the rounds refute, with its own message
-        residual_hard = _unit_propagate(grounding.hard, known, ids)
+        hard_bindings = [(template, positions) for template, k in grounding.hard
+                         for positions in itertools.product(range(m), repeat=k)]
+        residual_hard = _unit_propagate(hard_bindings, known, ids)
     open_ids = [i for i, value in enumerate(known) if value is None]
     slot = [-1] * ids.count
     for k, atom_id in enumerate(open_ids):
@@ -1116,20 +1117,22 @@ def _condition(grounding: Grounding, evidence: EvidenceSet) -> Conditioned:
     weighted = []
     if arrays:
         slots = np.array(slot)
-        for part in weighted_parts:
+        for w, template, k in grounding.weighted:
+            part = _FormulaArray(w, template, k, m)
             holds, comps = part.compiled(part.groups(values), slots, table)
             for _ in range(holds):  # one addition per grounding, so the sum rounds as the loop's
-                const_log_weight += part.weight
+                const_log_weight += w
             weighted += comps
         hard = [comp for part, groups in zip(hard_parts, hard_groups)
                 for comp in part.compiled(groups, slots, table)[1]]
     else:
-        for w, template, positions in grounding.weighted:
-            simp = _partial(template, positions, known)
-            if simp is True:
-                const_log_weight += w
-            elif simp is not False:
-                weighted.append(compiled(simp, w))
+        for w, template, k in grounding.weighted:
+            for positions in itertools.product(range(m), repeat=k):
+                simp = _partial(template, positions, known)
+                if simp is True:
+                    const_log_weight += w
+                elif simp is not False:
+                    weighted.append(compiled(simp, w))
         hard = [compiled(simp, None) for simp in residual_hard if simp is not True]
     formulas = tuple(hard + weighted)
     blanket: list[list[int]] = [[] for _ in atoms]
@@ -1166,13 +1169,14 @@ def _equal_rows(rows: np.ndarray) -> list[np.ndarray]:
 
 
 class _FormulaArray:
-    """One formula's groundings as an array: `atom_ids[g, j]` is the id of
-    the atom at leaf j of grounding g, groundings in `ground`'s order, and
-    `numbered` is the template with leaf j numbered j.  Under its leaf
-    values as a list, `_partial` turns `numbered` into the residual of every
-    grounding with those values, leaf numbers standing for ids: a formula
-    is evaluated once per distinct row of leaf values, and groundings that
-    come out True or False cost no Python."""
+    """One formula's groundings as an array, built from its `Grounding`
+    record: `atom_ids[g, j]` is the id of the atom at leaf j of the g-th
+    binding in `itertools.product` order, and `numbered` is the template
+    with leaf j numbered j.  Under its leaf values as a list, `_partial`
+    turns `numbered` into the residual of every grounding with those
+    values, leaf numbers standing for ids: a formula is evaluated once per
+    distinct row of leaf values, and groundings that come out True or False
+    cost no Python."""
 
     def __init__(self, weight: float | None, template, n_vars: int, m: int):
         self.weight = weight
@@ -1224,23 +1228,6 @@ class _FormulaArray:
             for g, atom_ids in zip(rows.tolist(), slots[at].tolist()):
                 comps[g] = _CompiledFormula(tuple(atom_ids), shared)
         return holds, [comp for comp in comps if comp is not None]
-
-
-def _formula_arrays(grounding: Grounding) -> tuple[list[_FormulaArray], list[_FormulaArray]]:
-    """The weighted and the hard formulas' `_FormulaArray`s, from the
-    templates of `grounding`, where a formula of k variables has m^k groundings in a row."""
-    m = len(grounding.model.domain)
-
-    def parts(groundings, weights):
-        out, k = [], 0
-        for weight in weights:
-            template, positions = groundings[k][-2:]
-            out.append(_FormulaArray(weight, template, len(positions), m))
-            k += m ** len(positions)
-        return out
-
-    return (parts(grounding.weighted, [w for w, _ in grounding.model.weighted_formulas]),
-            parts(grounding.hard, [None] * len(grounding.model.hard_formulas)))
 
 
 def _propagate_arrays(hard: Sequence[_FormulaArray], values: np.ndarray) -> list | None:

@@ -523,6 +523,20 @@ class TestExperimentCommands:
         assert "unknown query predicate 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reference", ["exact", "self"])
+    def test_kld_curve_needs_a_rank(self, tmp_path, reference, capsys):
+        model = tmp_path / "m.mln"
+        model.write_text("domain = c0, c1, c2, c3\npred p/2\npred s/1\n")
+        matrix = tmp_path / "p.txt"
+        run("gen", "-m", "4", "--rank", "2", "--seed", "2", "-o", str(matrix))
+        out = tmp_path / "kld.csv"
+        assert run("experiment", "kld-curve", "--model", str(model),
+                   "--matrix", str(matrix), "--predicate", "p",
+                   "--query-pred", "s", "--ranks", "", "--seeds", "1",
+                   "--reference", reference, "-o", str(out)) == 1
+        assert capsys.readouterr().err == "liftbmf: error: no ranks given\n"
+        assert not out.exists()
+
     def test_kld_curve_csv(self, tmp_path):
         model = tmp_path / "m.mln"
         model.write_text(

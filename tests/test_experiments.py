@@ -200,6 +200,15 @@ class TestExperimentSpec:
             kld_curve(model, matrix, "p", queries, ranks=(3, 2), seeds=(0,),
                       iterations=20, snapshot_every=10)
 
+    @pytest.mark.parametrize("reference", ["exact", "self"])
+    def test_needs_a_rank(self, small_setup, reference):
+        model, matrix, queries = small_setup
+        with pytest.raises(InputError, match="no ranks given"):
+            error_curve([matrix], ())
+        with pytest.raises(InputError, match="no ranks given"):
+            kld_curve(model, matrix, "p", queries, ranks=(), seeds=(0,),
+                      iterations=20, snapshot_every=10, reference=reference)
+
     def test_needs_a_seed(self, small_setup):
         model, matrix, queries = small_setup
         with pytest.raises(InputError, match="seed"):

@@ -445,7 +445,7 @@ class TestGrounding:
     def test_two_variable_formula_has_m_squared_groundings(self):
         model = parse_model(PEER_MODEL)
         g = ground(model)
-        assert len(g.weighted) == 16
+        assert g.count == 16 and len(g.weighted) == 1
 
     def test_equivalence_formula_groundings(self):
         # rank-3 equivalence still grounds once per (X, Y) pair
@@ -457,11 +457,26 @@ class TestGrounding:
         )
         model = parse_model("\n".join(lines))
         g = ground(model)
-        assert len(g.hard) == 16
+        assert g.count == 16 and len(g.hard) == 1
 
     def test_zero_variable_formula(self):
         model = parse_model("domain = a, b\npred q/1\n0.7 q(a)\n")
-        assert len(ground(model).weighted) == 1
+        g = ground(model)
+        assert g.count == 1 and g.weighted[0][2] == 0
+
+    def test_a_model_at_the_cap_grounds_as_one_record(self):
+        # 10^6 bindings, none of them spelled out: one record and a small trace
+        domain = ", ".join(f"c{k}" for k in range(1000))
+        model = parse_model(f"domain = {domain}\npred s/1\n0.5 s(X) ^ s(Y)\n")
+        tracemalloc.start()
+        try:
+            g = ground(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.count == mln.DEFAULT_GROUND_CAP == 10 ** 6
+        assert len(g.weighted) == 1 and g.weighted[0][0] == 0.5 and not g.hard
+        assert peak < 1 << 20
 
     def test_grounding_cap(self, monkeypatch):
         monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 10)
@@ -1703,12 +1718,12 @@ class TestArrayConditioning:
         # the planted (4, 4) sides have 72 and 136 groundings; the constant is read at each call
         assert mln._ARRAY_GROUNDINGS == 128
         runs = []
-        build = mln._formula_arrays
-        monkeypatch.setattr(mln, "_formula_arrays", lambda g: runs.append(1) or build(g))
+        build = mln._propagate_arrays
+        monkeypatch.setattr(mln, "_propagate_arrays", lambda *a: runs.append(1) or build(*a))
         model, matrix, _ = planted_symmetry_instance((4, 4))
         for (side, evidence), count in zip(_reduction_sides(model, matrix), (72, 136)):
             grounding = ground(side)
-            assert len(grounding.weighted) + len(grounding.hard) == count
+            assert grounding.count == count
             for threshold, arrays in [(128, count >= 128), (count + 1, False), (count, True)]:
                 monkeypatch.setattr(mln, "_ARRAY_GROUNDINGS", threshold)
                 runs.clear()
@@ -2010,7 +2025,7 @@ class TestGroundingRefusals:
         with pytest.raises(CapacityError, match="512080 ground atoms exceed the cap of 512079"):
             ground(model(80))
         monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 512_080)
-        assert len(ground(model(80)).weighted) == 1
+        assert ground(model(80)).count == 1
         monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 1009)
         with pytest.raises(CapacityError, match="1010 ground atoms exceed the cap of 1009"):
             exact_marginals(model(10), EvidenceSet(), [s_c0])
@@ -2035,7 +2050,7 @@ class TestGroundingRefusals:
         with pytest.raises(CapacityError, match="81 groundings exceed the cap of 80"):
             ground(model(3))
         monkeypatch.setattr(mln, "DEFAULT_GROUND_CAP", 81)
-        assert len(ground(model(3)).weighted) == 81
+        assert ground(model(3)).count == 81
 
     def test_a_ground_formula_over_twenty_atoms_gets_no_table(self):
         names = [f"r{k}" for k in range(21)]
