@@ -106,8 +106,10 @@ def is_variable(token: str) -> bool:
 
 
 def _check_ground(atom: Atom, kind: str) -> None:
-    """InputError unless the arguments of `atom` are a tuple of nonempty
-    strings, none a variable."""
+    """InputError unless `atom` is an `Atom` whose arguments are a tuple of
+    nonempty strings, none a variable."""
+    if not isinstance(atom, Atom):
+        raise InputError(f"{kind} {atom!r} is not an Atom")
     if not isinstance(atom.args, tuple):
         raise InputError(f"{kind}: arguments {atom.args!r} of {atom.pred} are not a tuple")
     for arg in atom.args:
@@ -1001,43 +1003,47 @@ class Conditioned:
         for lookup in self.model._ids.arrays(np.array(self.slot)):
             if not (permute_axes(lookup, perm)[lookup >= 0] >= 0).all():
                 raise InputError("the permutation moves an open atom onto a known atom")
-        return np.array(self._relabeled(column, perm.tolist()), dtype=np.int64)
+        inverse = np.empty(m, dtype=np.intp)
+        inverse[perm] = np.arange(m)
+        return np.array(column, dtype=np.int64)[self._sources(inverse[None])[0]]
 
     @cached_property
-    def _relabeling_parts(self) -> tuple[tuple[tuple[int, list[int], int], ...],
-                                         tuple[tuple[int, list[int], tuple[int, ...]], ...]]:
-        """Per open atom of a predicate of nonzero arity, in declaration order:
-        its index in `atoms`, its predicate's part of `slot` as a list and
-        its constants' domain positions, one int for a unary atom (the first
-        part), a tuple for the rest.  Cut from `slot` on the first relabeling."""
-        unary, rest = [], []
-        for lookup in self.model._ids.arrays(np.array(self.slot)):
-            flat = lookup.ravel().tolist()
-            is_open = lookup >= 0
-            for atom_id, places in zip(lookup[is_open].tolist(), np.argwhere(is_open).tolist()):
-                if lookup.ndim == 1:
-                    unary.append((atom_id, flat, places[0]))
-                else:
-                    rest.append((atom_id, flat, tuple(places)))
-        return tuple(unary), tuple(rest)
+    def _relabeling_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What `_sources` reads: `slot` as an array and, per open atom in
+        `atoms` order, its predicate's first atom id, its constants' domain
+        positions, and each position's place value in its atom id, m^(k-1-j)
+        for argument j of k and 0 past the atom's arity.  Built on the first
+        relabeling, so exact inference never pays for it."""
+        m = len(self.model.domain)
+        slot = np.array(self.slot, dtype=np.intp)
+        atom_ids = np.flatnonzero(slot >= 0)
+        spans = [(start, arity, (atom_ids >= start) & (atom_ids < start + m ** arity))
+                 for start, arity in self.model._ids.layout.values()]
+        spans = [span for span in spans if span[2].any()]
+        width = max([arity for _, arity, _ in spans], default=0)
+        offset = np.zeros(len(atom_ids), dtype=np.intp)
+        digits = np.zeros((len(atom_ids), width), dtype=np.intp)
+        place = np.zeros((len(atom_ids), width), dtype=np.intp)
+        for start, arity, mine in spans:
+            offset[mine] = start
+            rest = atom_ids[mine] - start
+            for j in range(arity - 1, -1, -1):  # base-m digits, the last argument least significant
+                rest, digits[mine, j] = np.divmod(rest, m)
+                place[mine, j] = m ** (arity - 1 - j)
+        return slot, offset, digits, place
 
-    def _relabeled(self, column: list[int], perm: Sequence[int]) -> list[int]:
-        """`relabeled` as a new list, on a world already checked by `_column`
-        and a permutation, as a list, that keeps open atoms open.  An atom's
-        new place is read off its predicate's flat lookup at the renamed
-        positions, taken as the digits of a base-m number: one lookup for a
-        unary atom."""
-        m = len(perm)
-        new = column[:]
-        unary, rest = self._relabeling_parts
-        for atom_id, flat, c in unary:
-            new[flat[perm[c]]] = column[atom_id]
-        for atom_id, flat, places in rest:
-            at = 0
-            for c in places:
-                at = at * m + perm[c]
-            new[flat[at]] = column[atom_id]
-        return new
+    def _sources(self, inverses: np.ndarray) -> np.ndarray:
+        """Where relabeling takes each open atom's value from, per row of
+        `inverses`, the inverse of a permutation of domain positions that
+        keeps open atoms open: entry b of a row is the index in `atoms` of
+        the atom that the permutation renames to atom b, so the relabeled
+        world is `values[sources]`.  One array pass per argument place,
+        whatever the number of rows."""
+        slot, offset, digits, place = self._relabeling_plan
+        at = offset
+        for j in range(digits.shape[1]):
+            at = at + inverses[:, digits[:, j]] * place[:, j]
+        return slot[np.broadcast_to(at, (len(inverses), len(offset)))]
 
     def split_queries(self, queries: Sequence[Atom]) -> tuple[dict[Atom, float], dict[Atom, int]]:
         """Check query atoms; split off the known ones, given or derived,

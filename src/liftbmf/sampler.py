@@ -8,12 +8,17 @@ configured probability the step is preceded by an orbital jump, the
 relabeling of `Conditioned.relabeled` by a uniform random permutation
 within each class of `constant_symmetry_classes`.  Marginals come from
 either the sample frequency or Rao-Blackwellized conditional averaging.
-A jump shuffles each class's position list in place, which draws what
-`rng.permutation` draws on the positions, and moves each value through
-`Conditioned._relabeled`, the code behind `relabeled`, which walks its
-two-part plan: the atoms of unary predicates, then the rest.  The classes
-read the evidence through the model's one atom layout, as conditioning does,
-and the chain maps them to domain positions through the layout's position map.
+Each block of steps draws its jumps' permutations before its steps, from
+a stream that serves nothing else: when the classes of two or more
+constants share one size, one `rng.permuted` call shuffles the rows of
+their stacked position lists, else each jump shuffles each class's list;
+both draw what `rng.permutation` draws class by class and jump by jump.
+`Conditioned._sources`, the array code behind `relabeled`, turns the
+permutations into one source list per jump, at most `_JUMP_CELLS`
+entries at a time, and a jump is one list gather: atom b's new value is
+the old value of atom `src[b]`.  The classes read the evidence through
+the model's one atom layout, as conditioning does, and the chain maps
+them to domain positions through the layout's position map.
 
 An atom's conditional depends only on its blanket neighbours
 (`Conditioned._neighbours`), so a step packs their values into an int
@@ -34,7 +39,7 @@ the derived atoms too.  Every jump thus keeps open atoms open and
 `Conditioned.log_weight` unchanged, and the stationary distribution is
 preserved.  The chain therefore checks none of the worlds it builds: it
 holds WalkSAT's list of 0/1 ints, with running sums as Python floats,
-and copies the list on each jump.  The checks stay at the boundary, in
+and gathers a new list on each jump.  The checks stay at the boundary, in
 `log_weight`, `conditional` and `relabeled`.
 """
 from __future__ import annotations
@@ -44,7 +49,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +65,7 @@ __all__ = [
 ]
 
 _BLOCK = 8192
+_JUMP_CELLS = 1 << 16  # jump source entries converted to lists at a time
 _WALKSAT_RESTARTS = 60
 _WALKSAT_FLIPS = 4000  # per restart
 
@@ -130,6 +136,43 @@ def _class_permutation(
             for c, d in zip(at, drawn):
                 perm[c] = d
     return perm
+
+
+def _jump_sources(
+    cond: Conditioned, positions: Sequence[list[int]], jumps: int, rng: np.random.Generator
+) -> Iterator[list[int] | None]:
+    """The relabelings of `jumps` orbital jumps, in order: per jump, a
+    uniform random permutation within each class of `positions`, as the
+    list of `Conditioned._sources` for it, or None when every class draws
+    the identity.  Drawn and converted a chunk of jumps at a time, each
+    chunk at most `_JUMP_CELLS` source entries.  When the classes have one
+    size, a chunk's permutations are one `rng.permuted` call over the
+    stacked class positions, row by row what `_class_permutation` draws
+    jump by jump; otherwise `_class_permutation` draws them."""
+    m = len(cond.model.domain)
+    per_chunk = max(1, _JUMP_CELLS // max(len(cond.atoms), m))
+    stacked = np.array(positions) if len({len(at) for at in positions}) == 1 else None
+    while jumps:
+        rows = min(jumps, per_chunk)
+        jumps -= rows
+        if stacked is not None:
+            flat = stacked.ravel()
+            drawn = rng.permuted(np.tile(stacked, (rows, 1)), axis=1).reshape(rows, -1)
+            moved = (drawn != flat).any(axis=1)
+            perms = np.tile(np.arange(m), (np.count_nonzero(moved), 1))
+            perms[:, flat] = drawn[moved]
+            moved = moved.tolist()
+        else:
+            perms = [_class_permutation(m, positions, rng) for _ in range(rows)]
+            moved = [perm is not None for perm in perms]
+            perms = np.array([perm for perm in perms if perm is not None], dtype=np.intp)
+            perms = perms.reshape(-1, m)
+        inverses = np.empty_like(perms)
+        np.put_along_axis(inverses, perms, np.arange(m), axis=1)
+        sources = iter(cond._sources(inverses).tolist())
+        for jump_moves in moved:
+            yield next(sources) if jump_moves else None
+        del sources  # before the next chunk's lists are built
 
 
 def _packed(world: Sequence[int]) -> int:
@@ -229,8 +272,6 @@ def estimate_marginals(
 
     conditional = cond._conditional
     neighbours = cond._neighbours
-    relabeled = cond._relabeled
-    m = len(model.domain)
     # per atom, its conditional by packed neighbour state, filled on a miss
     memos = [{} for _ in range(n)]
     # the picked query's conditional stands in for its 0/1 value in its
@@ -244,16 +285,17 @@ def estimate_marginals(
         block = min(_BLOCK, config.iterations - t)
         picks = atom_rng.integers(0, n, size=block).tolist() if n else [-1] * block
         unifs = unif_rng.random(block).tolist()
-        if use_orbital:
+        if class_positions:
             jumps = (orbit_decide_rng.random(block) < config.orbital_move_probability).tolist()
+            sources = _jump_sources(cond, class_positions, jumps.count(True), orbit_perm_rng)
         else:
             jumps = itertools.repeat(False, block)
         for i, u, jump in zip(picks, unifs, jumps):
             t += 1
             if jump:
-                perm = _class_permutation(m, class_positions, orbit_perm_rng)
-                if perm is not None:
-                    world = relabeled(world, perm)
+                src = next(sources)
+                if src is not None:
+                    world = [world[a] for a in src]
                     true_queries = {qi for qi in distinct_queries if world[qi]}
                     if counts is not None:
                         world_int = _packed(world)
@@ -268,7 +310,8 @@ def estimate_marginals(
                     p = memo[key] = conditional(world, i)
                 if (u < p) != world[i]:  # the draw flips atom i
                     world[i] ^= 1
-                    world_int ^= 1 << i
+                    if counts is not None:
+                        world_int ^= 1 << i
                     if is_query[i]:
                         if world[i]:
                             true_queries.add(i)

@@ -1175,7 +1175,7 @@ class TestPlanConditional:
 
         monkeypatch.setattr(Conditioned, "_plans", unbuildable("blanket plans"))
         monkeypatch.setattr(Conditioned, "_neighbours", unbuildable("blanket neighbours"))
-        monkeypatch.setattr(Conditioned, "_relabeling_parts", unbuildable("relabeling plan"))
+        monkeypatch.setattr(Conditioned, "_relabeling_plan", unbuildable("relabeling plan"))
         model = parse_model(COMPILED_MODEL)
         evidence = parse_evidence("p(a,b)\n!p(b,a)\n", model)
         with monkeypatch.context() as patch:
@@ -1946,6 +1946,19 @@ class TestQueryRefusals:
         model = parse_model(PEER_MODEL)
         with pytest.raises(InputError, match=re.escape(message)):
             infer(model, [Atom("studentpage", ("a",)), query])
+
+    @pytest.mark.parametrize("kind, refuse", [
+        ("query", lambda model, key: exact_marginals(model, EvidenceSet(), [key])),
+        ("query", lambda model, key: estimate_marginals(model, EvidenceSet(), [key],
+                                                        ChainConfig(5))),
+        ("evidence", lambda model, key: EvidenceSet().assign(key, True)),
+    ], ids=["exact", "gibbs", "evidence"])
+    @pytest.mark.parametrize("key", ["studentpage(a)", ("studentpage", ("a",)), None, 3])
+    def test_keys_that_are_not_atoms(self, kind, refuse, key):
+        # each once raised AttributeError for its missing `args`
+        model = parse_model(PEER_MODEL)
+        with pytest.raises(InputError, match=re.escape(f"{kind} {key!r} is not an Atom")):
+            refuse(model, key)
 
 
 class TestModelRefusals:
