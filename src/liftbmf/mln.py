@@ -1220,14 +1220,14 @@ class _FormulaArray:
             if residual is True:
                 holds += len(rows)
             elif residual is not False:
-                at = self.atom_ids[np.ix_(rows, leaves)]
+                at = self.atom_ids[rows][:, leaves]
                 first, second = np.triu_indices(len(leaves), 1)
                 for alike in _equal_rows(np.sign(at[:, first] - at[:, second])):
                     sample = at[alike[0]].tolist()
                     distinct = sorted(set(sample))
                     rank = {leaf: distinct.index(i) for leaf, i in zip(leaves, sample)}
                     columns = [sample.index(i) for i in distinct]
-                    shapes.append((rows[alike], residual, rank, at[np.ix_(alike, columns)]))
+                    shapes.append((rows[alike], residual, rank, at[alike][:, columns]))
         comps: list = [None] * len(self.atom_ids)
         for rows, residual, rank, at in sorted(shapes, key=lambda shape: shape[0][0]):
             shared = table(_renamed(residual, rank), at.shape[1], self.weight)
@@ -1255,7 +1255,7 @@ def _propagate_arrays(hard: Sequence[_FormulaArray], values: np.ndarray) -> list
                     return None
                 if residual is True:
                     continue
-                at = part.atom_ids[np.ix_(rows, leaves)]
+                at = part.atom_ids[rows][:, leaves]
                 alone = at[(at == at[:, :1]).all(axis=1), 0]  # groundings with one open atom
                 if not len(alone):
                     continue

@@ -251,9 +251,10 @@ def estimate_marginals(
 
     # one running sum per open atom, read for the query atoms only
     distinct_queries = set(query_ids.values())
+    query_list = sorted(distinct_queries)
     is_query = [qi in distinct_queries for qi in range(n)]
     sums = [0.0] * n
-    true_queries = {qi for qi in distinct_queries if world[qi]}
+    true_queries = set(itertools.compress(query_list, map(world.__getitem__, query_list)))
 
     counts = None
     world_int = 0
@@ -296,7 +297,7 @@ def estimate_marginals(
                 src = next(sources)
                 if src is not None:
                     world = [world[a] for a in src]
-                    true_queries = {qi for qi in distinct_queries if world[qi]}
+                    true_queries = set(itertools.compress(query_list, map(world.__getitem__, query_list)))
                     if counts is not None:
                         world_int = _packed(world)
             if n:

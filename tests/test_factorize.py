@@ -309,6 +309,38 @@ class TestAssoAgainstFullRecompute:
             "98061b28a827b7e600131006548b5b255f78ac30a979ef7a01270c062b756a96"
         )
 
+    def test_pairs_over_covered_cells(self):
+        """A kept pair whose rows x columns include cells an earlier pair
+        covered counts only its newly covered cells; random and planted
+        matrices, 1 x l, k x 1 and other non-square shapes among them."""
+        rng = np.random.default_rng(34)
+        over_covered = 0
+        for trial in range(160):
+            kind = trial % 4
+            k, l = (int(x) for x in rng.integers(2, 40, size=2))
+            if kind == 0:
+                k = 1
+            elif kind == 1:
+                l = 1
+            if kind == 3:
+                rank = int(rng.integers(1, 6))
+                q = rng.random((k, rank)) < rng.uniform(0.2, 0.6)
+                r = rng.random((rank, l)) < rng.uniform(0.2, 0.6)
+                bits = ((q.astype(np.int64) @ r) > 0) ^ (rng.random((k, l)) < 0.03)
+            else:
+                bits = rng.random((k, l)) < rng.uniform(0.1, 0.9)
+            m = BoolMatrix(bits)
+            params = AssoParams(tau=float(rng.choice([0.4, 0.6, 0.8])),
+                                w_plus=float(rng.choice([1.0, 1.7])),
+                                w_minus=float(rng.choice([0.3, 0.7, 1.0])))
+            f = asso_factorize(m, params)
+            assert f == _asso_full_recompute(m, params), (bits.tolist(), params)
+            covered = np.zeros((k, l), dtype=bool)
+            for q, r in f.pairs:
+                over_covered += bool(covered[q == 1][:, r == 1].any())
+                covered |= np.outer(q, r) == 1
+        assert over_covered >= 20, over_covered
+
     @staticmethod
     def _check_random(rng, params, shapes=lambda r: r.integers(2, 30, size=2), edit=None,
                       runs=60):
